@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import fem
-from .errors import InvalidConfig, NonConvergence, ResonantParameter, SingularJacobian
-from .functions import DiscreteFunction, Weight, grad_energy, sup_norm, weighted_power_integral
+from .errors import InvalidConfig, NonConvergence, PlapError, ResonantParameter, SingularJacobian
+from .functions import DiscreteFunction, Weight, grad_energy, sup_norm, weight_values, weighted_power_integral
 
 __all__ = [
     "EPS_GRAD_FLOOR",
@@ -121,13 +120,9 @@ class SolveOptions:
     seed: int = 0
 
 
-def _weight_values(w, mesh):
-    return w.values(mesh) if isinstance(w, Weight) else np.asarray(w, dtype=float)
-
-
 def _fields(spec):
     mesh = spec.mesh
-    return _weight_values(spec.m, mesh), _weight_values(spec.a, mesh), _weight_values(spec.f, mesh)
+    return weight_values(spec.m, mesh), weight_values(spec.a, mesh), weight_values(spec.f, mesh)
 
 
 def energy(spec, u):
@@ -180,12 +175,11 @@ def jacobian(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
     """Sparse symmetric Jacobian of residual() over the interior vertices."""
     mesh = spec.mesh
     m_vals, a_vals, f_vals = _fields(spec)
-    J = fem.p_flux_jacobian(mesh, u.values, spec.p, eps_grad)
     lump = mesh.lumped_volumes
     diag = -spec.lam * lump * m_vals * fem.smoothed_odd_power_deriv(u.values, spec.p, eps_zero)
     diag -= spec.eta * lump * a_vals * fem.smoothed_odd_power_deriv(u.values, spec.q, eps_zero)
-    J = J + sp.diags(diag)
-    return fem.restrict(J.tocsr(), mesh.interior_vertices)
+    op = fem.operator(mesh, mesh.interior_vertices)
+    return op.matrix(fem.p_flux_jacobian(op, u.values, spec.p, eps_grad, diag))
 
 
 def classify_sign(u, boundary_excluded=True, margin=0.0):
@@ -237,8 +231,8 @@ class _NewtonDriver:
     def __init__(self, spec, opts):
         self.spec = spec
         self.opts = opts
-        self.mesh = spec.mesh
         self.free = spec.mesh.interior_vertices
+        self.op = fem.operator(spec.mesh, self.free)
         self.m_vals, self.a_vals, self.f_vals = _fields(spec)
         self.lump = spec.mesh.lumped_volumes
         self.singular_stall = False
@@ -258,7 +252,7 @@ class _NewtonDriver:
 
         Mutates values in place; returns (converged, iterations, final_norm).
         """
-        spec, mesh, free = self.spec, self.mesh, self.free
+        spec, free = self.spec, self.free
 
         def res(vals):
             return _residual_vector(
@@ -271,12 +265,11 @@ class _NewtonDriver:
         for it in range(max_iter):
             if rn <= goal:
                 return True, it, rn
-            J = fem.p_flux_jacobian(mesh, values, spec.p, eps_g)
             diag = -lam * self.lump * self.m_vals * fem.smoothed_odd_power_deriv(values, spec.p, eps_s)
             diag -= eta * self.lump * self.a_vals * fem.smoothed_odd_power_deriv(values, spec.q, eps_s)
-            J = fem.restrict((J + sp.diags(diag)).tocsr(), free)
+            J = fem.p_flux_jacobian(self.op, values, spec.p, eps_g, diag)
             try:
-                step = fem.solve_sparse(J, -r)
+                step = fem.solve_sparse(self.op, J, -r)
             except SingularJacobian:
                 self.singular_stall = True
                 return rn <= goal, it, rn
@@ -392,14 +385,13 @@ def _random_smooth_starts(mesh, rng, count):
     """Zero-trace smooth random fields: one Laplace solve of white noise each."""
     if count <= 0:
         return []
-    K = fem.restrict(
-        fem.p_flux_jacobian(mesh, np.zeros(mesh.n_vertices), 2.0, 0.0), mesh.interior_vertices
-    )
+    op = fem.operator(mesh, mesh.interior_vertices)
+    laplace_solve = op.factorize(fem.p_flux_jacobian(op, np.zeros(mesh.n_vertices), 2.0, 0.0))
     starts = []
     for _ in range(count):
         noise = rng.standard_normal(len(mesh.interior_vertices)) * mesh.lumped_volumes[mesh.interior_vertices]
         vals = np.zeros(mesh.n_vertices)
-        vals[mesh.interior_vertices] = fem.solve_sparse(K, noise)
+        vals[mesh.interior_vertices] = laplace_solve(noise)
         peak = np.max(np.abs(vals))
         if peak > 0:
             vals *= float(rng.choice((0.5, 2.0, 8.0))) / peak
@@ -452,7 +444,7 @@ def multi_start_solve(spec, opts=None, phi1=None):
             phi1 = pair.phi
             if opts.lam1 is None:
                 opts = SolveOptions(**{**opts.__dict__, "lam1": pair.lam})
-        except Exception:
+        except PlapError:
             phi1 = None
     if phi1 is not None:
         for t in opts.t_grid:

@@ -31,7 +31,7 @@ import scipy.optimize
 
 from . import fem
 from .errors import InvalidConfig
-from .functions import DiscreteFunction, Weight, grad_energy, weighted_power_integral
+from .functions import DiscreteFunction, Weight, grad_energy, weight_values, weighted_power_integral
 
 __all__ = [
     "EtaStarOptions",
@@ -168,9 +168,9 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     opts = opts or EtaStarOptions()
     if not 1.0 < q < p:
         raise InvalidConfig(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
-    m_vals = m.values(mesh) if isinstance(m, Weight) else np.asarray(m, dtype=float)
-    a_vals = a.values(mesh) if isinstance(a, Weight) else np.asarray(a, dtype=float)
-    f_vals = f.values(mesh) if isinstance(f, Weight) else np.asarray(f, dtype=float)
+    m_vals = weight_values(m, mesh)
+    a_vals = weight_values(a, mesh)
+    f_vals = weight_values(f, mesh)
     if np.any(f_vals < 0):
         raise InvalidConfig("source weight must be nonnegative for the critical value")
 

@@ -25,14 +25,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
 from .errors import EmptyAdmissibleSet, InvalidConfig, NonConvergence
-from .functions import DiscreteFunction, Weight, grad_energy, sup_norm
+from .functions import DiscreteFunction, Weight, grad_energy, weight_values
 from .mesh import SubdomainMask
 
 __all__ = [
@@ -89,9 +85,8 @@ class EigenPair:
 def _free_vertices(mesh, mask):
     if mask is None:
         return mesh.interior_vertices
-    active = np.zeros(mesh.n_vertices, dtype=bool)
-    active[mask.active_vertices] = True
-    return np.array([v for v in mesh.interior_vertices if active[v]], dtype=np.int64)
+    interior = mesh.interior_vertices
+    return interior[mask.indicator()[interior]]
 
 
 def _weighted_mass(mesh, m_vals, values, p):
@@ -120,17 +115,19 @@ class _InnerSolver:
         self.eps_floor = eps_floor
         self.max_inner = max_inner
         self.shift = shift
-        self._lu = None
+        self.op = fem.operator(mesh, free)
+        self._lu_solve = None
         self._stiffness = None
         if p == 2:
-            self._stiffness = fem.p_flux_jacobian(mesh, np.zeros(mesh.n_vertices), 2.0, 0.0)
+            self._stiffness = fem.p_flux_jacobian(self.op, np.zeros(mesh.n_vertices), 2.0, 0.0)
             self._factorize()
 
     def _factorize(self):
         K = self._stiffness
         if self.shift:
-            K = K + sp.diags(self.shift * self.mesh.lumped_volumes)
-        self._lu = spla.splu(fem.restrict(K, self.free))
+            K = K.copy()
+            self.op.add_diagonal(K, self.shift * self.mesh.lumped_volumes)
+        self._lu_solve = self.op.factorize(K)
 
     def set_shift(self, shift):
         if shift != self.shift:
@@ -141,7 +138,7 @@ class _InnerSolver:
     def solve(self, load_free, v_init):
         if self.p == 2:
             out = np.zeros(self.mesh.n_vertices)
-            out[self.free] = self._lu.solve(load_free)
+            out[self.free] = self._lu_solve(load_free)
             return out
         v = v_init.copy()
         scale = max(np.linalg.norm(load_free), 1e-300)
@@ -178,10 +175,9 @@ class _InnerSolver:
             gn = float(np.linalg.norm(grad))
             if gn <= target:
                 return True
-            H = fem.restrict(fem.p_flux_jacobian(mesh, values, p, eps), free)
-            if self.shift:
-                H = H + sp.diags(self.shift * (lump * fem.smoothed_odd_power_deriv(values, p, _EPS_ZERO))[free])
-            step = fem.solve_sparse(H, -grad)
+            diag = self.shift * lump * fem.smoothed_odd_power_deriv(values, p, _EPS_ZERO) if self.shift else None
+            H = fem.p_flux_jacobian(self.op, values, p, eps, diag)
+            step = fem.solve_sparse(self.op, H, -grad)
             j0 = self._objective(values, load_free, eps)
             slope = float(np.dot(grad, step))
             t = 1.0
@@ -215,7 +211,7 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
     free = _free_vertices(mesh, mask)
     if len(free) == 0:
         raise EmptyAdmissibleSet("mask has no interior vertices")
-    m_vals = m.values(mesh) if isinstance(m, Weight) else np.asarray(m, dtype=float)
+    m_vals = weight_values(m, mesh)
     if not np.any(m_vals[free] > 0):
         raise EmptyAdmissibleSet("weight has no positive part on the active vertex set")
     tol = opts.resolved_tol(p)
@@ -308,7 +304,7 @@ def principal_eigenpair_negative(mesh, m, p, opts=None):
     Requires the negative part of m to be nontrivial; raises EmptyAdmissibleSet
     when m >= 0 everywhere on the active set.
     """
-    m_vals = m.values(mesh if not isinstance(mesh, SubdomainMask) else mesh.mesh) if isinstance(m, Weight) else np.asarray(m, dtype=float)
+    m_vals = weight_values(m, mesh.mesh if isinstance(mesh, SubdomainMask) else mesh)
     pair = principal_eigenpair(mesh, Weight.nodal(-m_vals), p, opts)
     pair.lam = -pair.lam
     pair.rq_history = [-r for r in pair.rq_history]
@@ -323,7 +319,7 @@ def subdomain_eigenvalue(mask, m, p, opts=None):
     """
     mesh = mask.mesh
     free = _free_vertices(mesh, mask)
-    m_vals = m.values(mesh) if isinstance(m, Weight) else np.asarray(m, dtype=float)
+    m_vals = weight_values(m, mesh)
     if len(free) == 0 or not np.any(m_vals[free] > 0):
         return EigenPair(
             lam=math.inf,
@@ -339,59 +335,15 @@ def subdomain_eigenvalue(mask, m, p, opts=None):
 def second_eigenvalue_1d(x0, x1, p):
     """Second Dirichlet eigenvalue of the 1D p-Laplacian with unit weight.
 
-    Shooting formulation: integrate (|u'|^{p-2} u')' + lam |u|^{p-2} u = 0 from
-    u(x0) = 0, u'(x0) = 1 in the variables (u, w = |u'|^{p-2} u'), locate the
-    second zero of u, and solve second_zero(lam) = x1 for lam (the zero
-    position is strictly decreasing in lam).  Used to bound sweep ranges.
+    Closed form lam_2 = (p-1) (2 pi_p / L)^p with L = x1 - x0 and
+    pi_p = 2 pi / (p sin(pi/p)): the second eigenfunction is the first one
+    on each half of the interval, with opposite signs (del Pino, Elgueta &
+    Manasevich, J. Differential Equations 80, 1989).  Used to bound sweep
+    ranges.
     """
     if not x1 > x0:
         raise InvalidConfig("interval bounds must satisfy x1 > x0")
     if p <= 1:
         raise InvalidConfig(f"exponent p must exceed 1, got {p}")
-    L = x1 - x0
-    pexp = 1.0 / (p - 1.0)
-
-    def rhs(t, y, lam):
-        u, w = y
-        du = abs(w) ** pexp * math.copysign(1.0, w) if w != 0 else 0.0
-        dw = -lam * (abs(u) ** (p - 1.0) * math.copysign(1.0, u) if u != 0 else 0.0)
-        return (du, dw)
-
-    def crossing(t, y, lam):
-        return y[0]
-
-    def second_zero(lam):
-        sol = scipy.integrate.solve_ivp(
-            rhs,
-            (x0, x0 + 4.0 * L),
-            (0.0, 1.0),
-            args=(lam,),
-            events=crossing,
-            rtol=1e-10,
-            atol=1e-12,
-            dense_output=False,
-        )
-        zeros = [t for t in sol.t_events[0] if t > x0 + 1e-9 * L]
-        if len(zeros) < 2:
-            return math.inf
-        return zeros[1]
-
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
-    guess = (p - 1.0) * (2.0 * pi_p / L) ** p
-    lo, hi = guess, guess
-    for _ in range(60):
-        lo /= 1.5
-        if second_zero(lo) > x1:
-            break
-    else:
-        raise NonConvergence("could not bracket the second eigenvalue from below")
-    for _ in range(60):
-        hi *= 1.5
-        if second_zero(hi) < x1:
-            break
-    else:
-        raise NonConvergence("could not bracket the second eigenvalue from above")
-    lam2 = scipy.optimize.brentq(
-        lambda lam: second_zero(lam) - x1, lo, hi, xtol=1e-10 * guess, rtol=1e-12
-    )
-    return float(lam2)
+    return (p - 1.0) * (2.0 * pi_p / (x1 - x0)) ** p

@@ -21,6 +21,7 @@ from .errors import InvalidConfig
 __all__ = [
     "DiscreteFunction",
     "Weight",
+    "weight_values",
     "grad_energy",
     "weighted_power_integral",
     "sup_norm",
@@ -154,6 +155,11 @@ class Weight:
         return f"Weight({self.kind}, {self.payload!r})"
 
 
+def weight_values(w, mesh):
+    """Nodal values of w on mesh: a Weight's cached samples, or w as a float array."""
+    return w.values(mesh) if isinstance(w, Weight) else np.asarray(w, dtype=float)
+
+
 def grad_energy(u, p):
     """Integral of |grad u|^p, exact for the P1 interpolant.
 
@@ -177,8 +183,7 @@ def weighted_power_integral(w, u, r, signed=False):
     """
     if r < 1:
         raise InvalidConfig(f"power r must be >= 1, got {r}")
-    wv = w.values(u.mesh) if isinstance(w, Weight) else np.asarray(w, dtype=float)
-    integrand = wv * np.abs(u.values) ** r
+    integrand = weight_values(w, u.mesh) * np.abs(u.values) ** r
     if signed:
         integrand = integrand * np.sign(u.values)
     return float(np.dot(u.mesh.lumped_volumes, integrand))

@@ -38,7 +38,7 @@ class Mesh:
         self.dimension = int(dimension)
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
-        self.boundary_vertices = np.asarray(sorted(boundary_vertices), dtype=np.int64)
+        self.boundary_vertices = np.sort(np.asarray(boundary_vertices, dtype=np.int64))
         mask = np.ones(len(self.vertices), dtype=bool)
         mask[self.boundary_vertices] = False
         self.interior_vertices = np.nonzero(mask)[0]
@@ -178,24 +178,15 @@ def build_rectangle(x0, x1, y0, y1, nx, ny):
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    boundary = [
-        vid(i, j)
-        for j in range(ny + 1)
-        for i in range(nx + 1)
-        if i in (0, nx) or j in (0, ny)
-    ]
-    return Mesh(2, vertices, np.array(cells), boundary, (x0, x1, y0, y1))
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # vid[j, i]
+    v00, v10 = vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel()
+    v01, v11 = vid[1:, :-1].ravel(), vid[1:, 1:].ravel()
+    # grid cell (i, j), row by row, splits into (v00, v10, v11) then (v00, v11, v01)
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    on_edge = np.zeros(vid.shape, dtype=bool)
+    on_edge[[0, -1], :] = True
+    on_edge[:, [0, -1]] = True
+    return Mesh(2, vertices, cells, vid[on_edge], (x0, x1, y0, y1))
 
 
 def boundary_strip(mesh, rho):

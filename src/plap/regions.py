@@ -23,8 +23,8 @@ import numpy as np
 
 from .bvp import ProblemSpec, SolveOptions, multi_start_solve
 from .critical import eta_star_lower_bound, picone_polynomial_check
-from .errors import NonConvergence
-from .functions import DiscreteFunction, Weight, weighted_power_integral
+from .errors import NonConvergence, PlapError
+from .functions import DiscreteFunction, Weight, weight_values, weighted_power_integral
 
 __all__ = [
     "TheoremPrediction",
@@ -151,10 +151,6 @@ class SweepOptions:
     lam1_override: float | None = None
 
 
-def _weight_values(w, mesh):
-    return w.values(mesh) if isinstance(w, Weight) else np.asarray(w, dtype=float)
-
-
 def _vanishing_strip_width(mesh, vals):
     """Largest rho with vals == 0 at every vertex closer than rho to the boundary."""
     dist = mesh.distance_to_boundary()
@@ -176,9 +172,9 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
     """
     mesh = template.mesh
     q = template.q
-    a_vals = _weight_values(template.a, mesh)
-    f_vals = _weight_values(template.f, mesh)
-    m_vals = _weight_values(template.m, mesh)
+    a_vals = weight_values(template.a, mesh)
+    f_vals = weight_values(template.f, mesh)
+    m_vals = weight_values(template.m, mesh)
 
     f_nonneg = bool(np.all(f_vals >= 0))
     f_nontrivial = bool(np.any(f_vals != 0))
@@ -371,8 +367,8 @@ def _eta_threshold_closures(template, lam1):
     weight; returns (pos, neg) callables or None where unavailable.
     """
     mesh = template.mesh
-    f_vals = _weight_values(template.f, mesh)
-    a_vals = _weight_values(template.a, mesh)
+    f_vals = weight_values(template.f, mesh)
+    a_vals = weight_values(template.a, mesh)
     c_f = float(np.min(f_vals))
     if c_f <= 0 or not math.isfinite(lam1):
         return None, None
@@ -417,7 +413,7 @@ def sweep(template, lam_grid, eta_grid, opts=None):
 
         pair = principal_eigenpair(mesh, template.m, template.p)
         phi1, lam1_computed = pair.phi, pair.lam
-    except Exception:
+    except PlapError:
         pass
     lam1 = opts.lam1_override if opts.lam1_override is not None else lam1_computed
 
@@ -582,7 +578,7 @@ def nonuniformity_experiment(
     from .eigen import principal_eigenpair
 
     solve_opts = opts or SolveOptions()
-    a_vals = _weight_values(a, mesh)
+    a_vals = weight_values(a, mesh)
     if np.any(a_vals < 0):
         raise NonConvergence("nonuniformity probe requires a >= 0")
     pair = principal_eigenpair(mesh, m, p)

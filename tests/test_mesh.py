@@ -134,3 +134,18 @@ def test_mask_from_predicate_and_indicator():
     assert set(mask.active_vertices) | set(mask.complement().active_vertices) == set(
         range(mesh.n_vertices)
     )
+
+
+def test_rectangle_2x2_layout():
+    mesh = build_rectangle(0, 1, 0, 1, 2, 2)
+    assert mesh.vertices.tolist() == [
+        [0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+        [0.0, 0.5], [0.5, 0.5], [1.0, 0.5],
+        [0.0, 1.0], [0.5, 1.0], [1.0, 1.0],
+    ]
+    assert mesh.cells.tolist() == [
+        [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
+    ]
+    assert mesh.boundary_vertices.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert mesh.interior_vertices.tolist() == [4]

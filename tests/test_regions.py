@@ -183,3 +183,17 @@ def test_nonuniformity_exact_linear_crosscheck(interval_512, one, pair_p2_512):
     u_oracle = oracles.linear_bvp_oracle_1d(lam, f.values(interval_512), 512)
     assert np.max(np.abs(out.u.values - u_oracle)) < 1e-8 * (1 + np.max(np.abs(u_oracle)))
     assert out.sign_class == "sign_changing"
+
+
+def test_eigensolve_programming_errors_propagate(interval_256, monkeypatch):
+    import plap.eigen
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the eigensolver")
+
+    monkeypatch.setattr(plap.eigen, "principal_eigenpair", broken)
+    spec = template(interval_256, p=3.0).replace(lam=1.0)
+    with pytest.raises(TypeError):
+        multi_start_solve(spec)
+    with pytest.raises(TypeError):
+        sweep(template(interval_256, p=3.0), [1.0], [0.0])
