@@ -138,8 +138,9 @@ def energy_smoothed(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
     """Regularized energy whose nodal gradient is residual() at the same eps."""
     mesh = spec.mesh
     m_vals, a_vals, f_vals = _fields(spec)
-    g = u.cell_gradients()
-    g2 = np.einsum("cd,cd->c", g, g) + eps_grad**2
+    kernel = fem.gradients(mesh)
+    g = kernel.gradient(u.values)
+    g2 = kernel.dot(g, g) + eps_grad**2
     grad_term = float(np.dot(mesh.cell_volumes, g2 ** (0.5 * spec.p))) / spec.p
     s2 = u.values**2 + eps_zero**2
     m_term = float(np.dot(mesh.lumped_volumes, m_vals * s2 ** (0.5 * spec.p))) / spec.p
@@ -148,38 +149,20 @@ def energy_smoothed(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
     return grad_term - spec.lam * m_term - spec.eta * a_term - f_term
 
 
-def _residual_vector(spec, values, m_vals, a_vals, f_vals, eps_grad, eps_zero, lam=None, eta=None):
-    mesh = spec.mesh
-    lam = spec.lam if lam is None else lam
-    eta = spec.eta if eta is None else eta
-    r = fem.p_flux(mesh, values, spec.p, eps_grad)
-    lump = mesh.lumped_volumes
-    r -= lam * lump * m_vals * fem.smoothed_odd_power(values, spec.p, eps_zero)
-    r -= eta * lump * a_vals * fem.smoothed_odd_power(values, spec.q, eps_zero)
-    r -= lump * f_vals
-    return r
-
-
 def residual(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
     """Weak-form residual over the interior vertices (regularization active).
 
     Component i is the pairing of the regularized operator with the hat
     function at vertex i; the zero vector characterizes a discrete solution.
     """
-    m_vals, a_vals, f_vals = _fields(spec)
-    r = _residual_vector(spec, u.values, m_vals, a_vals, f_vals, eps_grad, eps_zero)
-    return r[spec.mesh.interior_vertices]
+    res = _NewtonDriver(spec).residual(spec.lam, spec.eta, eps_grad, eps_zero)
+    return res(u.values, u.values[spec.mesh.interior_vertices])
 
 
 def jacobian(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
     """Sparse symmetric Jacobian of residual() over the interior vertices."""
-    mesh = spec.mesh
-    m_vals, a_vals, f_vals = _fields(spec)
-    lump = mesh.lumped_volumes
-    diag = -spec.lam * lump * m_vals * fem.smoothed_odd_power_deriv(u.values, spec.p, eps_zero)
-    diag -= spec.eta * lump * a_vals * fem.smoothed_odd_power_deriv(u.values, spec.q, eps_zero)
-    op = fem.operator(mesh, mesh.interior_vertices)
-    return op.matrix(fem.p_flux_jacobian(op, u.values, spec.p, eps_grad, diag))
+    driver = _NewtonDriver(spec)
+    return driver.op.matrix(driver.jacobian(u.values, spec.lam, spec.eta, eps_grad, eps_zero))
 
 
 def classify_sign(u, boundary_excluded=True, margin=0.0):
@@ -227,24 +210,65 @@ def _boundary_flux_sign(u):
     return np.sign(-inner_vals).astype(int)
 
 
+def _odd_powers(s, eps, exponents):
+    """fem.smoothed_odd_power(s, r, eps) for each r in exponents, sharing s^2 + eps^2."""
+    if eps == 0.0:
+        return [fem.odd_power(s, r) for r in exponents]
+    t = s * s + eps * eps
+    return [t ** (0.5 * (r - 2)) * s for r in exponents]
+
+
 class _NewtonDriver:
-    def __init__(self, spec, opts):
+    def __init__(self, spec):
         self.spec = spec
-        self.opts = opts
         self.free = spec.mesh.interior_vertices
         self.op = fem.operator(spec.mesh, self.free)
         self.m_vals, self.a_vals, self.f_vals = _fields(spec)
         self.lump = spec.mesh.lumped_volumes
+        # free-vertex coefficients of the zeroth-order terms, shared by every rung
+        self.load = (self.lump * self.f_vals)[self.free]
+        self.load_norm = np.linalg.norm(self.load)
+        self.lump_m = (self.lump * self.m_vals)[self.free]
+        self.lump_a = (self.lump * self.a_vals)[self.free]
         self.singular_stall = False
 
-    def _scale(self, values, lam, eta):
-        ref = np.linalg.norm(self.lump[self.free] * self.f_vals[self.free])
-        ref += abs(lam) * np.linalg.norm(
-            (self.lump * self.m_vals * fem.smoothed_odd_power(values, self.spec.p, EPS_ZERO_FLOOR))[self.free]
-        )
-        ref += abs(eta) * np.linalg.norm(
-            (self.lump * self.a_vals * fem.smoothed_odd_power(values, self.spec.q, EPS_ZERO_FLOOR))[self.free]
-        )
+    def residual(self, lam, eta, eps_g, eps_s):
+        """The residual on the free vertices at one rung, as res(values, values[free]).
+
+        lam*lump*m and eta*lump*a are formed here, once per rung, and the
+        zeroth-order powers share s^2 + eps_s^2.
+        """
+        spec, free = self.spec, self.free
+        coef_m = (lam * self.lump * self.m_vals)[free]
+        coef_a = (eta * self.lump * self.a_vals)[free]
+        exponents = (spec.p, spec.q) if eta != 0.0 else (spec.p,)
+
+        def res(vals, s):
+            r = fem.p_flux(spec.mesh, vals, spec.p, eps_g)[free]
+            powers = _odd_powers(s, eps_s, exponents)
+            r -= coef_m * powers[0]
+            if eta != 0.0:
+                r -= coef_a * powers[1]
+            r -= self.load
+            return r
+
+        return res
+
+    def jacobian(self, values, lam, eta, eps_g, eps_s):
+        """Stored data of the Jacobian of residual() at values (all vertices)."""
+        p, q = self.spec.p, self.spec.q
+        diag = -lam * self.lump * self.m_vals * fem.smoothed_odd_power_deriv(values, p, eps_s)
+        if eta != 0.0:
+            diag -= eta * self.lump * self.a_vals * fem.smoothed_odd_power_deriv(values, q, eps_s)
+        return fem.p_flux_jacobian(self.op, values, p, eps_g, diag)
+
+    def _scale(self, s, lam, eta):
+        """1 + the size of the right-hand side at free values s; sets the rung's goal."""
+        exponents = (self.spec.p, self.spec.q) if eta != 0.0 else (self.spec.p,)
+        powers = _odd_powers(s, EPS_ZERO_FLOOR, exponents)
+        ref = self.load_norm + abs(lam) * np.linalg.norm(self.lump_m * powers[0])
+        if eta != 0.0:
+            ref += abs(eta) * np.linalg.norm(self.lump_a * powers[1])
         return 1.0 + ref
 
     def newton(self, values, lam, eta, eps_g, eps_s, tol, max_iter):
@@ -252,22 +276,17 @@ class _NewtonDriver:
 
         Mutates values in place; returns (converged, iterations, final_norm).
         """
-        spec, free = self.spec, self.free
-
-        def res(vals):
-            return _residual_vector(
-                spec, vals, self.m_vals, self.a_vals, self.f_vals, eps_g, eps_s, lam, eta
-            )[free]
-
-        r = res(values)
+        free = self.free
+        res = self.residual(lam, eta, eps_g, eps_s)
+        s = values[free]
+        r = res(values, s)
         rn = float(np.linalg.norm(r))
-        goal = tol * self._scale(values, lam, eta)
+        goal = tol * self._scale(s, lam, eta)
+        trial = values.copy()  # line-search buffer; its fixed vertices never change
         for it in range(max_iter):
             if rn <= goal:
                 return True, it, rn
-            diag = -lam * self.lump * self.m_vals * fem.smoothed_odd_power_deriv(values, spec.p, eps_s)
-            diag -= eta * self.lump * self.a_vals * fem.smoothed_odd_power_deriv(values, spec.q, eps_s)
-            J = fem.p_flux_jacobian(self.op, values, spec.p, eps_g, diag)
+            J = self.jacobian(values, lam, eta, eps_g, eps_s)
             try:
                 step = fem.solve_sparse(self.op, J, -r)
             except SingularJacobian:
@@ -276,17 +295,17 @@ class _NewtonDriver:
             merit0 = rn * rn
             t = 1.0
             while t > 1e-10:
-                trial = values.copy()
-                trial[free] += t * step
-                r_trial = res(trial)
+                s_trial = s + t * step
+                trial[free] = s_trial
+                r_trial = res(trial, s_trial)
                 if float(np.dot(r_trial, r_trial)) <= (1.0 - 2e-4 * t) * merit0:
-                    values[free] += t * step
+                    values[free] = s = s_trial
                     r, rn = r_trial, float(np.linalg.norm(r_trial))
                     break
                 t *= 0.5
             else:
                 return rn <= goal, it + 1, rn
-            goal = tol * self._scale(values, lam, eta)
+            goal = tol * self._scale(s, lam, eta)
         return rn <= goal, max_iter, rn
 
 
@@ -335,7 +354,7 @@ def solve(spec, init="zero", opts=None):
         raise InvalidConfig(f"unknown init {init!r}")
     values[mesh.boundary_vertices] = 0.0
 
-    driver = _NewtonDriver(spec, opts)
+    driver = _NewtonDriver(spec)
     stages = _continuation_stages(spec, opts, opts.lam1)
     total_iters = 0
     rn = math.inf

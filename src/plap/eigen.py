@@ -153,8 +153,9 @@ class _InnerSolver:
         return v
 
     def _objective(self, values, load_free, eps):
-        g = np.einsum("ci,cid->cd", values[self.mesh.cells], self.mesh.cell_gradients)
-        g2 = np.einsum("cd,cd->c", g, g) + eps * eps
+        kernel = self.op.kernel
+        g = kernel.gradient(values)
+        g2 = kernel.dot(g, g) + eps * eps
         energy = float(np.dot(self.mesh.cell_volumes, g2 ** (0.5 * self.p))) / self.p
         if self.shift:
             vv = values * values + _EPS_ZERO * _EPS_ZERO
@@ -163,29 +164,33 @@ class _InnerSolver:
 
     def _newton(self, values, load_free, eps, scale):
         # target is the strict goal; "loose" accepts a roundoff-limited stall,
-        # which still leaves the inner error far below the outer tolerance
+        # which still leaves the inner error far below the outer tolerance.
+        # A stall is a step that no longer halves the gradient norm: past that
+        # point the line search only accepts roundoff-level steps.
         mesh, p, free = self.mesh, self.p, self.free
         target, loose = 1e-11 * scale, 1e-8 * scale
         lump = mesh.lumped_volumes
-        gn = math.inf
+        gn = previous = math.inf
+        trial = values.copy()  # line-search buffer; its fixed vertices never change
         for _ in range(self.max_inner):
             grad = fem.p_flux(mesh, values, p, eps)[free] - load_free
             if self.shift:
                 grad += self.shift * (lump * fem.smoothed_odd_power(values, p, _EPS_ZERO))[free]
             gn = float(np.linalg.norm(grad))
-            if gn <= target:
+            if gn <= target or (gn <= loose and gn > 0.5 * previous):
                 return True
+            previous = gn
             diag = self.shift * lump * fem.smoothed_odd_power_deriv(values, p, _EPS_ZERO) if self.shift else None
             H = fem.p_flux_jacobian(self.op, values, p, eps, diag)
             step = fem.solve_sparse(self.op, H, -grad)
             j0 = self._objective(values, load_free, eps)
             slope = float(np.dot(grad, step))
+            start = values[free]
             t = 1.0
             while t > 1e-12:
-                trial = values.copy()
-                trial[free] += t * step
+                trial[free] = moved = start + t * step
                 if self._objective(trial, load_free, eps) <= j0 + 1e-4 * t * slope:
-                    values[free] += t * step
+                    values[free] = moved
                     break
                 t *= 0.5
             else:

@@ -21,9 +21,11 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvalError, ParseError
 
-__all__ = ["parse_expr", "eval_expr", "format_expr"]
+__all__ = ["parse_expr", "eval_expr", "eval_expr_array", "format_expr"]
 
 _FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "step": 1, "min": 2, "max": 2, "bump": 2}
 
@@ -242,6 +244,81 @@ def eval_expr(ast, x, y=None):
     if t >= 1.0:
         return 0.0
     return math.exp(-1.0 / (1.0 - t * t))
+
+
+def eval_expr_array(ast, x, y=None):
+    """eval_expr at every point of the coordinate arrays x (and y), as one float array.
+
+    Each node is evaluated once on whole arrays.  A point where any node meets
+    an EvalError condition or takes a non-finite value (the only points where
+    eval_expr can raise) is evaluated again by eval_expr, in point order, so
+    the first offending point raises exactly what eval_expr raises there.
+    Elsewhere the values agree with eval_expr up to the last-bit rounding of
+    exp and powers.
+    """
+    x = np.asarray(x, dtype=float)
+    y = None if y is None else np.asarray(y, dtype=float)
+    suspect = np.zeros(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        vals = np.array(np.broadcast_to(_eval_array(ast, x, y, suspect), x.shape), dtype=float)
+    for k in np.flatnonzero(suspect):
+        vals[k] = eval_expr(ast, x[k], None if y is None else y[k])
+    return vals
+
+
+def _eval_array(ast, x, y, suspect):
+    """Array evaluation for eval_expr_array; marks suspect points in place."""
+    if isinstance(ast, Num):
+        out = ast.value
+    elif isinstance(ast, Var):
+        if ast.name == "x":
+            out = x
+        elif y is None:
+            suspect[:] = True  # eval_expr raises at the first point
+            out = 0.0
+        else:
+            out = y
+    elif isinstance(ast, Neg):
+        out = -_eval_array(ast.child, x, y, suspect)
+    elif isinstance(ast, Bin):
+        lhs = _eval_array(ast.left, x, y, suspect)
+        rhs = _eval_array(ast.right, x, y, suspect)
+        if ast.op == "+":
+            out = np.add(lhs, rhs)
+        elif ast.op == "-":
+            out = np.subtract(lhs, rhs)
+        elif ast.op == "*":
+            out = np.multiply(lhs, rhs)
+        elif ast.op == "/":
+            suspect |= rhs == 0.0
+            out = np.divide(lhs, rhs)
+        else:
+            suspect |= ((lhs == 0.0) & (rhs < 0)) | ((lhs < 0.0) & (rhs != np.trunc(rhs)))
+            out = np.power(lhs, rhs)
+    else:
+        args = [_eval_array(a, x, y, suspect) for a in ast.args]
+        name = ast.name
+        if name == "sin":
+            out = np.sin(args[0])
+        elif name == "cos":
+            out = np.cos(args[0])
+        elif name == "exp":
+            out = np.exp(args[0])
+        elif name == "abs":
+            out = np.abs(args[0])
+        elif name == "step":
+            out = np.where(args[0] >= 0.0, 1.0, 0.0)
+        elif name == "min":  # min(a, b) is a unless b < a, as in eval_expr
+            out = np.where(args[1] < args[0], args[1], args[0])
+        elif name == "max":
+            out = np.where(args[1] > args[0], args[1], args[0])
+        else:
+            center, radius = args
+            suspect |= radius <= 0.0
+            t = np.abs(x - center) / radius
+            out = np.where(t >= 1.0, 0.0, np.exp(-1.0 / (1.0 - t * t)))
+    suspect |= ~np.isfinite(out)
+    return out
 
 
 def format_expr(ast):

@@ -20,14 +20,27 @@ once per (mesh, free set).  A Newton iteration then only evaluates
 which is symmetric by construction, and sums the blocks into the fixed
 storage with one bincount.
 
-The solver follows the dimension.  In 1D the storage is LAPACK band storage
-for scipy.linalg.solve_banded; on an interval mesh the free unknowns are
-consecutive vertices and the band is tridiagonal.  In 2D the storage is the
+Per-cell gradients come from one Gradients kernel per mesh, built on first
+use: it keeps each local vertex's column of the cell array and each hat
+gradient coefficient as contiguous arrays, so grad u, G g and |g|^2 are
+(d+1) d multiply-adds on vectors of length n_cells.
+
+The storage follows the half-bandwidth b of the free-vertex numbering.  When
+b <= MAX_BAND it is LAPACK band storage for scipy.linalg.solve_banded (in 1D
+the free unknowns are consecutive vertices and b = 1); beyond that it is the
 data of a CSC matrix with fixed indices, factorized by SuperLU with a
-minimum-degree ordering on A^T + A, as the pattern is symmetric.  A banded
-solver is not used in 2D: the bandwidth of a structured n x n grid is about
-n, so band storage grows like n^3 (50 MB at 128 x 128) and its factorization
-becomes slower than SuperLU's beyond about 128 vertices per side.
+minimum-degree ordering on A^T + A, as the pattern is symmetric.  On an
+n x n grid b is about n, so band storage grows like n^3 and band LU costs
+O(n^4) against SuperLU's fill-reducing order.  Factor + solve of an
+indefinite p = 3 Jacobian on the interior of an n x n grid (one core of a
+shared x86-64 VM, numpy/scipy with OpenBLAS, one thread):
+
+    n x n     16^2     24^2     32^2     48^2     64^2      96^2    128^2
+    SuperLU   0.60 ms  2.12 ms  2.59 ms  7.3 ms   15.3 ms   41 ms   82 ms
+    banded    0.10 ms  0.42 ms  0.72 ms  3.0 ms   8.6 ms    41 ms   84 ms
+
+so MAX_BAND = 64 keeps every grid up to 64 x 64 on the band solver (6 MB of
+band workspace at 64 x 64) and moves 96 x 96 and beyond to SuperLU.
 """
 
 from __future__ import annotations
@@ -45,6 +58,8 @@ __all__ = [
     "smoothed_odd_power",
     "smoothed_odd_power_deriv",
     "odd_power",
+    "Gradients",
+    "gradients",
     "Operator",
     "operator",
     "p_flux",
@@ -80,12 +95,84 @@ def smoothed_odd_power_deriv(s, r, eps):
     return t ** (0.5 * (r - 4)) * ((r - 1) * s * s + eps * eps)
 
 
-def _cell_terms(cells, gradients, values, eps):
-    """Per cell: G g (local hat gradients against g = grad u) and |g|^2 + eps^2."""
-    g = np.einsum("ci,cid->cd", values[cells], gradients)
-    gg = np.einsum("cid,cd->ci", gradients, g)
-    g2 = np.einsum("cd,cd->c", g, g) + eps * eps
-    return gg, g2
+class Gradients:
+    """P1 gradient kernel of one mesh, with its arrays laid out per local vertex.
+
+    Attributes:
+        columns: d+1 contiguous (n_cells,) arrays; columns[i] is column i of
+            mesh.cells, the i-th vertex of every cell.
+        coefficients: coefficients[i][k] is the contiguous (n_cells,) array of
+            the k-th component of the gradient of the i-th local hat function.
+
+    Sums run over the local vertex (or the axis) in increasing order, the
+    order numpy's einsum uses for the same contractions.  Only arrays are
+    kept, never the mesh.
+    """
+
+    def __init__(self, mesh):
+        d = mesh.dimension
+        self.cells = mesh.cells
+        self.n_vertices = mesh.n_vertices
+        self.columns = tuple(np.ascontiguousarray(mesh.cells[:, i]) for i in range(d + 1))
+        self.coefficients = tuple(
+            tuple(np.ascontiguousarray(mesh.cell_gradients[:, i, k]) for k in range(d)) for i in range(d + 1)
+        )
+
+    def gradient(self, values):
+        """(d, n_cells) array: row k holds the k-th component of grad u on every cell."""
+        local = [values[col] for col in self.columns]
+        g = np.empty((len(self.coefficients[0]), len(self.cells)))
+        for k, row in enumerate(g):
+            np.multiply(local[0], self.coefficients[0][k], out=row)
+            for vals, coef in zip(local[1:], self.coefficients[1:]):
+                row += vals * coef[k]
+        return g
+
+    @staticmethod
+    def dot(a, b):
+        """Per-cell dot product of two gradient fields from gradient()."""
+        out = a[0] * b[0]
+        for ak, bk in zip(a[1:], b[1:]):
+            out += ak * bk
+        return out
+
+    def pairings(self, g, scale=None):
+        """(n_cells, d+1) array G g: entry (c, i) is grad hat_i . g on cell c, times scale[c]."""
+        out = np.empty((len(self.cells), len(self.columns)))
+        for i, coef in enumerate(self.coefficients):
+            acc = coef[0] * g[0]
+            for ck, gk in zip(coef[1:], g[1:]):
+                acc += ck * gk
+            if scale is not None:
+                acc *= scale
+            out[:, i] = acc
+        return out
+
+    def scatter(self, per_cell):
+        """Vertex sums of an (n_cells, d+1) array of per-cell, per-local-vertex values."""
+        return np.bincount(self.cells.ravel(), weights=per_cell.ravel(), minlength=self.n_vertices)
+
+
+# mesh -> Gradients; weak keys, so entries die with their mesh
+_GRADIENTS = weakref.WeakKeyDictionary()
+
+
+def gradients(mesh):
+    """The Gradients kernel of mesh, built on first use and cached per mesh."""
+    try:
+        return _GRADIENTS[mesh]
+    except KeyError:
+        kernel = _GRADIENTS[mesh] = Gradients(mesh)
+        return kernel
+
+
+def _cell_terms(kernel, values, eps):
+    """Per cell: g = grad u as a (d, n_cells) array and |g|^2 + eps^2."""
+    g = kernel.gradient(values)
+    g2 = kernel.dot(g, g)
+    if eps:
+        g2 += eps * eps
+    return g, g2
 
 
 def p_flux(mesh, values, p, eps=0.0):
@@ -94,7 +181,8 @@ def p_flux(mesh, values, p, eps=0.0):
     With eps = 0 this is the exact discrete p-Laplacian pairing; the i-th entry
     is the gradient part of the weak residual at vertex i.
     """
-    gg, g2 = _cell_terms(mesh.cells, mesh.cell_gradients, values, eps)
+    kernel = gradients(mesh)
+    g, g2 = _cell_terms(kernel, values, eps)
     if eps == 0.0 and p < 2:
         # |z|^{p-2} z is continuous with value 0 at z = 0; force that limit.
         kappa = np.zeros_like(g2)
@@ -102,8 +190,11 @@ def p_flux(mesh, values, p, eps=0.0):
         kappa[nz] = g2[nz] ** (0.5 * (p - 2))
     else:
         kappa = g2 ** (0.5 * (p - 2))
-    flux = (mesh.cell_volumes * kappa)[:, None] * gg
-    return np.bincount(mesh.cells.ravel(), weights=flux.ravel(), minlength=mesh.n_vertices)
+    return kernel.scatter(kernel.pairings(g, mesh.cell_volumes * kappa))
+
+
+# widest half-bandwidth kept in LAPACK band storage; see the module docstring
+MAX_BAND = 64
 
 
 class Operator:
@@ -113,8 +204,9 @@ class Operator:
         free: sorted int array of the free vertex indices; row/column k of a
             stored matrix belongs to vertex free[k].
         size: length of the stored data vector.
-        band: half-bandwidth of the band storage in 1D, None in 2D.
-        indices, indptr: the fixed CSC pattern in 2D.
+        band: half-bandwidth of the band storage, None when the half-bandwidth
+            exceeds MAX_BAND and the storage is CSC.
+        indices, indptr: the fixed CSC pattern when band is None.
         scatter: (n_cells * (d+1)^2,) position in the data of each local block
             entry; entries touching a vertex outside free point at index size.
         diagonal: (len(free),) position of each diagonal entry in the data.
@@ -126,24 +218,24 @@ class Operator:
 
     def __init__(self, mesh, free):
         self.free = np.asarray(free, dtype=np.int64)
-        self.cells = mesh.cells
-        self.gradients = mesh.cell_gradients
+        self.kernel = gradients(mesh)
         self.volumes = mesh.cell_volumes
         n = len(self.free)
-        gram = np.einsum("cid,cjd->cij", self.gradients, self.gradients)
+        gram = np.einsum("cid,cjd->cij", mesh.cell_gradients, mesh.cell_gradients)
         gram *= self.volumes[:, None, None]
         self.gram = gram
         loc = np.full(mesh.n_vertices, -1, dtype=np.int64)
         loc[self.free] = np.arange(n)
-        local = loc[self.cells]
+        local = loc[mesh.cells]
         rows, cols = local[:, :, None], local[:, None, :]  # entry (i, j) of each cell's block
         outside = (rows < 0) | (cols < 0)
-        if mesh.dimension == 1:
+        band = int(np.max(np.abs(rows - cols), where=~outside, initial=0))
+        if band <= MAX_BAND:
             # LAPACK band storage: ab[band + i - j, j] = a[i, j]
-            self.band = int(np.max(np.abs(rows - cols), where=~outside, initial=0))
-            self.size = (2 * self.band + 1) * n
-            slots = (self.band + rows - cols) * n + cols
-            self.diagonal = self.band * n + np.arange(n)
+            self.band = band
+            self.size = (2 * band + 1) * n
+            slots = (band + rows - cols) * n + cols
+            self.diagonal = band * n + np.arange(n)
         else:
             # keys col * n + row sort in CSC order; the diagonal is always stored
             self.band = None
@@ -229,7 +321,8 @@ def p_flux_jacobian(op, values, p, eps, diag=None):
     if p == 2.0:
         blocks = op.gram  # the kernel is identically 1
     else:
-        gg, g2 = _cell_terms(op.cells, op.gradients, values, eps)
+        g, g2 = _cell_terms(op.kernel, values, eps)
+        gg = op.kernel.pairings(g)
         kappa = g2 ** (0.5 * (p - 2))
         # the anisotropic part needs g2 > 0 (g2 = 0 is degenerate for p > 2
         # and singular for p < 2)

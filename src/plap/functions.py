@@ -16,6 +16,7 @@ import weakref
 
 import numpy as np
 
+from . import fem
 from .errors import InvalidConfig
 
 __all__ = [
@@ -68,9 +69,8 @@ class DiscreteFunction:
 
     def cell_gradients(self):
         """(n_cells, dimension) array of the constant per-cell gradients."""
-        m = self.mesh
         # grad u|_T = sum_i u_i * grad hat_i
-        return np.einsum("ci,cid->cd", self.values[m.cells], m.cell_gradients)
+        return fem.gradients(self.mesh).gradient(self.values).T.copy()
 
     def __sub__(self, other):
         return DiscreteFunction(self.mesh, self.values - other.values)
@@ -130,12 +130,10 @@ class Weight:
                         f"nodal weight has {vals.shape[0]} values, mesh has {mesh.n_vertices} vertices"
                     )
             else:
-                from .expr import eval_expr
+                from .expr import eval_expr_array
 
-                if mesh.dimension == 1:
-                    vals = np.array([eval_expr(self.payload, x) for x in mesh.vertices[:, 0]])
-                else:
-                    vals = np.array([eval_expr(self.payload, x, y) for x, y in mesh.vertices])
+                y = mesh.vertices[:, 1] if mesh.dimension == 2 else None
+                vals = eval_expr_array(self.payload, mesh.vertices[:, 0], y)
             vals.setflags(write=False)
             self._cache[key] = vals
         return self._cache[key]
@@ -168,8 +166,9 @@ def grad_energy(u, p):
     """
     if p <= 1:
         raise InvalidConfig(f"exponent p must exceed 1, got {p}")
-    g = u.cell_gradients()
-    mag = np.sqrt(np.einsum("cd,cd->c", g, g))
+    kernel = fem.gradients(u.mesh)
+    g = kernel.gradient(u.values)
+    mag = np.sqrt(kernel.dot(g, g))
     return float(np.dot(u.mesh.cell_volumes, mag**p))
 
 

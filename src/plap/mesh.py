@@ -121,7 +121,7 @@ class SubdomainMask:
 
     def __init__(self, mesh, active_vertices, rho=None):
         self.mesh = mesh
-        self.active_vertices = np.asarray(sorted(set(int(v) for v in active_vertices)), dtype=np.int64)
+        self.active_vertices = np.unique(np.asarray(active_vertices, dtype=np.int64))
         self.rho = rho
 
     @classmethod

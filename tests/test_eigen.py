@@ -150,3 +150,27 @@ def test_nonconvergence_budget(interval_256, one):
 
     with pytest.raises(NonConvergence):
         principal_eigenpair(interval_256, one, 3.0, EigenOptions(max_outer=2, tol=1e-12))
+
+
+def test_inner_newton_stops_at_roundoff_stall(one, monkeypatch):
+    """The inner Newton ends once a step no longer halves a gradient below its loose goal.
+
+    Before, it ran all max_inner iterations there, accepting roundoff-level
+    steps: the n=4096 p=3 eigensolve assembled 480 Jacobians.
+    """
+    from plap import fem
+
+    n, p = 4096, 3.0
+    assembled = []
+    assemble = fem.p_flux_jacobian
+
+    def counting(*args, **kwargs):
+        assembled.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "p_flux_jacobian", counting)
+    pair = principal_eigenpair(build_interval(0.0, 1.0, n), one, p)
+    assert len(assembled) <= 60
+    pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
+    exact = (p - 1.0) * pi_p**p  # closed-form lam1 of the unit interval
+    assert abs(pair.lam - exact) <= 3.0 / n**2 * exact  # P1 error is O(h^2)

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap import EvalError, ParseError, eval_expr, format_expr, parse_expr
+from plap.expr import eval_expr_array
 
 
 def ev(src, x=0.0, y=None):
@@ -125,3 +127,56 @@ def test_round_trip_fixed_grid():
         again = parse_expr(format_expr(ast))
         for x in xs:
             assert eval_expr(again, x) == pytest.approx(eval_expr(ast, x), rel=1e-15, abs=1e-15)
+
+
+def _pointwise(ast, xs, ys=None):
+    """eval_expr at each point in order: the values, or the first exception raised."""
+    try:
+        return np.array([eval_expr(ast, x, None if ys is None else ys[k]) for k, x in enumerate(xs)])
+    except Exception as exc:  # noqa: BLE001 - the oracle records whatever eval_expr raises
+        return exc
+
+
+ARRAY_CASES = [
+    "1 + 2*x - x^2",
+    "bump(0.5, 0.25) * sin(3*x)",
+    "max(x, 1 - x) / (2 + cos(x))",
+    "min(x, 0.5) + step(x - 0.25) * exp(-x) + abs(x - 0.7)",
+    "1 + 0.5*sin(6*x)*sin(5*y)",
+    "x^y + 2^(-y)",
+    "3",
+    "bump(0.958, 0.012)",
+]
+ERROR_CASES = [
+    "1 / (x - 0.5)",  # division by zero at x = 0.5 only
+    "(x - 0.3)^0.5",  # negative base: the message names the first offending base
+    "bump(0.5, x - 0.5)",  # nonpositive radius, first at x = 0
+    "x / (y - 0.25)",
+    "y",  # undefined on a 1D grid
+    "exp(1000*x)",  # math.exp overflows past x = 0.71
+    "(10*x)^400",
+    "0^(x - 1)",
+]
+
+
+@pytest.mark.parametrize("src", ARRAY_CASES + ERROR_CASES)
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_array_evaluation_matches_pointwise(src, dimension):
+    xs = np.linspace(0.0, 1.0, 41)
+    ys = None if dimension == 1 else np.linspace(-0.5, 1.5, 41)[::-1]
+    ast = parse_expr(src)
+    want = _pointwise(ast, xs, ys)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            eval_expr_array(ast, xs, ys)
+        assert str(info.value) == str(want)
+    else:
+        got = eval_expr_array(ast, xs, ys)
+        assert got.shape == xs.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_error_cases_raise_on_the_1d_grid():
+    xs = np.linspace(0.0, 1.0, 41)
+    for src in ERROR_CASES:
+        assert isinstance(_pointwise(parse_expr(src), xs), Exception), src
