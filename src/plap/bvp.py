@@ -22,7 +22,7 @@ then the regularizations downward to their floors.  Two smoothings are used:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -462,7 +462,7 @@ def multi_start_solve(spec, opts=None, phi1=None):
             pair = principal_eigenpair(mesh, spec.m, spec.p)
             phi1 = pair.phi
             if opts.lam1 is None:
-                opts = SolveOptions(**{**opts.__dict__, "lam1": pair.lam})
+                opts = replace(opts, lam1=pair.lam)
         except PlapError:
             phi1 = None
     if phi1 is not None:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .bvp import ProblemSpec, SolveOptions, solve
-from .config import MODES, build_mesh, parse_config
+from .config import MODES, SOLVE_OPTIONS, build_mesh, parse_config
 from .critical import EtaStarOptions, discrete_picone_check, eta_star, picone_polynomial_check
 from .eigen import EigenOptions, principal_eigenpair, principal_eigenpair_negative, subdomain_eigenvalue
 from .errors import (
@@ -33,64 +33,33 @@ from .errors import (
 )
 from .functions import DiscreteFunction, Weight
 from .mesh import boundary_strip
-from .regions import SweepOptions, nonuniformity_experiment, sweep
+from .regions import RegionMap, SweepOptions, nonuniformity_experiment, sweep
 from .report import write_csv, write_report
 
 __all__ = ["main"]
 
 
-def _solve_options(mp, seed, path="mode_params"):
-    opts = SolveOptions(seed=seed)
-    if "newton_tol" in mp:
-        opts.newton_tol = float(mp["newton_tol"])
-    if "max_newton" in mp:
-        opts.max_newton = int(mp["max_newton"])
-    if "lam1" in mp:
-        opts.lam1 = float(mp["lam1"])
-    if "t_grid" in mp:
-        opts.t_grid = tuple(float(t) for t in mp["t_grid"])
-    if "n_random" in mp:
-        opts.n_random = int(mp["n_random"])
-    if "dedup_tol" in mp:
-        opts.dedup_tol = float(mp["dedup_tol"])
-    return opts
-
-
-def _require(mp, key, path="mode_params"):
-    if key not in mp:
-        raise InvalidConfig(f"{path}.{key}: missing required field")
-    return mp[key]
-
-
 def _run_eigen(cfg, mesh, seed, out_dir):
     mp = cfg.mode_params
-    opts = EigenOptions(
-        tol=mp.get("tol"), max_outer=int(mp.get("max_outer", 500)), seed=seed,
-        init=mp.get("init", "distance_bump"),
-    )
+    opts = EigenOptions(tol=mp["tol"], max_outer=mp["max_outer"], seed=seed, init=mp["init"])
     m = cfg.weights["m"]
-    sub = mp.get("subdomain")
+    sub = mp["subdomain"]
     if sub is not None:
-        mask = boundary_strip(mesh, float(_require(sub, "rho", "mode_params.subdomain")))
-        if sub.get("part", "strip") == "complement":
+        mask = boundary_strip(mesh, sub["rho"])
+        if sub["part"] == "complement":
             mask = mask.complement()
-        pair = subdomain_eigenvalue(mask, m, cfg.p, opts)
-    elif mp.get("negative", False):
-        pair = principal_eigenpair_negative(mesh, m, cfg.p, opts)
-    else:
-        pair = principal_eigenpair(mesh, m, cfg.p, opts)
-    write_report(pair, os.path.join(out_dir, cfg.output["report"]), cfg.echo)
-    return 0
+        return subdomain_eigenvalue(mask, m, cfg.p, opts)
+    if mp["negative"]:
+        return principal_eigenpair_negative(mesh, m, cfg.p, opts)
+    return principal_eigenpair(mesh, m, cfg.p, opts)
 
 
 def _run_solve(cfg, mesh, seed, out_dir):
     mp = cfg.mode_params
-    lam = float(_require(mp, "lam"))
-    eta = float(mp.get("eta", 0.0))
-    spec = ProblemSpec(mesh, cfg.p, cfg.q, lam, eta, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"])
-    outcome = solve(spec, mp.get("init", "zero"), _solve_options(mp, seed))
-    write_report(outcome, os.path.join(out_dir, cfg.output["report"]), cfg.echo)
-    return 0
+    spec = ProblemSpec(
+        mesh, cfg.p, cfg.q, mp["lam"], mp["eta"], cfg.weights["m"], cfg.weights["a"], cfg.weights["f"]
+    )
+    return solve(spec, mp["init"], SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}))
 
 
 def _run_sweep(cfg, mesh, seed, out_dir):
@@ -98,111 +67,85 @@ def _run_sweep(cfg, mesh, seed, out_dir):
     template = ProblemSpec(
         mesh, cfg.p, cfg.q, 0.0, 0.0, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"]
     )
-    solve_opts = _solve_options(mp, seed)
-    lam_grid = mp.get("lam_grid")
-    eta_grid = mp.get("eta_grid")
+    lam_grid = mp["lam_grid"]
+    eta_grid = mp["eta_grid"]
     if lam_grid is None or eta_grid is None:
         pair = principal_eigenpair(mesh, cfg.weights["m"], cfg.p)
         if lam_grid is None:
-            n_lam = int(mp.get("n_lam", 61))
-            lam_grid = np.linspace(0.0, 2.0 * pair.lam, n_lam).tolist()
+            lam_grid = np.linspace(0.0, 2.0 * pair.lam, mp["n_lam"]).tolist()
         if eta_grid is None:
-            n_eta = int(mp.get("n_eta", 21))
             est = eta_star(
                 mesh, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"], cfg.p, cfg.q,
                 0.5 * pair.lam,
-                EtaStarOptions(
-                    seed=seed, lam1=pair.lam, phi1=pair.phi,
-                    n_starts=int(mp.get("eta_star_starts", 32)),
-                ),
+                EtaStarOptions(seed=seed, lam1=pair.lam, phi1=pair.phi, n_starts=mp["eta_star_starts"]),
             )
             eta_bar = est.value if math.isfinite(est.value) else 1.0
-            eta_grid = np.linspace(-eta_bar, eta_bar, n_eta).tolist()
+            eta_grid = np.linspace(-eta_bar, eta_bar, mp["n_eta"]).tolist()
     sweep_opts = SweepOptions(
-        solve_opts=solve_opts,
-        lam1_override=float(mp["lam1"]) if "lam1" in mp else None,
+        solve_opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}),
+        lam1_override=mp["lam1"],
     )
     region_map = sweep(template, lam_grid, eta_grid, sweep_opts)
     write_csv(region_map, os.path.join(out_dir, cfg.output["csv"]))
-    write_report(region_map, os.path.join(out_dir, cfg.output["report"]), cfg.echo)
-    return 5 if region_map.counterexamples else 0
+    return region_map
 
 
 def _run_critval(cfg, mesh, seed, out_dir):
     mp = cfg.mode_params
-    opts = EtaStarOptions(
-        n_starts=int(mp.get("n_starts", 32)), max_iter=int(mp.get("max_iter", 600)), seed=seed
-    )
-    if "lam" in mp:
-        lam = float(mp["lam"])
-    elif "lam_frac" in mp:
+    opts = EtaStarOptions(n_starts=mp["n_starts"], max_iter=mp["max_iter"], seed=seed)
+    lam = mp["lam"]
+    if lam is None:
         pair = principal_eigenpair(mesh, cfg.weights["m"], cfg.p)
         opts.lam1, opts.phi1 = pair.lam, pair.phi
-        lam = float(mp["lam_frac"]) * pair.lam
-    else:
-        raise InvalidConfig("mode_params: needs either lam or lam_frac")
-    result = eta_star(
-        mesh, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"], cfg.p, cfg.q, lam, opts
-    )
-    write_report(result, os.path.join(out_dir, cfg.output["report"]), cfg.echo)
-    return 0
+        lam = mp["lam_frac"] * pair.lam
+    return eta_star(mesh, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"], cfg.p, cfg.q, lam, opts)
 
 
 def _run_picone(cfg, mesh, seed, out_dir):
     mp = cfg.mode_params
     poly = picone_polynomial_check(cfg.p, cfg.q)
     report = {"polynomial": poly, "q_scan": [], "discrete": None}
-    for qv in mp.get("q_grid", []):
-        chk = picone_polynomial_check(cfg.p, float(qv))
-        report["q_scan"].append({"q": float(qv), "holds": chk.holds, "min_value": chk.min_value})
-    trials = int(mp.get("discrete_trials", 0))
+    for qv in mp["q_grid"]:
+        chk = picone_polynomial_check(cfg.p, qv)
+        report["q_scan"].append({"q": qv, "holds": chk.holds, "min_value": chk.min_value})
+    trials = mp["discrete_trials"]
     if trials > 0:
         rng = np.random.default_rng(seed)
-        eps_list = [float(e) for e in mp.get("eps", [1e-1, 1e-3])]
         violations = 0
         for _ in range(trials):
             uv = np.zeros(mesh.n_vertices)
             uv[mesh.interior_vertices] = rng.random(len(mesh.interior_vertices))
             pv = np.zeros(mesh.n_vertices)
             pv[mesh.interior_vertices] = rng.standard_normal(len(mesh.interior_vertices))
-            for eps in eps_list:
+            for eps in mp["eps"]:
                 chk = discrete_picone_check(
                     DiscreteFunction(mesh, uv), DiscreteFunction(mesh, pv), cfg.p, eps
                 )
                 if not chk.holds:
                     violations += 1
-        report["discrete"] = {"trials": trials, "eps": eps_list, "violations": violations}
-    write_report(report, os.path.join(out_dir, cfg.output["report"]), cfg.echo)
-    return 0
+        report["discrete"] = {"trials": trials, "eps": mp["eps"], "violations": violations}
+    return report
 
 
 def _run_nonuniformity(cfg, mesh, seed, out_dir):
     mp = cfg.mode_params
-    family_raw = _require(mp, "family")
-    if not isinstance(family_raw, list) or not family_raw:
-        raise InvalidConfig("mode_params.family: expected a nonempty list of {center, radius}")
-    family = []
-    for k, item in enumerate(family_raw):
-        center = float(_require(item, "center", f"mode_params.family[{k}]"))
-        radius = float(_require(item, "radius", f"mode_params.family[{k}]"))
-        if radius <= 0:
-            raise InvalidConfig(f"mode_params.family[{k}].radius: must be positive")
-        family.append((f"bump(c={center:g},r={radius:g})", Weight.expression(f"bump({center!r}, {radius!r})")))
-    report = nonuniformity_experiment(
+    family = [
+        (f"bump(c={c:g},r={r:g})", Weight.expression(f"bump({c!r}, {r!r})"))
+        for c, r in ((item["center"], item["radius"]) for item in mp["family"])
+    ]
+    return nonuniformity_experiment(
         mesh,
         cfg.p,
         cfg.q,
         cfg.weights["m"],
         cfg.weights["a"],
-        float(mp.get("eps_lambda", 1.0)),
+        mp["eps_lambda"],
         family,
-        eta_small=float(mp.get("eta_small", 0.05)),
-        n_lam=int(mp.get("n_lam", 40)),
-        delta_span=float(mp["delta_span"]) if "delta_span" in mp else None,
-        opts=_solve_options(mp, seed),
+        eta_small=mp["eta_small"],
+        n_lam=mp["n_lam"],
+        delta_span=mp["delta_span"],
+        opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}),
     )
-    write_report(report, os.path.join(out_dir, cfg.output["report"]), cfg.echo)
-    return 0
 
 
 _RUNNERS = {
@@ -234,6 +177,8 @@ def main(argv=None):
         cfg = parse_config(text, base_dir=os.path.dirname(os.path.abspath(args.config)))
         if cfg.mode != args.mode:
             raise InvalidConfig(f"mode: config says {cfg.mode!r} but the subcommand is {args.mode!r}")
+        if args.seed is not None and args.seed < 0:
+            raise InvalidConfig(f"--seed: must be >= 0, got {args.seed}")
         seed = args.seed if args.seed is not None else cfg.seed
         cfg.echo["seed"] = seed
         out_dir = args.out or os.environ.get("PLAP_OUT") or cfg.output["dir"]
@@ -242,7 +187,10 @@ def main(argv=None):
         except OSError as exc:
             raise IoError(f"could not create output directory {out_dir!r}: {exc}")
         mesh = build_mesh(cfg)
-        return _RUNNERS[cfg.mode](cfg, mesh, seed, out_dir)
+        result = _RUNNERS[cfg.mode](cfg, mesh, seed, out_dir)
+        write_report(result, os.path.join(out_dir, cfg.output["report"]), cfg.echo)
+        # a sweep that recorded a consistency counterexample exits 5
+        return 5 if isinstance(result, RegionMap) and result.counterexamples else 0
     except (InvalidConfig, ParseError, EmptyAdmissibleSet) as exc:
         print(f"plap: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: InvalidConfig/ParseError -> 2,
-NonConvergence -> 3, IoError -> 4.  A sweep that records a consistency
-counterexample exits 5 without raising.
+The CLI maps these onto process exit codes: InvalidConfig, ParseError and
+EmptyAdmissibleSet -> 2; NonConvergence, ResonantParameter and
+SingularJacobian -> 3; IoError -> 4.  A sweep that records a consistency
+counterexample exits 5 without raising.  The CLI sees an EvalError from a
+weight as InvalidConfig, because config.build_mesh evaluates every weight
+before any solve.
 """
 
 

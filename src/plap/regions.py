@@ -17,13 +17,13 @@ completeness of the solution set is undecidable here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bvp import ProblemSpec, SolveOptions, multi_start_solve
 from .critical import eta_star_lower_bound, picone_polynomial_check
-from .errors import NonConvergence, PlapError
+from .errors import InvalidConfig, PlapError
 from .functions import DiscreteFunction, Weight, weight_values, weighted_power_integral
 
 __all__ = [
@@ -433,7 +433,7 @@ def sweep(template, lam_grid, eta_grid, opts=None):
 
     solve_opts = opts.solve_opts
     if solve_opts.lam1 is None and math.isfinite(lam1):
-        solve_opts = SolveOptions(**{**solve_opts.__dict__, "lam1": lam1})
+        solve_opts = replace(solve_opts, lam1=lam1)
 
     cells = {}
     counterexamples = []
@@ -573,18 +573,18 @@ def nonuniformity_experiment(
     eta in {0, eta_small} every member is solved by multi-start and the sign
     classes recorded; for each member the AMP half-width delta_hat (largest
     contiguous all-negative lam prefix above lam1 at eta = 0) is measured on a
-    shared lam grid.  Requires a >= 0.
+    shared lam grid.  Requires a >= 0; raises InvalidConfig otherwise.
     """
     from .eigen import principal_eigenpair
 
     solve_opts = opts or SolveOptions()
     a_vals = weight_values(a, mesh)
     if np.any(a_vals < 0):
-        raise NonConvergence("nonuniformity probe requires a >= 0")
+        raise InvalidConfig(f"a: must be >= 0 for the nonuniformity probe, min value {float(a_vals.min()):g}")
     pair = principal_eigenpair(mesh, m, p)
     lam1, phi1 = pair.lam, pair.phi
     if solve_opts.lam1 is None:
-        solve_opts = SolveOptions(**{**solve_opts.__dict__, "lam1": lam1})
+        solve_opts = replace(solve_opts, lam1=lam1)
     lam_probe = lam1 + eps_lambda
     span = delta_span if delta_span is not None else max(1.5 * eps_lambda, 0.1 * lam1)
     lam_scan = np.linspace(lam1 * (1.0 + 2e-3), lam1 + span, n_lam)

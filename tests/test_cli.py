@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from plap.cli import main
+
 BASE = {
     "domain": {"kind": "interval", "bounds": [0, 1], "resolution": 64},
     "p": 2.0,
@@ -165,3 +167,46 @@ def test_exit_5_counterexample(tmp_path):
     assert proc.returncode == 5, proc.stderr
     report = json.loads((tmp_path / "sweep_report.json").read_text())
     assert report["result"]["counterexample_count"] == 1
+
+
+# Malformed inputs: each exits 2 before any solve, with one "plap: <field path>: <reason>" line.
+PROBES = [
+    ("solve", {"lam": "abc"}, {}, "mode_params.lam"),
+    ("sweep", {"lam_grid": [1, "x"]}, {}, "mode_params.lam_grid[1]"),
+    ("nonuniformity", {"family": [3]}, {}, "mode_params.family[0]"),
+    ("nonuniformity", {"family": [{"center": 0.5, "radius": 0}]}, {}, "mode_params.family[0].radius"),
+    ("eigen", {"max_outer": "x"}, {}, "mode_params.max_outer"),
+    ("eigen", {"tol": "x"}, {}, "mode_params.tol"),
+    ("critval", {"lam_frac": "half"}, {}, "mode_params.lam_frac"),
+    ("solve", {"lam": 3.0, "t_grid": 5}, {}, "mode_params.t_grid"),
+    ("solve", {"lam": float("nan")}, {}, "mode_params.lam"),
+    ("solve", {"lam": float("inf")}, {}, "mode_params.lam"),
+    ("eigen", {}, {"p": "__1e400__"}, "p"),
+    ("nonuniformity", {"family": [{"center": 0.5, "radius": 0.1}]}, {"weights": {"m": 1, "a": -1}}, "a"),
+    ("critval", {"n_starts": -3, "lam_frac": 0.5}, {}, "mode_params.n_starts"),
+    ("sweep", {"n_random": -1}, {}, "mode_params.n_random"),
+    ("sweep", {"n_lam": 2.5}, {}, "mode_params.n_lam"),
+    ("solve", {"lam": True}, {}, "mode_params.lam"),
+    ("eigen", {"init": "bogus"}, {}, "mode_params.init"),
+    ("eigen", {"subdomain": {"rho": 0.25, "part": "middle"}}, {}, "mode_params.subdomain.part"),
+    ("solve", {"lamda": 4}, {}, "mode_params.lamda"),
+    ("eigen", {}, {"output": {"dir": 5}}, "output.dir"),
+    ("eigen", {}, {"weights": {"m": 1, "a": "1/x"}}, "weights.a"),
+]
+
+
+@pytest.mark.parametrize("mode, params, overrides, path", PROBES)
+def test_malformed_input_exits_2_naming_the_field(mode, params, overrides, path, tmp_path, capsys):
+    cfg = {**config(mode, **params), **overrides}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg).replace('"__1e400__"', "1e400"))
+    code = main([mode, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"plap: {path}: ") and err.count("\n") == 1, err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps(config("eigen")))
+    code = main(["eigen", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("plap: --seed: "), err

@@ -1,10 +1,23 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plap import InvalidConfig, ParseError, ProblemSpec, SolveOptions, SweepOptions, Weight, sweep
-from plap.config import DEFAULT_SEED, build_mesh, parse_config
+from plap import (
+    EigenOptions,
+    EtaStarOptions,
+    InvalidConfig,
+    ParseError,
+    ProblemSpec,
+    SolveOptions,
+    SweepOptions,
+    Weight,
+    sweep,
+)
+from plap.config import DEFAULT_SEED, MODE_PARAMS, MODES, SOLVE_OPTIONS, build_mesh, parse_config
 from plap.report import write_csv, write_report
 
 
@@ -60,8 +73,9 @@ def test_unknown_weight_function_named():
 
 
 def test_bad_json_is_parse_error():
-    with pytest.raises(ParseError):
-        parse_config(b"{not json")
+    for text in (b"{not json", b"\xff{}", b"[" * 100_000, b'{"p": 1' + b"0" * 5000 + b"}"):
+        with pytest.raises(ParseError):
+            parse_config(text)
 
 
 def test_field_path_errors():
@@ -73,6 +87,10 @@ def test_field_path_errors():
         ({"mode": "dance"}, "mode"),
         ({"seed": -3}, "seed"),
         ({"mode_params": 7}, "mode_params"),
+        ({"mode": "critval"}, "mode_params: needs either lam or lam_frac"),
+        ({"mode": "picone-check", "mode_params": {"q_grid": [1.2, 2.5]}}, "mode_params.q_grid[1]"),
+        ({"output": {"report": ["r.json"]}}, "output.report"),
+        ({"weights": {"m": {"kind": "nodal", "path": 3}}}, "weights.m.path"),
         ({"weights": {"a": 1, "f": 1}}, "weights.m"),
         ({"weights": {"m": True, "a": 1, "f": 1}}, "weights.m"),
         ({"weights": {"m": {"kind": "nodal", "values": []}, "a": 1, "f": 1}}, "weights.m.values"),
@@ -81,6 +99,82 @@ def test_field_path_errors():
         with pytest.raises(InvalidConfig) as info:
             parse_config(cfg_text(**overrides))
         assert needle in str(info.value), (overrides, str(info.value))
+
+
+def test_non_finite_numbers_rejected():
+    for overrides, needle in [
+        ({"p": float("nan")}, "p:"),
+        ({"domain": {"kind": "interval", "bounds": [0, float("inf")], "resolution": 8}}, "domain.bounds[1]"),
+        ({"weights": {"m": float("-inf")}}, "weights.m"),
+        ({"weights": {"m": {"kind": "nodal", "values": [1.0, float("nan")]}}}, "weights.m.values[1]"),
+    ]:
+        with pytest.raises(InvalidConfig, match="finite") as info:
+            parse_config(cfg_text(**overrides))
+        assert needle in str(info.value), (overrides, str(info.value))
+    # an integer literal beyond the float range is not finite either
+    with pytest.raises(InvalidConfig, match="^q: must be finite"):
+        parse_config(cfg_text().replace('"q": 1.5', '"q": 1' + "0" * 400))
+
+
+def test_mode_params_defaults_match_library_options():
+    # the CLI builds option objects from the table, so its defaults are the library's
+    solve_mp = parse_config(cfg_text(mode="solve", mode_params={"lam": 1.0})).mode_params
+    assert SolveOptions(**{k: solve_mp[k] for k in SOLVE_OPTIONS}) == SolveOptions()
+    eigen_mp = parse_config(cfg_text()).mode_params
+    assert EigenOptions(tol=eigen_mp["tol"], max_outer=eigen_mp["max_outer"], init=eigen_mp["init"]) == EigenOptions()
+    crit_mp = parse_config(cfg_text(mode="critval", mode_params={"lam": 1.0})).mode_params
+    assert EtaStarOptions(n_starts=crit_mp["n_starts"], max_iter=crit_mp["max_iter"]) == EtaStarOptions()
+
+
+def test_mode_params_typed_and_echoed_as_given():
+    raw = {"family": [{"center": 1, "radius": 0.5}], "n_lam": 3, "t_grid": [1]}
+    cfg = parse_config(cfg_text(mode="nonuniformity", mode_params=raw))
+    assert cfg.echo["mode_params"] is not cfg.mode_params
+    assert json.dumps(cfg.echo["mode_params"]) == json.dumps(raw)
+    mp = cfg.mode_params
+    assert mp["family"] == ({"center": 1.0, "radius": 0.5},) and type(mp["family"][0]["center"]) is float
+    assert mp["t_grid"] == (1.0,) and mp["n_lam"] == 3 and mp["delta_span"] is None
+    assert mp["eps_lambda"] == 1.0 and mp["n_random"] == 2
+
+
+_KEYS = sorted({key for table in MODE_PARAMS.values() for key in table} | {"rho", "part", "center", "radius"})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["distance_bump", "random", "zero", "strip", "complement"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=6), children, max_size=5),
+    max_leaves=12,
+)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+# mostly objects keyed by the mode's own fields, so that many draws get past the key check
+_MODE_AND_PARAMS = st.sampled_from(MODES).flatmap(
+    lambda mode: st.tuples(
+        st.just(mode), st.dictionaries(st.sampled_from(sorted(MODE_PARAMS[mode])), _JSON, max_size=4) | _JSON
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode_and_params=_MODE_AND_PARAMS)
+def test_mode_params_validate_or_raise_config_errors(mode_and_params):
+    mode, params = mode_and_params
+    text = json.dumps({**MINIMAL, "mode": mode, "mode_params": params})
+    try:
+        cfg = parse_config(text)
+    except (InvalidConfig, ParseError):
+        return
+    assert set(cfg.mode_params) == set(MODE_PARAMS[mode])
+    assert json.dumps(cfg.echo["mode_params"]) == json.dumps(params)
+    assert all(math.isfinite(v) for v in _leaves(cfg.mode_params) if isinstance(v, float))
 
 
 def test_missing_nodal_file(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from plap import (
     DiscreteFunction,
+    InvalidConfig,
     ProblemSpec,
     SolveOptions,
     SweepOptions,
@@ -166,6 +167,13 @@ def test_nonuniformity_trend(interval_512, one):
         assert set(member["classes_eta_small"]) <= {"sign_changing", "nonpos_with_zeros"}
     d = report.delta_hats
     assert d[0] > d[1] > d[2] > 0
+
+
+def test_nonuniformity_rejects_negative_a(interval_256, one):
+    # a >= 0 is a precondition of the probe, so it fails before any solve
+    family = [("b1", Weight.expression("bump(0.958, 0.012)"))]
+    with pytest.raises(InvalidConfig, match="a: must be >= 0"):
+        nonuniformity_experiment(interval_256, 2.0, 1.5, one, Weight.expression("x - 0.5"), 1.0, family)
 
 
 def test_nonuniformity_control_below_lam1(interval_512, one, pair_p2_512):
