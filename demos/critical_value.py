@@ -1,8 +1,8 @@
 """The critical perturbation size eta* and what happens beyond it.
 
 Below eta*_lam(a) every solution of the perturbed problem with nonnegative
-source stays nonnegative.  This script computes eta* across lam by projected
-gradient descent, compares it with the closed-form lower bound, and then
+source stays nonnegative.  This script computes eta* across lam by
+preconditioned projected descent, compares it with the closed-form lower bound, and then
 pushes eta beyond the estimate to watch nonnegativity fail.
 """
 

@@ -45,7 +45,10 @@ def _run_eigen(cfg, mesh, seed, out_dir):
     m = cfg.weights["m"]
     sub = mp["subdomain"]
     if sub is not None:
-        mask = boundary_strip(mesh, sub["rho"])
+        try:
+            mask = boundary_strip(mesh, sub["rho"])
+        except InvalidConfig as exc:  # rho at or beyond half the diameter, which the mesh knows
+            raise InvalidConfig(f"mode_params.subdomain.rho: {exc}") from exc
         if sub["part"] == "complement":
             mask = mask.complement()
         return subdomain_eigenvalue(mask, m, cfg.p, opts)
@@ -92,13 +95,18 @@ def _run_sweep(cfg, mesh, seed, out_dir):
 
 def _run_critval(cfg, mesh, seed, out_dir):
     mp = cfg.mode_params
+    if np.any(cfg.weights["f"].values(mesh) < 0):
+        raise InvalidConfig("weights.f: must be nonnegative at every vertex for the critical value")
     opts = EtaStarOptions(n_starts=mp["n_starts"], max_iter=mp["max_iter"], seed=seed)
-    lam = mp["lam"]
+    lam, field = mp["lam"], "mode_params.lam"
     if lam is None:
         pair = principal_eigenpair(mesh, cfg.weights["m"], cfg.p)
         opts.lam1, opts.phi1 = pair.lam, pair.phi
-        lam = mp["lam_frac"] * pair.lam
-    return eta_star(mesh, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"], cfg.p, cfg.q, lam, opts)
+        lam, field = mp["lam_frac"] * pair.lam, "mode_params.lam_frac"
+    try:
+        return eta_star(mesh, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"], cfg.p, cfg.q, lam, opts)
+    except InvalidConfig as exc:  # exponents and f are checked already, so lam lies outside [0, lam1]
+        raise InvalidConfig(f"{field}: {exc}") from exc
 
 
 def _run_picone(cfg, mesh, seed, out_dir):

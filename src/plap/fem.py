@@ -26,8 +26,9 @@ gradient coefficient as contiguous arrays, so grad u, G g and |g|^2 are
 (d+1) d multiply-adds on vectors of length n_cells.
 
 The storage follows the half-bandwidth b of the free-vertex numbering.  When
-b <= MAX_BAND it is LAPACK band storage for scipy.linalg.solve_banded (in 1D
-the free unknowns are consecutive vertices and b = 1); beyond that it is the
+b <= MAX_BAND it is LAPACK band storage, factored once by gbtrf and solved by
+gbtrs (in 1D the free unknowns are consecutive vertices, b = 1, and the
+tridiagonal gttrf/gttrs do the same); beyond that it is the
 data of a CSC matrix with fixed indices, factorized by SuperLU with a
 minimum-degree ordering on A^T + A, as the pattern is symmetric.  On an
 n x n grid b is about n, so band storage grows like n^3 and band LU costs
@@ -265,12 +266,32 @@ class Operator:
         offsets = np.arange(self.band, -self.band - 1, -1)
         return sp.dia_matrix((data.reshape(-1, n), offsets), shape=(n, n)).tocsc()
 
+    def pin(self, data, pinned):
+        """Copy of data with the rows and columns of the pinned free vertices set to the identity.
+
+        pinned is a boolean mask over free.  Solving the result against a
+        right-hand side that vanishes on pinned gives the solution of the
+        system restricted to the other free vertices, and zero on pinned.
+        """
+        n = len(self.free)
+        if self.band is None:
+            rows = self.indices
+            cols = np.repeat(np.arange(n), np.diff(self.indptr))
+        else:
+            slot = np.arange(self.size)
+            cols = slot % n
+            # the unused corners of band storage map outside [0, n); they hold zeros
+            rows = np.clip(cols + slot // n - self.band, 0, n - 1)
+        out = data.copy()
+        out[pinned[rows] | pinned[cols]] = 0.0
+        out[self.diagonal[pinned]] = 1.0
+        return out
+
     def factorize(self, data):
         """Factor the stored matrix once; returns solve(rhs).
 
         Raises SingularJacobian when the factorization fails or a solution is
-        not finite.  The banded solve factors data at each call, so data must
-        not change while solve is in use.
+        not finite.  The factor is a copy, so data may change afterwards.
         """
         n = len(self.free)
         if self.band is None:
@@ -280,16 +301,27 @@ class Operator:
             except RuntimeError as exc:  # SuperLU signals singularity this way
                 raise SingularJacobian(str(exc)) from exc
             return lambda rhs: _finite(lu.solve(rhs))
-        ab = data.reshape(-1, n)
+        b = self.band
+        if b == 1 and n > 2:
+            # tridiagonal, as on every interval: gttrf/gttrs split the gtsv that
+            # solve_banded runs there, and take half the time of gbtrf/gbtrs
+            # (scipy's gttrf wrapper rejects n = 2)
+            ab = data.reshape(3, n)
+            dl, d, du, du2, pivots, info = scipy.linalg.lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
 
-        def solve(rhs):
-            try:
-                sol = scipy.linalg.solve_banded((self.band, self.band), ab, rhs, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobian(str(exc)) from exc
-            return _finite(sol)
+            def substitute(rhs):
+                return scipy.linalg.lapack.dgttrs(dl, d, du, du2, pivots, rhs)[0]
+        else:
+            # gbtrf wants b extra rows above the matrix for the fill of row pivoting
+            work = np.zeros((3 * b + 1, n), order="F")
+            work[b:] = data.reshape(-1, n)
+            lu, pivots, info = scipy.linalg.lapack.dgbtrf(work, b, b, overwrite_ab=1)
 
-        return solve
+            def substitute(rhs):
+                return scipy.linalg.lapack.dgbtrs(lu, b, b, rhs, pivots)[0]
+        if info > 0:
+            raise SingularJacobian(f"band LU: U[{info - 1}, {info - 1}] is exactly zero")
+        return lambda rhs: _finite(substitute(rhs))
 
 
 def _finite(sol):

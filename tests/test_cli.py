@@ -75,6 +75,15 @@ def test_picone_check_roundtrip(tmp_path):
     assert report["result"]["discrete"]["violations"] == 0
 
 
+def test_picone_check_with_q_close_to_p(tmp_path):
+    cfg = config("picone-check")
+    cfg["p"], cfg["q"] = 10.0, 9.9999
+    proc = run_cli("picone-check", cfg, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "picone_check_report.json").read_text())
+    assert report["result"]["polynomial"]["holds"] is True
+
+
 def test_nonuniformity_roundtrip(tmp_path):
     cfg = config(
         "nonuniformity",
@@ -192,6 +201,11 @@ PROBES = [
     ("solve", {"lamda": 4}, {}, "mode_params.lamda"),
     ("eigen", {}, {"output": {"dir": 5}}, "output.dir"),
     ("eigen", {}, {"weights": {"m": 1, "a": "1/x"}}, "weights.a"),
+    # preconditions that need the mesh or lam1
+    ("critval", {"lam": 50.0}, {}, "mode_params.lam"),
+    ("critval", {"lam": -1.0}, {}, "mode_params.lam"),
+    ("critval", {"lam_frac": 0.5}, {"weights": {"m": 1, "a": 1, "f": "x - 0.5"}}, "weights.f"),
+    ("eigen", {"subdomain": {"rho": 0.6}}, {}, "mode_params.subdomain.rho"),
 ]
 
 

@@ -58,6 +58,36 @@ def test_eta_star_bracketed_by_bound_and_bump_family(interval_256, one, pair_p2_
     assert math.isfinite(res.gap) and res.gap >= -1e-9
 
 
+def test_every_start_converges_to_one_value(interval_256, one, pair_p3_256):
+    res = eta_star(
+        interval_256, one, one, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,
+        EtaStarOptions(lam1=pair_p3_256.lam, phi1=pair_p3_256.phi, n_starts=32),
+    )
+    assert len(res.start_iterations) == res.starts_used == 32
+    assert max(res.start_iterations) < EtaStarOptions().max_iter
+    values = np.array(res.all_start_values)
+    assert np.max(values) - np.min(values) <= 1e-9 * np.min(values)
+    # the plain projected gradient descent reaches this after 20,000 steps
+    assert res.value <= 3.5474346819
+    assert res.value >= res.lower_bound
+
+
+def test_eta_star_active_set_at_the_cone_boundary(one):
+    # a changes sign, so minimizers vanish on part of the square and the
+    # descent must keep those vertices at zero
+    mesh = build_rectangle(0, 1, 0, 1, 32, 32)
+    from plap import principal_eigenpair
+
+    pair = principal_eigenpair(mesh, one, 2.0)
+    res = eta_star(
+        mesh, one, Weight.expression("x - 0.3"), one, 2.0, 1.5, 0.5 * pair.lam,
+        EtaStarOptions(lam1=pair.lam, phi1=pair.phi, n_starts=4),
+    )
+    assert res.value >= res.lower_bound
+    # the plain projected gradient descent from 16 starts gives 24.03381
+    assert res.value <= 24.0338
+
+
 def test_eta_star_rejects_bad_lam(interval_256, one, pair_p2_256):
     opts = EtaStarOptions(lam1=pair_p2_256.lam, phi1=pair_p2_256.phi)
     with pytest.raises(InvalidConfig):
@@ -113,6 +143,14 @@ def test_polynomial_p3_failure():
     assert picone_polynomial(3.0, 1.5, 0.0) == -0.5
     assert chk.min_value == pytest.approx(2.0 - 2.0 * math.sqrt(2.0), rel=1e-10)
     assert chk.argmin == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-6)
+
+
+def test_polynomial_check_with_q_close_to_p():
+    # (p/(q-1))^{2/(p-q)} overflows a float here
+    chk = picone_polynomial_check(10.0, 9.9999)
+    assert chk.holds
+    # the other terms outweigh -(p-q)s = -1e-4 s at every s >= 0
+    assert 0.0 < chk.min_value <= picone_polynomial(10.0, 9.9999, 0.0)
 
 
 def test_holds_implies_superhomogeneous_exponent_gap():

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plap import (
     DiscreteFunction,
@@ -96,6 +97,49 @@ def test_solve_matches_dense_solve(mesh, band, rng):
     rhs = rng.standard_normal(len(free))
     want = np.linalg.solve(op.matrix(data).toarray(), rhs)
     np.testing.assert_allclose(fem.solve_sparse(op, data, rhs), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mesh, routine",
+    [
+        (build_interval(0.0, 1.0, 16), "dgttrf"),
+        (build_interval(0.0, 1.0, 3), "dgbtrf"),
+        (build_rectangle(0.0, 1.0, 0.0, 1.0, 4, 4), "dgbtrf"),
+    ],
+    ids=["tridiagonal", "two-unknowns", "banded-2d"],
+)
+def test_band_factor_is_computed_once(mesh, routine, rng, monkeypatch):
+    calls = []
+    factor = getattr(scipy.linalg.lapack, routine)
+
+    def counting_factor(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, routine, counting_factor)
+    op = fem.operator(mesh, mesh.interior_vertices)
+    data = fem.p_flux_jacobian(op, np.zeros(mesh.n_vertices), 2.0, 0.0, rng.random(mesh.n_vertices))
+    solve = op.factorize(data)
+    ab = data.reshape(-1, len(op.free))
+    for _ in range(3):
+        rhs = rng.standard_normal(len(op.free))
+        want = scipy.linalg.solve_banded((op.band, op.band), ab, rhs)
+        np.testing.assert_allclose(solve(rhs), want, rtol=1e-12, atol=1e-12)
+    assert len(calls) == 1
+
+
+@SOLVER_CASES
+def test_pinned_system_solves_the_restriction(mesh, band, rng):
+    op = fem.operator(mesh, mesh.interior_vertices)
+    data = fem.p_flux_jacobian(op, np.zeros(mesh.n_vertices), 2.0, 0.0)
+    pinned = rng.random(len(op.free)) < 0.3
+    keep = ~pinned
+    rhs = rng.standard_normal(len(op.free))
+    got = op.factorize(op.pin(data, pinned))(np.where(pinned, 0.0, rhs))
+    dense = op.matrix(data).toarray()
+    assert np.all(got[pinned] == 0.0)
+    want = np.linalg.solve(dense[np.ix_(keep, keep)], rhs[keep])
+    np.testing.assert_allclose(got[keep], want, rtol=1e-12, atol=1e-12)
 
 
 @SOLVER_CASES
