@@ -6,6 +6,7 @@ import pytest
 import oracles
 from plap import (
     DiscreteFunction,
+    NonConvergence,
     ProblemSpec,
     SolveOptions,
     Weight,
@@ -249,3 +250,68 @@ def test_solver_matches_linear_oracle(interval_512, pair_p2_512):
     u_oracle = oracles.linear_bvp_oracle_1d(lam, np.ones(513), 512)
     assert np.max(np.abs(out.u.values - u_oracle)) < 1e-9
     assert out.sign_class == "positive"
+
+
+# Per start at lam = 0.8 lam1, eta = 0 (p=3, q=1.5, m=a=f=1, n=256, n_random=0):
+# (sign class, sup norm, Newton iterations) of each converged start.
+STALL_CELL_CONVERGED = {
+    "zero": ("positive", 0.543517094, 9),
+    "pos_phi1_t0.5": ("positive", 0.543517094, 5),
+    "neg_phi1_t0.5": ("positive", 0.543517094, 9),
+    "pos_phi1_t1": ("positive", 0.543517094, 6),
+    "neg_phi1_t1": ("positive", 0.543517094, 8),
+    "pos_phi1_t2": ("positive", 0.543517094, 7),
+    "pos_phi1_t4": ("positive", 0.543517094, 8),
+    "pos_phi1_t8": ("positive", 0.543517094, 9),
+}
+# residual evaluations of the cell's three failed starts when a rung could only
+# end by exhausting its line search (t <= 1e-10) or max_newton
+STALL_CELL_FAILED_EVALS_BEFORE = 7647
+
+
+def test_stalled_starts_fail_cheaply(interval_256, pair_p3_256, monkeypatch):
+    import plap.bvp as bvp
+    import plap.fem as fem
+
+    calls = [0]
+    p_flux, solve_one = fem.p_flux, bvp.solve
+
+    def counting_p_flux(*args, **kw):
+        calls[0] += 1
+        return p_flux(*args, **kw)
+
+    failed_evals = []
+
+    def counting_solve(*args, **kw):
+        before = calls[0]
+        try:
+            return solve_one(*args, **kw)
+        except NonConvergence:
+            failed_evals.append(calls[0] - before)
+            raise
+
+    monkeypatch.setattr(fem, "p_flux", counting_p_flux)
+    monkeypatch.setattr(bvp, "solve", counting_solve)
+    spec = make_spec(interval_256, p=3.0, lam=0.8 * pair_p3_256.lam)
+    ms = multi_start_solve(spec, SolveOptions(n_random=0, lam1=pair_p3_256.lam), phi1=pair_p3_256.phi)
+
+    converged = {
+        label: (out.sign_class, round(out.sup_norm, 9), out.newton_iters)
+        for label, out, _ in ms.per_start
+        if out is not None
+    }
+    assert converged == STALL_CELL_CONVERGED
+    assert len(failed_evals) == 3
+    assert sum(failed_evals) <= STALL_CELL_FAILED_EVALS_BEFORE / 3
+    assert all("Newton stalled" in err for _, err in ms.failures)
+
+
+def test_failed_start_names_max_newton(interval_256, pair_p3_256):
+    # one Newton iteration per rung is too few for the zero start and most others
+    spec = make_spec(interval_256, p=3.0, lam=0.8 * pair_p3_256.lam)
+    opts = SolveOptions(n_random=0, lam1=pair_p3_256.lam, max_newton=1)
+    with pytest.raises(NonConvergence, match="Newton max_newton"):
+        solve(spec, opts=opts)
+    ms = multi_start_solve(spec, opts, phi1=pair_p3_256.phi)
+    assert len(ms.failures) >= 9
+    assert all(err.startswith("NonConvergence: Newton max_newton") for _, err in ms.failures)
