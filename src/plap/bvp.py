@@ -49,10 +49,10 @@ needs t = 2^-32.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import fem
 from .errors import InvalidConfig, NonConvergence, PlapError, ResonantParameter, SingularJacobian
@@ -155,11 +155,15 @@ def _fields(spec):
 
 def energy(spec, u):
     """Exact (unregularized) energy of a zero-trace function."""
-    m_int = weighted_power_integral(spec.m, u, spec.p)
+    return _h_lam_and_energy(spec, u, grad_energy(u, spec.p))[1]
+
+
+def _h_lam_and_energy(spec, u, grad):
+    """(H_lam(u), energy(spec, u)) from grad = grad_energy(u, spec.p)."""
+    h_lam = grad - spec.lam * weighted_power_integral(spec.m, u, spec.p)
     a_int = weighted_power_integral(spec.a, u, spec.q)
     f_int = weighted_power_integral(spec.f, u, 1.0, signed=True)
-    h_lam = grad_energy(u, spec.p) - spec.lam * m_int
-    return h_lam / spec.p - spec.eta / spec.q * a_int - f_int
+    return h_lam, h_lam / spec.p - spec.eta / spec.q * a_int - f_int
 
 
 def energy_smoothed(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
@@ -223,6 +227,32 @@ def classify_sign(u, boundary_excluded=True, margin=0.0):
     return "sign_changing"
 
 
+_NEAREST_INTERIOR = weakref.WeakKeyDictionary()
+
+
+def _nearest_interior(mesh):
+    """Position in mesh.interior_vertices of each boundary vertex's nearest interior vertex.
+
+    Computed once per mesh (cached with the mesh as a weak key, like
+    fem.gradients) by brute force over blocks of about 2^18 distances.
+    """
+    try:
+        return _NEAREST_INTERIOR[mesh]
+    except KeyError:
+        pass
+    inner = mesh.vertices[mesh.interior_vertices]
+    outer = mesh.vertices[mesh.boundary_vertices]
+    nearest = np.empty(len(outer), dtype=np.int64)
+    block = max(1, 2**18 // len(inner))
+    for lo in range(0, len(outer), block):
+        pts = outer[lo : lo + block]
+        d2 = sum((pts[:, k, None] - inner[None, :, k]) ** 2 for k in range(mesh.dimension))
+        nearest[lo : lo + block] = np.argmin(d2, axis=1)
+    nearest.setflags(write=False)
+    _NEAREST_INTERIOR[mesh] = nearest
+    return nearest
+
+
 def _boundary_flux_sign(u):
     """Per-boundary-vertex sign of the one-sided outward-derivative estimate.
 
@@ -232,9 +262,7 @@ def _boundary_flux_sign(u):
     mesh = u.mesh
     if len(mesh.interior_vertices) == 0:
         return np.zeros(len(mesh.boundary_vertices), dtype=int)
-    tree = cKDTree(mesh.vertices[mesh.interior_vertices])
-    _, nearest = tree.query(mesh.vertices[mesh.boundary_vertices])
-    inner_vals = u.values[mesh.interior_vertices[nearest]]
+    inner_vals = u.values[mesh.interior_vertices[_nearest_interior(mesh)]]
     return np.sign(-inner_vals).astype(int)
 
 
@@ -414,22 +442,23 @@ def solve(spec, init="zero", opts=None):
 
     u = DiscreteFunction(mesh, values)
     smax = sup_norm(u)
-    semi = grad_energy(u, spec.p) ** (1.0 / spec.p)
+    grad = grad_energy(u, spec.p)
+    h_lam, e = _h_lam_and_energy(spec, u, grad)
     r_norm = 2.0 * spec.p  # exponent for the sup-norm growth diagnostic
     u_r = weighted_power_integral(Weight.constant(1.0), u, r_norm) ** (1.0 / r_norm)
     outcome = SolveOutcome(
         u=u,
         residual_norm=rn,
-        energy=energy(spec, u),
+        energy=e,
         newton_iters=total_iters,
         continuation_steps=len(stages),
         sign_class=classify_sign(u),
         boundary_flux_sign=_boundary_flux_sign(u),
         sup_norm=smax,
-        sobolev_seminorm=semi,
+        sobolev_seminorm=grad ** (1.0 / spec.p),
         resonant=resonant_seen,
         diagnostics={
-            "H_lam": grad_energy(u, spec.p) - spec.lam * weighted_power_integral(spec.m, u, spec.p),
+            "H_lam": h_lam,
             "sup_bound_ratio": smax / (1.0 + u_r),
         },
     )

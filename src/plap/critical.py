@@ -94,19 +94,24 @@ class EtaStarResult:
         return self.value - self.lower_bound
 
 
+def _quotient(p, q, h_lam, f_term, denom):
+    """The eta* quotient C(p,q) h_lam^alpha f_term^beta / denom, alpha = (q-1)/(p-1), beta = (p-q)/(p-1).
+
+    +inf when denom <= 0 (off the cone), else 0 when h_lam <= 0 or f_term <= 0.
+    """
+    if denom <= 0.0:
+        return math.inf
+    if h_lam <= 0.0 or f_term <= 0.0:
+        return 0.0
+    return picone_constant(p, q) * h_lam ** ((q - 1.0) / (p - 1.0)) * f_term ** ((p - q) / (p - 1.0)) / denom
+
+
 def eta_star_objective(mesh, m, a, f, p, q, lam, u):
     """The 0-homogeneous quotient at the positive part of u; +inf off the cone."""
     u = u.with_values(np.maximum(u.values, 0.0))
-    denom = weighted_power_integral(a, u, q)
-    if denom <= 0.0:
-        return math.inf
     h_lam = grad_energy(u, p) - lam * weighted_power_integral(m, u, p)
     f_term = weighted_power_integral(f, u, 1.0, signed=True)
-    if h_lam <= 0.0 or f_term <= 0.0:
-        return 0.0
-    alpha = (q - 1.0) / (p - 1.0)
-    beta = (p - q) / (p - 1.0)
-    return picone_constant(p, q) * h_lam**alpha * f_term**beta / denom
+    return _quotient(p, q, h_lam, f_term, weighted_power_integral(a, u, q))
 
 
 class _Preconditioner:
@@ -145,7 +150,6 @@ def _projected_gradient(mesh, m_vals, a_vals, f_vals, p, q, lam, start, max_iter
     kernel = fem.gradients(mesh)
     alpha = (q - 1.0) / (p - 1.0)
     beta = (p - q) / (p - 1.0)
-    c_pq = picone_constant(p, q)
 
     def energy(vals):
         g = kernel.gradient(vals)
@@ -158,13 +162,6 @@ def _projected_gradient(mesh, m_vals, a_vals, f_vals, p, q, lam, start, max_iter
         denom = float(np.dot(lump, a_vals * vals**q))
         return h_lam, f_term, denom
 
-    def value(h_lam, f_term, denom):
-        if denom <= 0.0:
-            return math.inf
-        if h_lam <= 0.0 or f_term <= 0.0:
-            return 0.0
-        return c_pq * h_lam**alpha * f_term**beta / denom
-
     vals = np.maximum(start, 0.0)
     vals[mesh.boundary_vertices] = 0.0
     e = energy(vals)
@@ -172,7 +169,7 @@ def _projected_gradient(mesh, m_vals, a_vals, f_vals, p, q, lam, start, max_iter
         return math.inf, vals, 0
     vals = vals / e ** (1.0 / p)
     h_lam, f_term, denom = pieces(vals)
-    g = value(h_lam, f_term, denom)
+    g = _quotient(p, q, h_lam, f_term, denom)
     if not math.isfinite(g) or g == 0.0:
         return g, vals, 0
     grad_f = lump * f_vals
@@ -195,7 +192,7 @@ def _projected_gradient(mesh, m_vals, a_vals, f_vals, p, q, lam, start, max_iter
             if e > 0.0:
                 trial /= e ** (1.0 / p)
                 h_t, f_t, d_t = pieces(trial)
-                g_t = value(h_t, f_t, d_t)
+                g_t = _quotient(p, q, h_t, f_t, d_t)
                 if g_t < g - 1e-14 * (1.0 + abs(g)):
                     vals, g = trial, g_t
                     h_lam, f_term, denom = h_t, f_t, d_t

@@ -315,3 +315,37 @@ def test_failed_start_names_max_newton(interval_256, pair_p3_256):
     ms = multi_start_solve(spec, opts, phi1=pair_p3_256.phi)
     assert len(ms.failures) >= 9
     assert all(err.startswith("NonConvergence: Newton max_newton") for _, err in ms.failures)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_interval(0.0, 1.0, 2),
+        lambda: build_interval(0.0, 1.0, 64),
+        lambda: build_interval(0.0, 1.0, 256),
+        lambda: build_interval(-1.0, 2.0, 4096),
+        lambda: build_rectangle(0.0, 1.0, 0.0, 1.0, 24, 24),
+        lambda: build_rectangle(0.0, 1.0, 0.0, 1.0, 128, 128),
+        lambda: build_rectangle(0.0, 2.0, 0.0, 1.0, 16, 5),
+        lambda: build_rectangle(-1.0, 1.0, 0.0, 0.5, 2, 7),
+    ],
+    ids=["interval-2", "interval-64", "interval-256", "interval-4096", "square-24", "square-128", "rect-16x5", "rect-2x7"],
+)
+def test_nearest_interior_vertex_matches_kd_tree(build):
+    from scipy.spatial import cKDTree
+
+    from plap.bvp import _nearest_interior
+
+    mesh = build()
+    _, want = cKDTree(mesh.vertices[mesh.interior_vertices]).query(mesh.vertices[mesh.boundary_vertices])
+    np.testing.assert_array_equal(_nearest_interior(mesh), want)
+    assert _nearest_interior(mesh) is _nearest_interior(mesh)
+
+
+def test_cli_import_skips_scipy_spatial():
+    import subprocess
+    import sys
+
+    code = "import sys, plap.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
