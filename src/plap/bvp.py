@@ -23,7 +23,7 @@ t = 1, 1/2, 1/4, ..., until a trial passes the Armijo test on the squared
 residual norm, ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2.  A rung ends on the
 first of these tests, named as the reason it reports:
 
-  * converged: ||r|| <= newton_tol * (1 + size of the right-hand side);
+  * converged: ||r|| <= the rung's tolerance * (1 + size of the right-hand side);
   * stalled: the trial that passed Armijo lowers ||r||^2 by less than the
     relative STALL_DECREASE = 1e-5, and is not taken.  Armijo alone asks
     for 2e-4 t, so only steps damped below t ~ 0.05 can trip this test
