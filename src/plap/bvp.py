@@ -44,6 +44,16 @@ with it the grid makes 7,314, the same 10 starts fail (a median of 299
 evaluations each instead of 2,242) and each cell finds the same solutions.
 A t floor of 1e-6 instead would cut converging rungs: one 1D f = 1 rung
 needs t = 2^-32.
+
+The ladder's first rungs do not read eta: the lam rungs and (lam, 0) at the
+first smoothing, the unperturbed problem the eta term is switched on from.
+Every cell of one lam row of a sweep runs them alike, so regions.sweep hands
+the row's solves one private store (solve's _prefix) and each start runs
+them once per row.  A later cell copies the stored iterate and replays the
+rung's reason, iterations and norm.  That is exact: Newton is
+deterministic, and the key, the start's initial nodal values and the stages
+run so far, fixes everything the rung reads.  Results stay bit-identical;
+the first cell of a row pays for the shared rungs.
 """
 
 from __future__ import annotations
@@ -399,13 +409,28 @@ def _continuation_stages(spec, opts, lam1):
     return stages
 
 
-def solve(spec, init="zero", opts=None):
+def _eta_free(stage):
+    """True for the rungs every eta of one lam runs alike: eta = 0 at the first smoothing."""
+    _, eta, eps_g, eps_s, is_final = stage
+    return eta == 0.0 and (eps_g, eps_s) == _EPS_LADDER[0] and not is_final
+
+
+def solve(spec, init="zero", opts=None, *, _prefix=None):
     """Solve the boundary value problem by damped Newton with continuation.
 
     init is a DiscreteFunction, an array of nodal values, or the name of a
     start ("zero").  Raises NonConvergence when the final stage fails, and
     ResonantParameter when it fails with a singular linearization (the
     spectral parameter sits numerically on an eigenvalue).
+
+    _prefix is a private rung store (a dict) for solves that differ only in
+    eta: same mesh, p, q, m, a, f, lam and opts, as in one lam row of
+    regions.sweep (see the module docstring).  It keeps the iterate after
+    each _eta_free rung with the rung's (reason, iters, norm), keyed by the
+    initial values' bytes and the stages run so far.  A later solve replays
+    the record: its iterations still count in newton_iters, a singular rung
+    still sets resonant and a failed rung still only costs the warm start.
+    Results are bit-identical to solves without a store.
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
@@ -421,12 +446,20 @@ def solve(spec, init="zero", opts=None):
 
     driver = _NewtonDriver(spec)
     stages = _continuation_stages(spec, opts, opts.lam1)
+    init_key = values.tobytes() if _prefix is not None else None
     total_iters = 0
     rn = math.inf
     resonant_seen = False
-    for lam, eta, eps_g, eps_s, is_final in stages:
+    for k, (lam, eta, eps_g, eps_s, is_final) in enumerate(stages):
         tol = opts.newton_tol if is_final else max(1e-6, opts.newton_tol)
-        reason, iters, rn = driver.newton(values, lam, eta, eps_g, eps_s, tol, opts.max_newton)
+        key = (init_key, *stages[: k + 1]) if init_key is not None and _eta_free(stages[k]) else None
+        if key is not None and key in _prefix:
+            stored, reason, iters, rn = _prefix[key]
+            values[:] = stored
+        else:
+            reason, iters, rn = driver.newton(values, lam, eta, eps_g, eps_s, tol, opts.max_newton)
+            if key is not None:
+                _prefix[key] = (values.copy(), reason, iters, rn)
         total_iters += iters
         if reason != "converged":
             resonant_seen = resonant_seen or reason == "singular"
@@ -509,13 +542,14 @@ class MultiStartResult:
         return self.outcomes[i]
 
 
-def multi_start_solve(spec, opts=None, phi1=None):
+def multi_start_solve(spec, opts=None, phi1=None, *, _prefix=None):
     """Run solve() from the start family {zero, +-t*phi1, random} and deduplicate.
 
     Per-start failures are recorded, never raised.  Outcomes within
     dedup_tol * (1 + min sup) of each other in the sup norm count as one
     solution.  phi1 may be passed to skip the eigensolve for the +-t starts;
     when the eigensolve fails (e.g. m <= 0) those starts are dropped.
+    _prefix is passed to every solve() (see there).
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
@@ -542,7 +576,7 @@ def multi_start_solve(spec, opts=None, phi1=None):
     outcomes = []
     for label, init in starts:
         try:
-            out = solve(spec, init, opts)
+            out = solve(spec, init, opts, _prefix=_prefix)
         except (NonConvergence, ResonantParameter, SingularJacobian) as exc:
             per_start.append((label, None, f"{type(exc).__name__}: {exc}"))
             continue

@@ -360,11 +360,14 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
     return [pr for pr in preds if pr.applicable]
 
 
-def _eta_threshold_closures(template, lam1):
+def _eta_threshold_closures(template, lam1, pair=None):
     """Certified per-lam lower bounds for the critical value on each eta side.
 
     Uses the closed-form bound, which needs min f > 0 and a nontrivial clamped
-    weight; returns (pos, neg) callables or None where unavailable.
+    weight; returns (pos, neg) callables or None where unavailable.  pair is
+    the principal eigenpair for template.m, if known: a clamped weight with
+    the same nodal values as m (m = a = 1, say) reuses its eigenvalue, which
+    principal_eigenpair would recompute bit for bit from those values.
     """
     mesh = template.mesh
     f_vals = weight_values(template.f, mesh)
@@ -378,7 +381,10 @@ def _eta_threshold_closures(template, lam1):
         power = clamped ** ((template.p - 1.0) / (template.q - 1.0))
         if not np.any(power[mesh.interior_vertices] > 0):
             return lambda lam: math.inf  # empty admissible cone: critical value infinite
-        lam1_w = principal_eigenpair(mesh, Weight.nodal(power), template.p).lam
+        if pair is not None and np.array_equal(power, weight_values(template.m, mesh)):
+            lam1_w = pair.lam
+        else:
+            lam1_w = principal_eigenpair(mesh, Weight.nodal(power), template.p).lam
 
         def bound(lam, _l1w=lam1_w):
             if lam >= lam1:
@@ -400,13 +406,20 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     template is a ProblemSpec whose lam/eta fields are ignored.  Cell solves
     that fail are recorded as rows with sign_class "failed", never fatal.
     Returns the RegionMap with measured MP/AMP half-widths.
+
+    The cells of one lam row share a rung store (bvp.solve's _prefix): each
+    start runs the eta-free rungs of its ladder once per row, and every cell
+    goes on from a copy of that iterate with the rungs' iterations counted
+    as its own.  Each cell's result is bit-identical to solving it alone;
+    the row's first cell pays for the shared rungs, so per-cell work is
+    front-loaded.  The store is dropped after its row.
     """
     opts = opts or SweepOptions()
     mesh = template.mesh
     lam_grid = [float(v) for v in lam_grid]
     eta_grid = [float(v) for v in eta_grid]
 
-    phi1 = None
+    pair, phi1 = None, None
     lam1_computed = math.inf
     try:
         from .eigen import principal_eigenpair
@@ -427,7 +440,7 @@ def sweep(template, lam_grid, eta_grid, opts=None):
 
     predictions = []
     if opts.predictions:
-        thr_pos, thr_neg = _eta_threshold_closures(template, lam1)
+        thr_pos, thr_neg = _eta_threshold_closures(template, lam1, pair)
         predictions = check_hypotheses(template, lam1, phi1, thr_pos, thr_neg)
     binding = [pr for pr in predictions if pr.region is not None and pr.applicable]
 
@@ -438,9 +451,10 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     cells = {}
     counterexamples = []
     for i, lam in enumerate(lam_grid):
+        prefix = {}  # the row's eta-free rungs, run once per start (bvp.solve)
         for j, eta in enumerate(eta_grid):
             spec = template.replace(lam=lam, eta=eta)
-            ms = multi_start_solve(spec, solve_opts, phi1=phi1)
+            ms = multi_start_solve(spec, solve_opts, phi1=phi1, _prefix=prefix)
             rows = []
             for strategy, out, err in ms.per_start:
                 if out is None:
@@ -592,9 +606,10 @@ def nonuniformity_experiment(
     members = []
     for label, f in f_family:
         entry = {"label": label}
+        prefix = {}  # the two probes share their eta-free rungs (bvp.solve)
         for eta, key in ((0.0, "classes_eta0"), (eta_small, "classes_eta_small")):
             spec = ProblemSpec(mesh, p, q, lam_probe, eta, m, a, f)
-            ms = multi_start_solve(spec, solve_opts, phi1=phi1)
+            ms = multi_start_solve(spec, solve_opts, phi1=phi1, _prefix=prefix)
             entry[key] = sorted({o.sign_class for o in ms.outcomes})
             entry.setdefault("failures", {})[key] = len(ms.failures)
         delta_hat = 0.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,3 +206,130 @@ def test_eigensolve_programming_errors_propagate(interval_256, monkeypatch):
         multi_start_solve(spec)
     with pytest.raises(TypeError):
         sweep(template(interval_256, p=3.0), [1.0], [0.0])
+
+
+def _spy_cells(monkeypatch):
+    """Record (spec, opts, phi1, result) of every multi_start_solve that regions makes."""
+    import plap.regions as regions
+
+    calls = []
+    inner = regions.multi_start_solve
+
+    def spy(spec, opts=None, phi1=None, **kw):
+        ms = inner(spec, opts, phi1=phi1, **kw)
+        calls.append((spec, opts, phi1, ms))
+        return ms
+
+    monkeypatch.setattr(regions, "multi_start_solve", spy)
+    return calls
+
+
+def _assert_bit_identical(shared, alone):
+    assert [(s, err) for s, _, err in shared.per_start] == [(s, err) for s, _, err in alone.per_start]
+    for (_, a, _), (_, b, _) in zip(shared.per_start, alone.per_start):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a.u.values, b.u.values)
+            assert (a.newton_iters, a.residual_norm, a.energy, a.resonant, a.continuation_steps) == (
+                b.newton_iters, b.residual_norm, b.energy, b.resonant, b.continuation_steps
+            )
+    assert [o.start_strategy for o in shared] == [o.start_strategy for o in alone]
+
+
+@pytest.mark.parametrize(
+    "mesh, p, lam_fracs",
+    [
+        (build_interval(0.0, 1.0, 128), 3.0, (0.95, 1.2)),
+        (build_rectangle(0.0, 1.0, 0.0, 1.0, 10, 10), 3.0, (0.95,)),
+        (build_interval(0.0, 1.0, 128), 2.0, (0.95, 1.5)),
+    ],
+    ids=["1d-p3", "2d-p3", "1d-p2"],
+)
+def test_sweep_rows_match_independent_cells(mesh, p, lam_fracs, monkeypatch):
+    # within a row every cell replays the shared eta-free rungs; each cell must
+    # come out as if it were solved alone (0.95 lam1 puts lam rungs in the prefix)
+    lam1 = principal_eigenpair(mesh, Weight.constant(1.0), p).lam
+    calls = _spy_cells(monkeypatch)
+    opts = SweepOptions(solve_opts=SolveOptions(t_grid=(0.5, 2.0), n_random=2), predictions=False)
+    sweep(template(mesh, p=p), [f * lam1 for f in lam_fracs], [-0.3, 0.0, 0.3], opts)
+    assert len(calls) == 3 * len(lam_fracs)
+    for spec, solve_opts, phi1, ms in calls:
+        _assert_bit_identical(ms, multi_start_solve(spec, solve_opts, phi1=phi1))
+
+
+def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
+    import plap.fem as fem
+    import plap.regions as regions
+
+    flux_calls = [0]
+    p_flux = fem.p_flux
+
+    def counting_p_flux(*args, **kw):
+        flux_calls[0] += 1
+        return p_flux(*args, **kw)
+
+    cell_cost = []
+    inner = regions.multi_start_solve
+
+    def costed(*args, **kw):
+        before = flux_calls[0]
+        ms = inner(*args, **kw)
+        cell_cost.append(flux_calls[0] - before)
+        return ms
+
+    monkeypatch.setattr(fem, "p_flux", counting_p_flux)
+    monkeypatch.setattr(regions, "multi_start_solve", costed)
+    lam = 0.95 * pair_p3_256.lam
+    etas = [-0.3, 0.0, 0.3]
+    solve_opts = SolveOptions(t_grid=(0.5, 2.0), n_random=0)
+    opts = SweepOptions(solve_opts=solve_opts, predictions=False)
+    sweep(template(interval_256, p=3.0), [lam], etas, opts)
+    in_row, cell_cost[:] = cell_cost[:], []
+    sweep(template(interval_256, p=3.0), [lam], etas, opts)
+    assert cell_cost == in_row  # nothing carries from one sweep call to the next
+    alone = []
+    for eta in etas:
+        spec = template(interval_256, p=3.0).replace(lam=lam, eta=eta)
+        before = flux_calls[0]
+        multi_start_solve(spec, replace(solve_opts, lam1=pair_p3_256.lam), phi1=pair_p3_256.phi)
+        alone.append(flux_calls[0] - before)
+    assert in_row[0] == alone[0]  # the first cell of a row pays for the prefix
+    assert in_row[1] < alone[1] and in_row[2] < alone[2]
+    assert sum(in_row) < sum(alone)
+
+
+def test_nonuniformity_probes_match_independent_cells(interval_256, one, monkeypatch):
+    # p = 3: the eta = 0 and eta_small probes share the (lam, 0) rung per start
+    calls = _spy_cells(monkeypatch)
+    family = [("b1", Weight.expression("bump(0.9, 0.05)"))]
+    report = nonuniformity_experiment(
+        interval_256, 3.0, 1.5, one, one, 0.5, family,
+        eta_small=0.05, n_lam=2, delta_span=1.0,
+        opts=SolveOptions(t_grid=(0.5, 2.0), n_random=1),
+    )
+    assert len(report.members) == 1 and len(calls) >= 2
+    for spec, solve_opts, phi1, ms in calls:
+        _assert_bit_identical(ms, multi_start_solve(spec, solve_opts, phi1=phi1))
+
+
+@pytest.mark.parametrize("a, eigensolves", [(1.0, 1), (2.0, 2)])
+def test_sweep_reuses_its_eigenpair_for_the_threshold(interval_256, a, eigensolves, monkeypatch):
+    # with a = m = 1 the clamped weight max(a, 0)^((p-1)/(q-1)) has m's nodal values
+    import plap.eigen
+    from plap.regions import _eta_threshold_closures
+
+    solves = []
+    inner = plap.eigen.principal_eigenpair
+
+    def counting(*args, **kw):
+        solves.append(args)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(plap.eigen, "principal_eigenpair", counting)
+    tmpl = template(interval_256, p=3.0, a=a)
+    region_map = sweep(tmpl, [], [], SweepOptions())
+    assert len(solves) == eigensolves
+    pair = inner(interval_256, tmpl.m, 3.0)
+    shared = _eta_threshold_closures(tmpl, region_map.lam1, pair)[0]
+    alone = _eta_threshold_closures(tmpl, region_map.lam1)[0]
+    assert [shared(f * pair.lam) for f in (0.0, 0.5, 0.9)] == [alone(f * pair.lam) for f in (0.0, 0.5, 0.9)]
