@@ -27,6 +27,20 @@ lowers G; the scaling removes the mesh dependence of plain projected
 gradient, so on the 256-cell interval at p = 3 every start stops within
 about 70 iterations, and max_iter is only a cap.
 
+All starts descend in lockstep as rows of one (n_starts, n_vertices) array,
+in rounds.  In each round the rows that took a step in the last round get a
+new direction from one stacked fem.p_flux call, and every live row then
+makes one line-search trial, evaluated as one stacked energy over the rows.
+What is shared: the gradient kernel calls, the stiffness K, and one factor
+of K that serves every row whose active set is empty as one
+multi-right-hand-side solve.  What each row keeps: its step size, its
+accept/reject test, its max_iter count, its zero-quotient exit and, while
+its active set is not empty, the factor of that set.  A row leaves the
+array when it stops.  The per-row scalars (the weighted sums, the
+normalization and the quotient) use the BLAS dot and the float powers of a
+single start, not numpy's vectorized ones, which differ in the last bit:
+each row then makes the same arithmetic as its start descending alone.
+
 The closed-form lower bound
 
     C(p,q) * c^{(p-q)/(p-1)} * lambda_1(a_+^{(p-1)/(q-1)})^{(q-1)/(p-1)}
@@ -115,96 +129,134 @@ def eta_star_objective(mesh, m, a, f, p, q, lam, u):
 
 
 class _Preconditioner:
-    """K_I^{-1}: the p = 2 stiffness K on the free vertices, restricted to an inactive set I.
+    """K_I^{-1} for a stack of descent rows: K the p = 2 stiffness on the free vertices, I a row's inactive set.
 
-    K is assembled once; the factor of the latest active set is kept, since
-    the active set rarely changes from one descent step to the next.  The
-    restriction is formed by pinning the active rows and columns to the
-    identity on the cached Operator's storage, so nothing is cached per
-    active set under the mesh.
+    K is assembled once.  Rows with an empty active set share one factor of
+    K, applied to all of them as one multi-right-hand-side solve.  A row with
+    a non-empty active set keeps the factor of its latest active set, since
+    that set rarely changes from one descent step to the next; the factor is
+    dropped when the set empties or the row stops.  The restriction is
+    formed by pinning the active rows and columns to the identity on the
+    cached Operator's storage, so nothing is cached per active set under the
+    mesh.
     """
 
     def __init__(self, mesh):
         self.op = fem.operator(mesh, mesh.interior_vertices)
         self.stiffness = fem.p_flux_jacobian(self.op, np.zeros(mesh.n_vertices), 2.0, 0.0)
-        self.active = None
-        self.solve = None
+        self.shared = None
+        self.pinned = {}  # row -> (active mask, solve)
 
-    def __call__(self, rhs, active):
-        """K_I^{-1} rhs on the free vertices outside active, 0 on active (masks over the free vertices)."""
-        if self.active is None or not np.array_equal(active, self.active):
-            data = self.op.pin(self.stiffness, active) if active.any() else self.stiffness
-            self.solve = self.op.factorize(data)
-            self.active = active
-        return self.solve(np.where(active, 0.0, rhs))
+    def __call__(self, rows, rhs, active):
+        """K_I^{-1} rhs[k] for row rows[k], 0 on active[k] (masks over the free vertices)."""
+        out = np.empty_like(rhs)
+        some = active.any(axis=1)
+        if not some.all():
+            if self.shared is None:
+                self.shared = self.op.factorize(self.stiffness)
+            out[~some] = self.shared(rhs[~some].T).T
+        for k in np.flatnonzero(some):
+            cached = self.pinned.get(rows[k])
+            if cached is None or not np.array_equal(active[k], cached[0]):
+                cached = self.pinned[rows[k]] = (active[k], self.op.factorize(self.op.pin(self.stiffness, active[k])))
+            out[k] = cached[1](np.where(active[k], 0.0, rhs[k]))
+        self.drop(rows[~some])
+        return out
+
+    def drop(self, rows):
+        for row in rows:
+            self.pinned.pop(row, None)
 
 
-def _projected_gradient(mesh, m_vals, a_vals, f_vals, p, q, lam, start, max_iter, precondition):
-    """Sobolev-preconditioned projected descent of G from one start.
+def _row_dots(weights, rows):
+    """np.dot(weights, row) for every row, each the BLAS dot a single start takes."""
+    return np.array([np.dot(weights, row) for row in rows])
 
-    Returns (G, nodal values, descent iterations); the iterations count the
-    gradient evaluations, at most max_iter.
+
+def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
+    """Sobolev-preconditioned projected descent of G from every start, in lockstep.
+
+    starts is an (n_starts, n_vertices) array.  Returns (G, nodal values,
+    descent iterations), one entry or row per start; the iterations count the
+    gradient evaluations of that start, at most max_iter.
     """
     free = mesh.interior_vertices
     lump = mesh.lumped_volumes
     kernel = fem.gradients(mesh)
     alpha = (q - 1.0) / (p - 1.0)
     beta = (p - q) / (p - 1.0)
+    precondition = _Preconditioner(mesh)
 
     def energy(vals):
         g = kernel.gradient(vals)
-        return float(np.dot(mesh.cell_volumes, np.sqrt(kernel.dot(g, g)) ** p))
+        return _row_dots(mesh.cell_volumes, np.sqrt(kernel.dot(g, g)) ** p)
 
-    def pieces(vals):
-        # vals are normalized to unit gradient energy
-        h_lam = 1.0 - lam * float(np.dot(lump, m_vals * vals**p))
-        f_term = float(np.dot(lump, f_vals * vals))
-        denom = float(np.dot(lump, a_vals * vals**q))
-        return h_lam, f_term, denom
+    def normalized(u, e):
+        # the rows of u scaled to unit gradient energy (e before scaling), with G and its pieces there
+        u = u / np.array([x ** (1.0 / p) for x in e.tolist()])[:, None]
+        h_lam = 1.0 - lam * _row_dots(lump, m_vals * u**p)
+        f_term = _row_dots(lump, f_vals * u)
+        denom = _row_dots(lump, a_vals * u**q)
+        g = [_quotient(p, q, *pieces) for pieces in zip(h_lam.tolist(), f_term.tolist(), denom.tolist())]
+        return u, np.array(g), h_lam, f_term, denom
 
-    vals = np.maximum(start, 0.0)
-    vals[mesh.boundary_vertices] = 0.0
+    n_rows = len(starts)
+    vals = np.maximum(starts, 0.0)
+    vals[:, mesh.boundary_vertices] = 0.0
+    value = np.full(n_rows, math.inf)
+    h_lam, f_term, denom = np.zeros(n_rows), np.zeros(n_rows), np.zeros(n_rows)
     e = energy(vals)
-    if e <= 0.0:
-        return math.inf, vals, 0
-    vals = vals / e ** (1.0 / p)
-    h_lam, f_term, denom = pieces(vals)
-    g = _quotient(p, q, h_lam, f_term, denom)
-    if not math.isfinite(g) or g == 0.0:
-        return g, vals, 0
+    live = np.flatnonzero(e > 0.0)
+    vals[live], value[live], h_lam[live], f_term[live], denom[live] = normalized(vals[live], e[live])
+    live = live[np.isfinite(value[live]) & (value[live] != 0.0)]
+
     grad_f = lump * f_vals
-    direction = np.zeros(mesh.n_vertices)
-    step = 1.0
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        # nodal gradient of G
-        grad_h = p * (fem.p_flux(mesh, vals, p, 0.0) - lam * lump * m_vals * vals ** (p - 1.0))
-        grad_d = q * lump * a_vals * vals ** (q - 1.0)
-        raw = (g * (alpha * grad_h / h_lam + beta * grad_f / f_term - grad_d / denom))[free]
-        # active: u = 0 and the step would push u below zero; those vertices stay put
-        active = (vals[free] == 0.0) & (raw > 0.0)
-        direction[free] = precondition(raw, active)
-        moved = False
-        while step > 1e-14:
-            trial = np.maximum(vals - step * direction, 0.0)
-            e = energy(trial)
-            if e > 0.0:
-                trial /= e ** (1.0 / p)
-                h_t, f_t, d_t = pieces(trial)
-                g_t = _quotient(p, q, h_t, f_t, d_t)
-                if g_t < g - 1e-14 * (1.0 + abs(g)):
-                    vals, g = trial, g_t
-                    h_lam, f_term, denom = h_t, f_t, d_t
-                    step *= 1.3
-                    moved = True
-                    break
-                if g_t == 0.0:
-                    return 0.0, trial, iterations
-            step *= 0.5
-        if not moved or g == 0.0:
+    lam_m = lam * lump * m_vals
+    a_q = q * lump * a_vals
+    step = np.ones(n_rows)
+    iterations = np.zeros(n_rows, dtype=np.int64)
+    direction = np.zeros((n_rows, mesh.n_vertices))
+    fresh = np.ones(n_rows, dtype=bool)  # the row took a step and needs a new direction
+    while True:
+        # a start stops after max_iter directions, or once no step above 1e-14 lowers G
+        stop = (fresh[live] & (iterations[live] >= max_iter)) | (step[live] <= 1e-14)
+        precondition.drop(live[stop])
+        live = live[~stop]
+        if not len(live):
             break
-    return g, vals, iterations
+        new = live[fresh[live]]
+        if len(new):
+            iterations[new] += 1
+            fresh[new] = False
+            u = vals[new]
+            # nodal gradient of G, one row per start
+            grad_h = p * (fem.p_flux(mesh, u, p, 0.0) - lam_m * u ** (p - 1.0))
+            grad_d = a_q * u ** (q - 1.0)
+            g, h, f, d = (x[new, None] for x in (value, h_lam, f_term, denom))
+            raw = (g * (alpha * grad_h / h + beta * grad_f / f - grad_d / d))[:, free]
+            # active: u = 0 and the step would push u below zero; those vertices stay put
+            active = (u[:, free] == 0.0) & (raw > 0.0)
+            direction[np.ix_(new, free)] = precondition(new, raw, active)
+
+        # one line-search trial per live row
+        trial = np.maximum(vals[live] - step[live, None] * direction[live], 0.0)
+        e = energy(trial)
+        positive = e > 0.0
+        rows = live[positive]
+        trial, g_t, h_t, f_t, d_t = normalized(trial[positive], e[positive])
+        g = value[rows]
+        accept = g_t < g - 1e-14 * (1.0 + np.abs(g))
+        took = accept | (g_t == 0.0)
+        took_rows = rows[took]
+        vals[took_rows] = trial[took]
+        value[took_rows] = g_t[took]
+        h_lam[took_rows], f_term[took_rows], denom[took_rows] = h_t[took], f_t[took], d_t[took]
+        factor = np.full(len(live), 0.5)
+        factor[np.flatnonzero(positive)[accept]] = 1.3
+        step[live] *= factor
+        fresh[rows[accept]] = True
+        step[took_rows[g_t[took] == 0.0]] = 0.0  # a zero quotient ends the start
+    return value, vals, iterations
 
 
 def eta_star(mesh, m, a, f, p, q, lam, opts=None):
@@ -238,44 +290,35 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     c_f = float(np.min(f_vals))
     a_plus_power = np.maximum(a_vals, 0.0) ** ((p - 1.0) / (q - 1.0))
     if c_f > 0 and lam < lam1 and np.any(a_plus_power[free] > 0):
-        from .eigen import principal_eigenpair
+        if np.array_equal(a_plus_power, m_vals):
+            lam1_aplus = lam1  # the weight of lam1: principal_eigenpair would recompute it from these values
+        else:
+            from .eigen import principal_eigenpair
 
-        lam1_aplus = principal_eigenpair(mesh, Weight.nodal(a_plus_power), p).lam
+            lam1_aplus = principal_eigenpair(mesh, Weight.nodal(a_plus_power), p).lam
         lower = eta_star_lower_bound(c_f, p, q, lam, lam1, lam1_aplus)
 
     if not np.any(a_vals[free] > 0):
         return EtaStarResult(math.inf, None, lower, 0, [], lam1)
 
     dist = mesh.distance_to_boundary()
-    starts = []
-    if phi1 is not None:
-        starts.append(("phi1", phi1.values.copy()))
-    starts.append(("bump_on_a", dist * (a_vals > 0)))
-    starts.append(("a_plus", np.maximum(a_vals, 0.0)))
-    for k, extra in enumerate(opts.extra_starts):
-        vals = extra.values if isinstance(extra, DiscreteFunction) else np.asarray(extra, float)
-        starts.append((f"extra{k}", vals.copy()))
+    starts = [] if phi1 is None else [phi1.values]
+    starts.append(dist * (a_vals > 0))  # a bump on the support of a
+    starts.append(np.maximum(a_vals, 0.0))
+    for extra in opts.extra_starts:
+        starts.append(extra.values if isinstance(extra, DiscreteFunction) else np.asarray(extra, float))
     rng = np.random.default_rng(opts.seed)
     while len(starts) < opts.n_starts:
-        starts.append((f"random{len(starts)}", rng.random(mesh.n_vertices) * dist))
+        starts.append(rng.random(mesh.n_vertices) * dist)
 
-    precondition = _Preconditioner(mesh)
-    best_val, best_vals = math.inf, None
-    all_values, iterations = [], []
-    for _, start in starts:
-        val, vals, its = _projected_gradient(
-            mesh, m_vals, a_vals, f_vals, p, q, lam, start, opts.max_iter, precondition
-        )
-        all_values.append(val)
-        iterations.append(its)
-        if val < best_val:
-            best_val, best_vals = val, vals
-    if not math.isfinite(best_val):
+    values, minimizers, iterations = _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, np.array(starts), opts.max_iter)
+    all_values, iterations = values.tolist(), iterations.tolist()
+    best = int(np.argmin(values))
+    if not math.isfinite(values[best]):
         return EtaStarResult(math.inf, None, lower, len(starts), all_values, lam1, iterations)
-    best_val = max(best_val, 0.0)
     return EtaStarResult(
-        value=best_val,
-        minimizer=DiscreteFunction(mesh, best_vals),
+        value=max(all_values[best], 0.0),
+        minimizer=DiscreteFunction(mesh, minimizers[best]),
         lower_bound=lower,
         starts_used=len(starts),
         all_start_values=all_values,

@@ -23,7 +23,9 @@ storage with one bincount.
 Per-cell gradients come from one Gradients kernel per mesh, built on first
 use: it keeps each local vertex's column of the cell array and each hat
 gradient coefficient as contiguous arrays, so grad u, G g and |g|^2 are
-(d+1) d multiply-adds on vectors of length n_cells.
+(d+1) d multiply-adds on vectors of length n_cells.  The kernel and p_flux
+also take a stack of functions, one per row, with the same arithmetic per
+row as a call on that row alone.
 
 The storage follows the half-bandwidth b of the free-vertex numbering.  When
 b <= MAX_BAND it is LAPACK band storage, factored once by gbtrf and solved by
@@ -46,6 +48,7 @@ band workspace at 64 x 64) and moves 96 x 96 and beyond to SuperLU.
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 import numpy as np
@@ -120,9 +123,16 @@ class Gradients:
         )
 
     def gradient(self, values):
-        """(d, n_cells) array: row k holds the k-th component of grad u on every cell."""
-        local = [values[col] for col in self.columns]
-        g = np.empty((len(self.coefficients[0]), len(self.cells)))
+        """(d, ..., n_cells) array: row k holds the k-th component of grad u on every cell.
+
+        values holds one value per vertex, or has shape (rows, n_vertices) for a
+        stack of functions; the rows then form the middle axis.
+        """
+        if values.ndim == 1:
+            local = [values[col] for col in self.columns]
+        else:
+            local = [values[:, col] for col in self.columns]
+        g = np.empty((len(self.coefficients[0]),) + local[0].shape)
         for k, row in enumerate(g):
             np.multiply(local[0], self.coefficients[0][k], out=row)
             for vals, coef in zip(local[1:], self.coefficients[1:]):
@@ -138,20 +148,30 @@ class Gradients:
         return out
 
     def pairings(self, g, scale=None):
-        """(n_cells, d+1) array G g: entry (c, i) is grad hat_i . g on cell c, times scale[c]."""
-        out = np.empty((len(self.cells), len(self.columns)))
+        """(..., n_cells, d+1) array G g: entry (c, i) is grad hat_i . g on cell c, times scale[c]."""
+        out = np.empty(g.shape[1:] + (len(self.columns),))
         for i, coef in enumerate(self.coefficients):
             acc = coef[0] * g[0]
             for ck, gk in zip(coef[1:], g[1:]):
                 acc += ck * gk
             if scale is not None:
                 acc *= scale
-            out[:, i] = acc
+            out[..., i] = acc
         return out
 
     def scatter(self, per_cell):
-        """Vertex sums of an (n_cells, d+1) array of per-cell, per-local-vertex values."""
-        return np.bincount(self.cells.ravel(), weights=per_cell.ravel(), minlength=self.n_vertices)
+        """Vertex sums of an (n_cells, d+1) array of per-cell, per-local-vertex values.
+
+        A (rows, n_cells, d+1) stack gives a (rows, n_vertices) array from one
+        bincount over row-offset vertex indices: each row's bins see the same
+        terms in the same order as a call on that row alone.
+        """
+        if per_cell.ndim == 2:
+            return np.bincount(self.cells.ravel(), weights=per_cell.ravel(), minlength=self.n_vertices)
+        rows = len(per_cell)
+        index = np.arange(0, rows * self.n_vertices, self.n_vertices)[:, None] + self.cells.ravel()
+        sums = np.bincount(index.ravel(), weights=per_cell.ravel(), minlength=rows * self.n_vertices)
+        return sums.reshape(rows, self.n_vertices)
 
 
 # mesh -> Gradients; weak keys, so entries die with their mesh
@@ -180,7 +200,9 @@ def p_flux(mesh, values, p, eps=0.0):
     """Vector with entries sum_T vol_T kappa(grad u) grad u . grad hat_i, all vertices.
 
     With eps = 0 this is the exact discrete p-Laplacian pairing; the i-th entry
-    is the gradient part of the weak residual at vertex i.
+    is the gradient part of the weak residual at vertex i.  values of shape
+    (rows, n_vertices) give one such vector per row, each bit for bit the
+    vector of that row alone.
     """
     kernel = gradients(mesh)
     g, g2 = _cell_terms(kernel, values, eps)
@@ -238,19 +260,27 @@ class Operator:
             slots = (band + rows - cols) * n + cols
             self.diagonal = band * n + np.arange(n)
         else:
-            # keys col * n + row sort in CSC order; the diagonal is always stored
+            # keys col * n + row sort in CSC order; the diagonal is always stored.
+            # One stable sort: a key's slot is the number of distinct keys before it.
             self.band = None
             keys = cols * n + rows
             keys[outside] = n * n
-            diagonal_keys = np.arange(n) * (n + 1)
-            pattern = np.unique(np.concatenate([keys.ravel(), diagonal_keys]))
+            every = np.concatenate([keys.ravel(), np.arange(n) * (n + 1)])
+            order = np.argsort(every, kind="stable")
+            ordered = every[order]
+            first = np.empty(len(ordered), dtype=bool)
+            first[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            slot = np.empty(len(every), dtype=np.int64)
+            slot[order] = np.cumsum(first) - 1
+            pattern = ordered[first]
             pattern = pattern[pattern < n * n]
             self.size = len(pattern)
             self.indices = (pattern % n).astype(np.intc)
             self.indptr = np.zeros(n + 1, dtype=np.intc)
             np.cumsum(np.bincount(pattern // n, minlength=n), out=self.indptr[1:])
-            slots = np.searchsorted(pattern, keys)
-            self.diagonal = np.searchsorted(pattern, diagonal_keys)
+            slots = slot[: keys.size].reshape(keys.shape)
+            self.diagonal = slot[keys.size :]
         slots[outside] = self.size
         self.scatter = slots.ravel()
 
@@ -273,19 +303,22 @@ class Operator:
         right-hand side that vanishes on pinned gives the solution of the
         system restricted to the other free vertices, and zero on pinned.
         """
-        n = len(self.free)
-        if self.band is None:
-            rows = self.indices
-            cols = np.repeat(np.arange(n), np.diff(self.indptr))
-        else:
-            slot = np.arange(self.size)
-            cols = slot % n
-            # the unused corners of band storage map outside [0, n); they hold zeros
-            rows = np.clip(cols + slot // n - self.band, 0, n - 1)
+        rows, cols = self._slot_positions
         out = data.copy()
         out[pinned[rows] | pinned[cols]] = 0.0
         out[self.diagonal[pinned]] = 1.0
         return out
+
+    @functools.cached_property
+    def _slot_positions(self):
+        """(row, column) of every data slot, formed on the first pin."""
+        n = len(self.free)
+        if self.band is None:
+            return self.indices, np.repeat(np.arange(n), np.diff(self.indptr))
+        slot = np.arange(self.size)
+        cols = slot % n
+        # the unused corners of band storage map outside [0, n); they hold zeros
+        return np.clip(cols + slot // n - self.band, 0, n - 1), cols
 
     def factorize(self, data):
         """Factor the stored matrix once; returns solve(rhs).

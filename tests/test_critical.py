@@ -11,10 +11,12 @@ from plap import (
     Weight,
     build_interval,
     build_rectangle,
+    critical,
     discrete_picone_check,
     eta_star,
     eta_star_lower_bound,
     eta_star_objective,
+    fem,
     picone_constant,
     picone_polynomial,
     picone_polynomial_check,
@@ -86,6 +88,130 @@ def test_eta_star_active_set_at_the_cone_boundary(one):
     assert res.value >= res.lower_bound
     # the plain projected gradient descent from 16 starts gives 24.03381
     assert res.value <= 24.0338
+
+
+def _stacked_starts(mesh, phi, n_random, seed):
+    """phi1, the distance bump and random bumps, as eta_star builds its starts."""
+    dist = mesh.distance_to_boundary()
+    rng = np.random.default_rng(seed)
+    return np.array([phi.values, dist] + [rng.random(mesh.n_vertices) * dist for _ in range(n_random)])
+
+
+LOCKSTEP_CASES = pytest.mark.parametrize(
+    "shape, p, a_expr, lam_frac, n_random",
+    [
+        (256, 3.0, "1", 0.5, 30),  # the benchmark's critval config
+        ((24, 24), 3.0, "1", 0.5, 6),
+        ((32, 32), 2.0, "x - 0.3", 0.5, 6),  # the active sets are non-empty
+        (256, 2.0, "1", 1.0, 6),  # lam = lam1: every start ends on a zero quotient
+    ],
+    ids=["1d-p3", "square24-p3", "indefinite32", "lam1"],
+)
+
+
+def _lockstep_case(shape, p, a_expr, n_random):
+    mesh = build_interval(0.0, 1.0, shape) if isinstance(shape, int) else build_rectangle(0, 1, 0, 1, *shape)
+    from plap import principal_eigenpair
+
+    pair = principal_eigenpair(mesh, Weight.constant(1.0), p)
+    ones = np.ones(mesh.n_vertices)
+    a_vals = Weight.expression(a_expr).values(mesh)
+    return mesh, pair, ones, a_vals, _stacked_starts(mesh, pair.phi, n_random, seed=5)
+
+
+@LOCKSTEP_CASES
+def test_lockstep_rows_match_their_start_alone(shape, p, a_expr, lam_frac, n_random):
+    mesh, pair, ones, a_vals, starts = _lockstep_case(shape, p, a_expr, n_random)
+    lam = lam_frac * pair.lam
+    values, minimizers, iterations = critical._descend(mesh, ones, a_vals, ones, p, 1.5, lam, starts, 600)
+    for k, start in enumerate(starts):
+        alone = critical._descend(mesh, ones, a_vals, ones, p, 1.5, lam, start[None, :], 600)
+        assert values[k] == pytest.approx(alone[0][0], rel=1e-12, abs=0.0)
+        assert abs(iterations[k] - alone[2][0]) <= 1
+        np.testing.assert_allclose(minimizers[k], alone[1][0], rtol=0.0, atol=1e-10 * np.max(alone[1][0]))
+    if lam_frac == 1.0:
+        # phi1 starts at G ~ 0; every other start descends until h_lam <= 0 makes G exactly 0
+        assert values[0] <= 1e-8
+        assert np.all(values[1:] == 0.0) and np.all(iterations[1:] > 0)
+
+
+def test_lockstep_factorizes_no_more_than_one_start_at_a_time(monkeypatch):
+    mesh, pair, ones, a_vals, starts = _lockstep_case((32, 32), 2.0, "x - 0.3", 6)
+    calls = []
+    factorize = fem.Operator.factorize
+
+    def counting(self, data):
+        calls.append(1)
+        return factorize(self, data)
+
+    monkeypatch.setattr(fem.Operator, "factorize", counting)
+    critical._descend(mesh, ones, a_vals, ones, 2.0, 1.5, 0.5 * pair.lam, starts, 600)
+    lockstep = len(calls)
+    del calls[:]
+    for start in starts:
+        critical._descend(mesh, ones, a_vals, ones, 2.0, 1.5, 0.5 * pair.lam, start[None, :], 600)
+    assert 0 < lockstep <= len(calls)
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_interval(0.0, 1.0, 16), build_rectangle(0, 1, 0, 1, 6, 5)], ids=["interval", "square"]
+)
+def test_preconditioner_solves_each_rows_restriction(mesh, rng):
+    precondition = critical._Preconditioner(mesh)
+    dense = precondition.op.matrix(precondition.stiffness).toarray()
+    n = len(mesh.interior_vertices)
+    rows = np.array([3, 0, 7, 2])
+    for _ in range(3):  # repeated calls reuse and replace the cached factors
+        rhs = rng.standard_normal((len(rows), n))
+        active = rng.random((len(rows), n)) < 0.3
+        active[1] = False  # rows with empty active sets share the factor of K
+        active[3] = False
+        got = precondition(rows, rhs, active)
+        for k in range(len(rows)):
+            keep = ~active[k]
+            assert np.all(got[k, active[k]] == 0.0)
+            want = np.linalg.solve(dense[np.ix_(keep, keep)], rhs[k, keep])
+            np.testing.assert_allclose(got[k, keep], want, rtol=1e-12, atol=1e-12)
+
+
+def test_start_with_zero_gradient_energy_gives_inf(interval_256, one, pair_p3_256):
+    res = eta_star(
+        interval_256, one, one, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,
+        EtaStarOptions(
+            lam1=pair_p3_256.lam, phi1=pair_p3_256.phi, n_starts=6,
+            extra_starts=[-np.ones(interval_256.n_vertices)],
+        ),
+    )
+    # starts: phi1, the bump on the support of a, a_+, the extra start, then random ones
+    assert res.all_start_values[3] == math.inf
+    assert res.start_iterations[3] == 0
+    assert math.isfinite(res.value)
+
+
+@pytest.mark.parametrize("a_value, eigensolves", [(1.0, 0), (2.0, 1)])
+def test_lower_bound_reuses_lam1_when_the_clamped_weight_is_m(
+    interval_256, one, pair_p3_256, monkeypatch, a_value, eigensolves
+):
+    from plap import eigen, principal_eigenpair
+
+    a = Weight.constant(a_value)
+    power = np.full(interval_256.n_vertices, a_value ** (2.0 / 0.5))
+    lam1_aplus = principal_eigenpair(interval_256, Weight.nodal(power), 3.0).lam
+    want = eta_star_lower_bound(1.0, 3.0, 1.5, 0.5 * pair_p3_256.lam, pair_p3_256.lam, lam1_aplus)
+    calls = []
+    solve = eigen.principal_eigenpair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "principal_eigenpair", counting)
+    res = eta_star(
+        interval_256, one, a, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,
+        EtaStarOptions(lam1=pair_p3_256.lam, phi1=pair_p3_256.phi, n_starts=4),
+    )
+    assert len(calls) == eigensolves
+    assert res.lower_bound == want
 
 
 def test_eta_star_rejects_bad_lam(interval_256, one, pair_p2_256):

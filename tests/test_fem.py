@@ -157,6 +157,74 @@ def test_jacobian_is_csc_on_every_storage(mesh, band, rng):
     assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def unique_searchsorted_pattern(mesh, free):
+    """The CSC pattern, slots and diagonal positions from np.unique and two searchsorted."""
+    n = len(free)
+    loc = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    loc[free] = np.arange(n)
+    local = loc[mesh.cells]
+    rows, cols = local[:, :, None], local[:, None, :]
+    outside = (rows < 0) | (cols < 0)
+    keys = cols * n + rows
+    keys[outside] = n * n
+    diagonal_keys = np.arange(n) * (n + 1)
+    pattern = np.unique(np.concatenate([keys.ravel(), diagonal_keys]))
+    pattern = pattern[pattern < n * n]
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
+    slots = np.searchsorted(pattern, keys)
+    slots[outside] = len(pattern)
+    return (pattern % n).astype(np.intc), indptr, slots.ravel(), np.searchsorted(pattern, diagonal_keys)
+
+
+def repeat_pin(op, data, pinned):
+    """Operator.pin with each slot's row and column formed anew on every call."""
+    n = len(op.free)
+    if op.band is None:
+        rows, cols = op.indices, np.repeat(np.arange(n), np.diff(op.indptr))
+    else:
+        slot = np.arange(op.size)
+        cols = slot % n
+        rows = np.clip(cols + slot // n - op.band, 0, n - 1)
+    out = data.copy()
+    out[pinned[rows] | pinned[cols]] = 0.0
+    out[op.diagonal[pinned]] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("free_set", [interior_free, strip_free])
+@pytest.mark.parametrize("max_band", [fem.MAX_BAND, -1], ids=["band", "csc"])
+def test_pattern_and_pin_match_the_previous_construction(free_set, max_band, rng, monkeypatch):
+    monkeypatch.setattr(fem, "MAX_BAND", max_band)
+    mesh = build_rectangle(0.0, 1.0, 0.0, 1.0, 12, 9)
+    free = free_set(mesh)
+    op = fem.Operator(mesh, free)
+    if op.band is None:
+        indices, indptr, scatter, diagonal = unique_searchsorted_pattern(mesh, free)
+        assert op.indices.dtype == indices.dtype and np.array_equal(op.indices, indices)
+        assert op.indptr.dtype == indptr.dtype and np.array_equal(op.indptr, indptr)
+        assert np.array_equal(op.scatter, scatter)
+        assert np.array_equal(op.diagonal, diagonal)
+    data = fem.p_flux_jacobian(op, rng.standard_normal(mesh.n_vertices), 3.0, 1e-3)
+    for _ in range(2):
+        pinned = rng.random(len(free)) < 0.3
+        assert np.array_equal(op.pin(data, pinned), repeat_pin(op, data, pinned))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "mesh", [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 5, 5)], ids=["n12", "5x5"]
+)
+def test_stacked_p_flux_matches_each_row(mesh, p, eps, rng):
+    values = rng.standard_normal((4, mesh.n_vertices))
+    values[1, :] = 0.0  # a row with zero gradients, where p < 2 takes the limit
+    stacked = fem.p_flux(mesh, values, p, eps)
+    assert stacked.shape == values.shape
+    for row, want in zip(values, stacked):
+        assert np.array_equal(fem.p_flux(mesh, row, p, eps), want)
+
+
 def test_cached_operator_dies_with_its_mesh():
     mesh = build_rectangle(0.0, 1.0, 0.0, 1.0, 4, 4)
     op = fem.operator(mesh, mesh.interior_vertices)
