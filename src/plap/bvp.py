@@ -502,8 +502,7 @@ def _random_smooth_starts(mesh, rng, count):
     """Zero-trace smooth random fields: one Laplace solve of white noise each."""
     if count <= 0:
         return []
-    op = fem.operator(mesh, mesh.interior_vertices)
-    laplace_solve = op.factorize(fem.p_flux_jacobian(op, np.zeros(mesh.n_vertices), 2.0, 0.0))
+    laplace_solve = fem.stiffness_solver(mesh, mesh.interior_vertices)
     starts = []
     for _ in range(count):
         noise = rng.standard_normal(len(mesh.interior_vertices)) * mesh.lumped_volumes[mesh.interior_vertices]

@@ -72,6 +72,7 @@ def _run_sweep(cfg, mesh, seed, out_dir):
     )
     lam_grid = mp["lam_grid"]
     eta_grid = mp["eta_grid"]
+    pair = None
     if lam_grid is None or eta_grid is None:
         pair = principal_eigenpair(mesh, cfg.weights["m"], cfg.p)
         if lam_grid is None:
@@ -88,7 +89,7 @@ def _run_sweep(cfg, mesh, seed, out_dir):
         solve_opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}),
         lam1_override=mp["lam1"],
     )
-    region_map = sweep(template, lam_grid, eta_grid, sweep_opts)
+    region_map = sweep(template, lam_grid, eta_grid, sweep_opts, pair=pair)
     write_csv(region_map, os.path.join(out_dir, cfg.output["csv"]))
     return region_map
 

@@ -31,8 +31,9 @@ All starts descend in lockstep as rows of one (n_starts, n_vertices) array,
 in rounds.  In each round the rows that took a step in the last round get a
 new direction from one stacked fem.p_flux call, and every live row then
 makes one line-search trial, evaluated as one stacked energy over the rows.
-What is shared: the gradient kernel calls, the stiffness K, and one factor
-of K that serves every row whose active set is empty as one
+What is shared: the gradient kernel calls, the stiffness K, and one solve
+with K (fem.stiffness_solver: closed form on a rectangle grid, one factor
+of K elsewhere) that serves every row whose active set is empty as one
 multi-right-hand-side solve.  What each row keeps: its step size, its
 accept/reject test, its max_iter count, its zero-quotient exit and, while
 its active set is not empty, the factor of that set.  A row leaves the
@@ -51,6 +52,7 @@ brackets it from below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -131,29 +133,40 @@ def eta_star_objective(mesh, m, a, f, p, q, lam, u):
 class _Preconditioner:
     """K_I^{-1} for a stack of descent rows: K the p = 2 stiffness on the free vertices, I a row's inactive set.
 
-    K is assembled once.  Rows with an empty active set share one factor of
-    K, applied to all of them as one multi-right-hand-side solve.  A row with
-    a non-empty active set keeps the factor of its latest active set, since
-    that set rarely changes from one descent step to the next; the factor is
-    dropped when the set empties or the row stops.  The restriction is
-    formed by pinning the active rows and columns to the identity on the
-    cached Operator's storage, so nothing is cached per active set under the
-    mesh.
+    Rows with an empty active set share one solve with K
+    (fem.stiffness_solver: closed form on a rectangle grid, one factor of K
+    elsewhere), applied to all of them as one multi-right-hand-side solve.
+    A row with a non-empty active set keeps the factor of its latest active
+    set, since that set rarely changes from one descent step to the next;
+    the factor is dropped when the set empties or the row stops.  The
+    restriction is formed by pinning the active rows and columns to the
+    identity on the cached Operator's storage, so nothing is cached per
+    active set under the mesh.  The Operator and K are built on the first
+    pin: on a rectangle grid a descent whose active sets stay empty builds
+    neither.
     """
 
     def __init__(self, mesh):
-        self.op = fem.operator(mesh, mesh.interior_vertices)
-        self.stiffness = fem.p_flux_jacobian(self.op, np.zeros(mesh.n_vertices), 2.0, 0.0)
-        self.shared = None
+        self.mesh = mesh
         self.pinned = {}  # row -> (active mask, solve)
+
+    @functools.cached_property
+    def shared(self):
+        return fem.stiffness_solver(self.mesh, self.mesh.interior_vertices)
+
+    @functools.cached_property
+    def op(self):
+        return fem.operator(self.mesh, self.mesh.interior_vertices)
+
+    @functools.cached_property
+    def stiffness(self):
+        return fem.p_flux_jacobian(self.op, np.zeros(self.mesh.n_vertices), 2.0, 0.0)
 
     def __call__(self, rows, rhs, active):
         """K_I^{-1} rhs[k] for row rows[k], 0 on active[k] (masks over the free vertices)."""
         out = np.empty_like(rhs)
         some = active.any(axis=1)
         if not some.all():
-            if self.shared is None:
-                self.shared = self.op.factorize(self.stiffness)
             out[~some] = self.shared(rhs[~some].T).T
         for k in np.flatnonzero(some):
             cached = self.pinned.get(rows[k])

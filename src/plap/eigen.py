@@ -9,8 +9,11 @@ inverse-power analogue for the p-Laplacian: alternately
 
   (a) minimize the strictly convex functional
       (1/p) * integral |grad v|^p  -  integral m |u_k|^{p-2} u_k v
-      (damped Newton on the regularized energy; for p = 2 a single factorized
-      linear solve),
+      (damped Newton on the regularized energy; for p = 2 one linear solve
+      with K + shift * lumped mass, K the stiffness, from
+      fem.stiffness_solver: closed form by a discrete sine transform on the
+      interior of a rectangle grid, elsewhere one factor reused until the
+      shift changes),
   (b) clamp to the nonnegative cone and renormalize so integral m |v|^p = 1,
   (c) update the Rayleigh quotient.
 
@@ -115,30 +118,21 @@ class _InnerSolver:
         self.eps_floor = eps_floor
         self.max_inner = max_inner
         self.shift = shift
-        self.op = fem.operator(mesh, free)
-        self._lu_solve = None
-        self._stiffness = None
         if p == 2:
-            self._stiffness = fem.p_flux_jacobian(self.op, np.zeros(mesh.n_vertices), 2.0, 0.0)
-            self._factorize()
-
-    def _factorize(self):
-        K = self._stiffness
-        if self.shift:
-            K = K.copy()
-            self.op.add_diagonal(K, self.shift * self.mesh.lumped_volumes)
-        self._lu_solve = self.op.factorize(K)
+            self._linear_solve = fem.stiffness_solver(mesh, free, shift)
+        else:
+            self.op = fem.operator(mesh, free)
 
     def set_shift(self, shift):
         if shift != self.shift:
             self.shift = shift
             if self.p == 2:
-                self._factorize()
+                self._linear_solve = fem.stiffness_solver(self.mesh, self.free, shift)
 
     def solve(self, load_free, v_init):
         if self.p == 2:
             out = np.zeros(self.mesh.n_vertices)
-            out[self.free] = self._lu_solve(load_free)
+            out[self.free] = self._linear_solve(load_free)
             return out
         v = v_init.copy()
         scale = max(np.linalg.norm(load_free), 1e-300)

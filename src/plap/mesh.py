@@ -26,6 +26,9 @@ class Mesh:
         cell_volumes: (nc,) positive cell measures.
         bounds: the bounding box (x0, x1) or (x0, x1, y0, y1); used for the
             exact distance-to-boundary formula.
+        grid: (nx, ny) for a build_rectangle grid, else None; the p = 2
+            stiffness of its interior has a closed-form solve
+            (fem.stiffness_solver).
 
     Derived quantities precomputed for assembly:
         lumped_volumes: (nv,) vertex quadrature weights (sum of adjacent cell
@@ -34,7 +37,7 @@ class Mesh:
             hat functions, constant per cell.
     """
 
-    def __init__(self, dimension, vertices, cells, boundary_vertices, bounds):
+    def __init__(self, dimension, vertices, cells, boundary_vertices, bounds, grid=None):
         self.dimension = int(dimension)
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
@@ -43,6 +46,7 @@ class Mesh:
         mask[self.boundary_vertices] = False
         self.interior_vertices = np.nonzero(mask)[0]
         self.bounds = tuple(float(b) for b in bounds)
+        self.grid = grid
         self.cell_volumes, self.cell_gradients = self._geometry()
         if np.any(self.cell_volumes <= 0):
             raise InvalidConfig("mesh has a cell with nonpositive volume")
@@ -186,7 +190,7 @@ def build_rectangle(x0, x1, y0, y1, nx, ny):
     on_edge = np.zeros(vid.shape, dtype=bool)
     on_edge[[0, -1], :] = True
     on_edge[:, [0, -1]] = True
-    return Mesh(2, vertices, cells, vid[on_edge], (x0, x1, y0, y1))
+    return Mesh(2, vertices, cells, vid[on_edge], (x0, x1, y0, y1), grid=(int(nx), int(ny)))
 
 
 def boundary_strip(mesh, rho):

@@ -400,12 +400,14 @@ def _all_in(classes, claim):
     return len(classes) > 0 and all(c in claim for c in classes)
 
 
-def sweep(template, lam_grid, eta_grid, opts=None):
+def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
     """Run multi-start solves over the grid and join them with predictions.
 
     template is a ProblemSpec whose lam/eta fields are ignored.  Cell solves
     that fail are recorded as rows with sign_class "failed", never fatal.
-    Returns the RegionMap with measured MP/AMP half-widths.
+    Returns the RegionMap with measured MP/AMP half-widths.  pair is the
+    principal eigenpair of template.m with default EigenOptions, when the
+    caller has already computed it; it is then not solved again.
 
     The cells of one lam row share a rung store (bvp.solve's _prefix): each
     start runs the eta-free rungs of its ladder once per row, and every cell
@@ -419,15 +421,16 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     lam_grid = [float(v) for v in lam_grid]
     eta_grid = [float(v) for v in eta_grid]
 
-    pair, phi1 = None, None
-    lam1_computed = math.inf
-    try:
-        from .eigen import principal_eigenpair
+    phi1, lam1_computed = None, math.inf
+    if pair is None:
+        try:
+            from .eigen import principal_eigenpair
 
-        pair = principal_eigenpair(mesh, template.m, template.p)
+            pair = principal_eigenpair(mesh, template.m, template.p)
+        except PlapError:
+            pass
+    if pair is not None:
         phi1, lam1_computed = pair.phi, pair.lam
-    except PlapError:
-        pass
     lam1 = opts.lam1_override if opts.lam1_override is not None else lam1_computed
 
     lam2_bound = math.inf

@@ -90,7 +90,16 @@ def to_jsonable(obj):
     if isinstance(obj, (np.floating,)):
         return to_jsonable(float(obj))
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        if obj.dtype.kind not in "biuf" or obj.ndim == 0:
+            return to_jsonable(obj.tolist())
+        # one tolist(); only the non-finite floats need a JSON spelling
+        values = obj.tolist()
+        for index in zip(*np.nonzero(~np.isfinite(obj))):
+            row = values
+            for i in index[:-1]:
+                row = row[i]
+            row[index[-1]] = to_jsonable(row[index[-1]])
+        return values
     if isinstance(obj, DiscreteFunction):
         return {"values": to_jsonable(obj.values)}
     if hasattr(obj, "summary") and callable(obj.summary):

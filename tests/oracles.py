@@ -2,8 +2,9 @@
 
 These share no numerical kernels with the package (assembly, Newton,
 eigensolver): the tridiagonal arrays, the vectorized RK4 stepper, the Thomas
-solve and the bump-family quadrature are written from scratch here, so
-agreement with the package is evidence rather than tautology.
+solve, the 5-point rectangle stencil and the bump-family quadrature are
+written from scratch here, so agreement with the package is evidence rather
+than tautology.
 """
 
 import numpy as np
@@ -150,3 +151,49 @@ def eta_star_bump_oracle(p, q, lam, n_fine=20001):
                 val = c_pq * h_lam ** ((q - 1.0) / (p - 1.0)) * f_term ** ((p - q) / (p - 1.0)) / denom
                 best = min(best, val)
     return best
+
+
+def five_point_rectangle(bounds, nx, ny):
+    """Dense 5-point stiffness and lumped mass on the interior of an nx x ny grid.
+
+    Interior vertex (i, j), i = 1 .. nx-1, j = 1 .. ny-1, is unknown
+    (j-1)(nx-1) + i-1.  The stiffness holds 2(hy/hx + hx/hy) on the diagonal,
+    -hy/hx between x-neighbours and -hx/hy between y-neighbours, each entry
+    written from its stencil; the lumped mass of every interior vertex is
+    hx*hy.  Returns (K, mass, x, y) with x, y the interior coordinates.
+    """
+    x0, x1, y0, y1 = bounds
+    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+    n = (nx - 1) * (ny - 1)
+    K = np.zeros((n, n))
+    x = np.empty(n)
+    y = np.empty(n)
+    for j in range(1, ny):
+        for i in range(1, nx):
+            k = (j - 1) * (nx - 1) + i - 1
+            x[k], y[k] = x0 + i * hx, y0 + j * hy
+            K[k, k] = 2.0 * (hy / hx + hx / hy)
+            if i > 1:
+                K[k, k - 1] = -hy / hx
+            if i < nx - 1:
+                K[k, k + 1] = -hy / hx
+            if j > 1:
+                K[k, k - (nx - 1)] = -hx / hy
+            if j < ny - 1:
+                K[k, k + (nx - 1)] = -hx / hy
+    return K, np.full(n, hx * hy), x, y
+
+
+def principal_generalized_eigenvalue(K, mass_diag):
+    """Smallest positive lam with K u = lam diag(mass_diag) u, for SPD K and any sign of mass.
+
+    With K = L L^T, the positive eigenvalues are the reciprocals of the
+    positive eigenvalues mu of the symmetric L^{-1} diag(mass) L^{-T}, so
+    lam1 = 1 / max(mu).
+    """
+    L = np.linalg.cholesky(K)
+    Linv = scipy.linalg.solve_triangular(L, np.eye(len(K)), lower=True)
+    mu = np.linalg.eigvalsh(Linv @ np.diag(mass_diag) @ Linv.T)
+    if mu[-1] <= 0:
+        raise ValueError("mass has no positive part")
+    return 1.0 / mu[-1]

@@ -342,10 +342,11 @@ def test_nearest_interior_vertex_matches_kd_tree(build):
     assert _nearest_interior(mesh) is _nearest_interior(mesh)
 
 
-def test_cli_import_skips_scipy_spatial():
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.fft"])
+def test_cli_import_skips_scipy_spatial(module):
     import subprocess
     import sys
 
-    code = "import sys, plap.cli; print('scipy.spatial' in sys.modules)"
+    code = f"import sys, plap.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

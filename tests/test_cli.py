@@ -112,6 +112,36 @@ def test_sweep_default_grids(tmp_path):
     assert len(lines) == 1 + 4 * 3 * 3  # header + cells x {zero, +phi1, -phi1}
 
 
+def test_default_sweep_solves_its_eigenproblem_once(tmp_path, monkeypatch):
+    from plap import cli, eigen, regions
+
+    cfg = config("sweep", n_lam=3, n_eta=3)
+    cfg["p"] = 3.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    calls = []
+    solve = eigen.principal_eigenpair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "principal_eigenpair", counting)
+    monkeypatch.setattr(cli, "principal_eigenpair", counting)
+
+    def run(out):
+        del calls[:]
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+        return len(calls), (out / "sweep.csv").read_bytes(), (out / "sweep_report.json").read_bytes()
+
+    once = run(tmp_path / "once")
+    # the sweep solving the eigenproblem again, as it did before the CLI handed it the pair
+    monkeypatch.setattr(cli, "sweep", lambda *args, pair: regions.sweep(*args))
+    twice = run(tmp_path / "twice")
+    assert (once[0], twice[0]) == (1, 2)
+    assert once[1:] == twice[1:]
+
+
 def test_sweep_roundtrip_and_determinism(tmp_path):
     cfg = config("sweep", lam_grid=[2.0, 12.0], eta_grid=[0.0, 0.3], t_grid=[1.0], n_random=1)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

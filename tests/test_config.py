@@ -249,3 +249,33 @@ def test_report_is_deterministic_json(tmp_path, pair_p2_256):
     payload = json.loads(p1.read_text())
     assert payload["result"]["lam"] == pytest.approx(pair_p2_256.lam)
     assert payload["config"]["seed"] == 1
+
+
+def test_report_arrays_convert_as_element_by_element(tmp_path, pair_p2_256, monkeypatch):
+    from plap import report
+
+    payload = {
+        "pair": pair_p2_256,
+        "special": np.array([1.5, np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300]),
+        "ints": np.arange(-3, 4),
+        "flags": np.array([True, False]),
+        "single": np.array([0.1, np.nan], dtype=np.float32),
+        "grid": np.array([[1.0, np.nan], [-np.inf, -0.0], [2.0, np.inf]]),
+        "scalar": np.float64(-np.inf),
+        "empty": np.zeros((0, 3)),
+    }
+    fast = tmp_path / "fast.json"
+    report.write_report(payload, fast)
+    convert = report.to_jsonable
+
+    def per_element(obj):
+        # the conversion before arrays took one tolist(): one call per element
+        if isinstance(obj, np.ndarray):
+            return [per_element(v) for v in obj.tolist()]
+        return convert(obj)
+
+    monkeypatch.setattr(report, "to_jsonable", per_element)
+    slow = tmp_path / "slow.json"
+    report.write_report(payload, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert '"nan"' in fast.read_text() and '"-inf"' in fast.read_text()

@@ -174,6 +174,19 @@ def test_preconditioner_solves_each_rows_restriction(mesh, rng):
             np.testing.assert_allclose(got[k, keep], want, rtol=1e-12, atol=1e-12)
 
 
+def test_preconditioner_builds_the_stiffness_only_to_pin(rng):
+    mesh = build_rectangle(0, 1, 0, 1, 6, 5)
+    precondition = critical._Preconditioner(mesh)
+    n = len(mesh.interior_vertices)
+    rows = np.array([0, 1])
+    precondition(rows, rng.standard_normal((2, n)), np.zeros((2, n), dtype=bool))
+    assert "op" not in vars(precondition) and "stiffness" not in vars(precondition)
+    active = np.zeros((2, n), dtype=bool)
+    active[1, 3] = True
+    precondition(rows, rng.standard_normal((2, n)), active)
+    assert "op" in vars(precondition) and "stiffness" in vars(precondition)
+
+
 def test_start_with_zero_gradient_energy_gives_inf(interval_256, one, pair_p3_256):
     res = eta_star(
         interval_256, one, one, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,

@@ -174,3 +174,46 @@ def test_inner_newton_stops_at_roundoff_stall(one, monkeypatch):
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
     exact = (p - 1.0) * pi_p**p  # closed-form lam1 of the unit interval
     assert abs(pair.lam - exact) <= 3.0 / n**2 * exact  # P1 error is O(h^2)
+
+
+@pytest.mark.parametrize(
+    "bounds, nx, ny", [((-1.0, 1.0, 0.0, 0.5), 12, 7), ((-1.0, 1.0, 0.0, 0.5), 2, 7)], ids=["12x7", "2x7"]
+)
+def test_p2_lam1_on_rectangles_matches_the_closed_form(one, bounds, nx, ny):
+    x0, x1, y0, y1 = bounds
+    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+    exact = ((hy / hx) * (2 - 2 * math.cos(math.pi / nx)) + (hx / hy) * (2 - 2 * math.cos(math.pi / ny))) / (hx * hy)
+    K, mass, _, _ = oracles.five_point_rectangle(bounds, nx, ny)
+    assert np.linalg.eigvalsh(K)[0] / (hx * hy) == pytest.approx(exact, rel=1e-12)
+    pair = principal_eigenpair(build_rectangle(*bounds, nx, ny), one, 2.0)
+    assert pair.lam == pytest.approx(exact, rel=1e-10)
+
+
+def test_p2_indefinite_weight_on_a_rectangle_matches_dense_oracle():
+    # m = x - 0.3 changes sign, so the inner solve carries the positivity shift
+    bounds, nx, ny = (0.0, 1.0, 0.0, 1.0), 12, 9
+    K, mass, x, _ = oracles.five_point_rectangle(bounds, nx, ny)
+    want = oracles.principal_generalized_eigenvalue(K, mass * (x - 0.3))
+    pair = principal_eigenpair(build_rectangle(*bounds, nx, ny), Weight.expression("x - 0.3"), 2.0)
+    assert pair.lam == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("m_expr", ["1", "x - 0.3"], ids=["constant", "indefinite"])
+def test_p2_eigensolve_on_a_grid_builds_no_operator_and_no_factor(m_expr, monkeypatch):
+    from plap import fem
+
+    calls = []
+    init, factorize = fem.Operator.__init__, fem.Operator.factorize
+
+    def counting_init(self, *args):
+        calls.append("init")
+        init(self, *args)
+
+    def counting_factorize(self, data):
+        calls.append("factorize")
+        return factorize(self, data)
+
+    monkeypatch.setattr(fem.Operator, "__init__", counting_init)
+    monkeypatch.setattr(fem.Operator, "factorize", counting_factorize)
+    principal_eigenpair(build_rectangle(0, 1, 0, 1, 10, 8), Weight.expression(m_expr), 2.0)
+    assert calls == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from plap import (
     DiscreteFunction,
     ProblemSpec,
@@ -299,3 +300,63 @@ def test_gradient_kernel_matches_einsum_formulas(mesh, p, eps, rng):
     u = DiscreteFunction(mesh, values)
     assert np.array_equal(u.cell_gradients(), einsum_cell_terms(mesh, values, eps)[0])
     assert grad_energy(u, p) == einsum_grad_energy(mesh, values, p)
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.5])
+@pytest.mark.parametrize(
+    "bounds, nx, ny",
+    [((-1.0, 1.0, 0.0, 0.5), 6, 5), ((-1.0, 1.0, 0.0, 0.5), 2, 7), ((0.0, 1.0, 0.0, 1.0), 24, 24)],
+    ids=["6x5", "2x7", "24x24"],
+)
+def test_stiffness_solver_on_a_grid_matches_dense_solve(bounds, nx, ny, shift, rng):
+    K, mass, _, _ = oracles.five_point_rectangle(bounds, nx, ny)
+    A = K + shift * np.diag(mass)
+    mesh = build_rectangle(*bounds, nx, ny)
+    solve = fem.stiffness_solver(mesh, mesh.interior_vertices, shift)
+    rhs = rng.standard_normal(len(A))
+    np.testing.assert_allclose(solve(rhs), np.linalg.solve(A, rhs), rtol=1e-12, atol=1e-12)
+    block = rng.standard_normal((len(A), 3))
+    got = solve(block)
+    assert got.shape == block.shape
+    np.testing.assert_allclose(got, np.linalg.solve(A, block), rtol=1e-12, atol=1e-12)
+
+
+def test_stiffness_solver_on_a_grid_builds_no_operator(monkeypatch):
+    built = []
+    init = fem.Operator.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(fem.Operator, "__init__", counting)
+    mesh = build_rectangle(0.0, 1.0, 0.0, 1.0, 9, 7)
+    fem.stiffness_solver(mesh, mesh.interior_vertices, 1.0)(np.ones(len(mesh.interior_vertices)))
+    assert built == []
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.5])
+@pytest.mark.parametrize(
+    "mesh, free_set",
+    [
+        (build_rectangle(0.0, 1.0, 0.0, 1.0, 9, 7), strip_free),
+        (build_interval(0.0, 1.0, 16), interior_free),
+    ],
+    ids=["strip", "interval"],
+)
+def test_stiffness_solver_factorizes_off_the_grid_interior(mesh, free_set, shift, rng, monkeypatch):
+    calls = []
+    factorize = fem.Operator.factorize
+
+    def counting(self, data):
+        calls.append(1)
+        return factorize(self, data)
+
+    monkeypatch.setattr(fem.Operator, "factorize", counting)
+    free = free_set(mesh)
+    solve = fem.stiffness_solver(mesh, free, shift)
+    assert len(calls) == 1
+    op = fem.operator(mesh, free)
+    data = fem.p_flux_jacobian(op, np.zeros(mesh.n_vertices), 2.0, 0.0, shift * mesh.lumped_volumes)
+    rhs = rng.standard_normal(len(free))
+    np.testing.assert_allclose(solve(rhs), np.linalg.solve(op.matrix(data).toarray(), rhs), rtol=1e-12, atol=1e-12)
