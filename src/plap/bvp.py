@@ -18,19 +18,16 @@ then the regularizations downward to their floors.  Two smoothings are used:
   * zeroth-order odd powers (u^2 + eps_s^2)^{(r-2)/2} u, marched 1e-3 -> 1e-9;
     for q < 2 the raw power has unbounded slope at u = 0 (dead cores).
 
-Each rung runs damped Newton (_NewtonDriver.newton): the step halves,
-t = 1, 1/2, 1/4, ..., until a trial passes the Armijo test on the squared
-residual norm, ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2.  A rung ends on the
-first of these tests, named as the reason it reports:
-
-  * converged: ||r|| <= the rung's tolerance * (1 + size of the right-hand side);
-  * stalled: the trial that passed Armijo lowers ||r||^2 by less than the
-    relative STALL_DECREASE = 1e-5, and is not taken.  Armijo alone asks
-    for 2e-4 t, so only steps damped below t ~ 0.05 can trip this test
-    (Dennis & Schnabel 1996, section 6.3 and A6.3.1);
-  * line_search: t fell to 1e-10 with no trial accepted;
-  * max_newton: max_newton iterations;
-  * singular: the Jacobian could not be factored.
+Each rung runs fem.newton, the damped-Newton loop the eigensolver's inner
+solve shares: the step halves, t = 1, 1/2, 1/4, ..., until a trial passes
+the Armijo test on the squared residual norm,
+||r_trial||^2 <= (1 - 2e-4 t) ||r||^2, and the loop ends on one of the
+reasons fem.newton names: converged (||r|| <= the rung's tolerance
+* (1 + size of the right-hand side)), stalled, line_search, max_newton or
+singular.  A rung has stalled when the trial that passed Armijo lowers
+||r||^2 by less than the relative STALL_DECREASE = 1e-5; that trial is not
+taken.  Armijo alone asks for 2e-4 t, so only steps damped below t ~ 0.05
+can trip this test (Dennis & Schnabel 1996, section 6.3 and A6.3.1).
 
 Every reason but converged ends the rung at its last accepted iterate, which
 warm-starts the next rung; on the final rung solve raises NonConvergence
@@ -43,7 +40,8 @@ converged, yet they made 27,067 of the grid's 30,226 residual evaluations;
 with it the grid makes 7,314, the same 10 starts fail (a median of 299
 evaluations each instead of 2,242) and each cell finds the same solutions.
 A t floor of 1e-6 instead would cut converging rungs: one 1D f = 1 rung
-needs t = 2^-32.
+needs t = 2^-32.  (The eigensolver's inner solve runs the loop with the
+test off: its problem is strictly convex, so ||r||^2 has no stall to catch.)
 
 The ladder's first rungs do not read eta: the lam rungs and (lam, 0) at the
 first smoothing, the unperturbed problem the eta term is switched on from.
@@ -87,6 +85,8 @@ __all__ = [
 EPS_GRAD_FLOOR = 1e-8
 EPS_ZERO_FLOOR = 1e-9
 STALL_DECREASE = 1e-5  # relative drop of ||r||^2 below which a rung has stalled; see above
+_LAM_RUNGS = 4  # lam values, the target included, on the approach from 0.9 lam1
+_ETA_RUNGS = 3  # eta values, the target included, on the way up from eta = 0
 _EPS_LADDER = ((1e-2, 1e-3), (1e-4, 1e-5), (1e-6, 1e-7), (EPS_GRAD_FLOOR, EPS_ZERO_FLOOR))
 
 SIGN_CLASSES = (
@@ -117,12 +117,7 @@ class ProblemSpec:
             raise InvalidConfig(f"exponents must satisfy 1 < q < p, got q={self.q}, p={self.p}")
 
     def replace(self, **kw):
-        data = dict(
-            mesh=self.mesh, p=self.p, q=self.q, lam=self.lam, eta=self.eta,
-            m=self.m, a=self.a, f=self.f,
-        )
-        data.update(kw)
-        return ProblemSpec(**data)
+        return replace(self, **kw)
 
 
 @dataclass
@@ -150,8 +145,6 @@ class SolveOptions:
     newton_tol: float = 1e-10
     max_newton: int = 60
     lam1: float | None = None  # precomputed principal eigenvalue estimate
-    lam_rungs: int = 4
-    eta_rungs: int = 3
     t_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
     n_random: int = 2
     dedup_tol: float = 1e-6
@@ -337,54 +330,24 @@ class _NewtonDriver:
         return 1.0 + ref
 
     def newton(self, values, lam, eta, eps_g, eps_s, tol, max_iter):
-        """Damped Newton with a backtracking line search on the squared residual norm.
+        """One rung: fem.newton on this rung's residual, with the STALL_DECREASE progress test.
 
         Mutates values in place; returns (reason, iterations, final_norm), where
-        reason names the test that ended the rung (see the module docstring):
-        "converged", "stalled", "line_search", "max_newton" or "singular".
-        Each iteration halves t from 1 until the trial passes Armijo,
-        ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2, and accepts it, unless it lowers
-        ||r||^2 by less than the relative STALL_DECREASE: then the rung ends
-        as "stalled" without taking it.  The rung ends as "line_search" when
-        t falls to 1e-10 with no trial passing.  Either way values hold the
-        last accepted iterate.
+        reason names the test that ended the rung (see the module docstring).
         """
-        free = self.free
-        res = self.residual(lam, eta, eps_g, eps_s)
-        s = values[free]
-        r = res(values, s)
-        rn = float(np.linalg.norm(r))
-        goal = tol * self._scale(s, lam, eta)
-        trial = values.copy()  # line-search buffer; its fixed vertices never change
-        for it in range(max_iter):
-            if rn <= goal:
-                return "converged", it, rn
-            J = self.jacobian(values, lam, eta, eps_g, eps_s)
-            try:
-                step = fem.solve_sparse(self.op, J, -r)
-            except SingularJacobian:
-                return "singular", it, rn
-            merit0 = rn * rn
-            t = 1.0
-            while t > 1e-10:
-                s_trial = s + t * step
-                trial[free] = s_trial
-                r_trial = res(trial, s_trial)
-                merit = float(np.dot(r_trial, r_trial))
-                if merit <= (1.0 - 2e-4 * t) * merit0:
-                    break
-                t *= 0.5
-            else:
-                return "line_search", it + 1, rn
-            if merit > (1.0 - STALL_DECREASE) * merit0:
-                return "stalled", it + 1, rn
-            values[free] = s = s_trial
-            r, rn = r_trial, float(np.linalg.norm(r_trial))
-            goal = tol * self._scale(s, lam, eta)
-        return ("converged" if rn <= goal else "max_newton"), max_iter, rn
+        return fem.newton(
+            values,
+            self.free,
+            self.residual(lam, eta, eps_g, eps_s),
+            lambda vals: self.jacobian(vals, lam, eta, eps_g, eps_s),
+            self.op,
+            lambda s: tol * self._scale(s, lam, eta),
+            max_iter,
+            STALL_DECREASE,
+        )
 
 
-def _continuation_stages(spec, opts, lam1):
+def _continuation_stages(spec, lam1):
     """(lam, eta, eps_g, eps_s, is_final) ladder per the continuation order."""
     lam_t, eta_t = spec.lam, spec.eta
     if spec.p == 2.0 and eta_t == 0.0:
@@ -394,13 +357,13 @@ def _continuation_stages(spec, opts, lam1):
     stages = []
     if lam1 is not None and math.isfinite(lam1) and 0.9 * lam1 < lam_t <= lam1:
         # approach a just-below-resonance target from a safe value
-        for lam in np.linspace(0.9 * lam1, lam_t, opts.lam_rungs)[:-1]:
+        for lam in np.linspace(0.9 * lam1, lam_t, _LAM_RUNGS)[:-1]:
             if abs(lam - lam1) >= 0.05 * abs(lam1):
                 stages.append((float(lam), 0.0, *eps0, False))
     stages.append((lam_t, 0.0, *eps0, False))
     if eta_t != 0.0:
-        for k in range(1, opts.eta_rungs + 1):
-            stages.append((lam_t, eta_t * k / opts.eta_rungs, *eps0, False))
+        for k in range(1, _ETA_RUNGS + 1):
+            stages.append((lam_t, eta_t * k / _ETA_RUNGS, *eps0, False))
     for eps_g, eps_s in _EPS_LADDER[1:]:
         stages.append((lam_t, eta_t, eps_g, eps_s, False))
     # re-flag the last stage as final
@@ -445,7 +408,7 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
     values[mesh.boundary_vertices] = 0.0
 
     driver = _NewtonDriver(spec)
-    stages = _continuation_stages(spec, opts, opts.lam1)
+    stages = _continuation_stages(spec, opts.lam1)
     init_key = values.tobytes() if _prefix is not None else None
     total_iters = 0
     rn = math.inf

@@ -71,6 +71,7 @@ __all__ = [
     "eta_star_objective",
     "eta_star",
     "eta_star_lower_bound",
+    "power_weight_lam1",
     "picone_polynomial",
     "picone_polynomial_check",
     "discrete_picone_check",
@@ -301,15 +302,10 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     free = mesh.interior_vertices
     lower = None
     c_f = float(np.min(f_vals))
-    a_plus_power = np.maximum(a_vals, 0.0) ** ((p - 1.0) / (q - 1.0))
-    if c_f > 0 and lam < lam1 and np.any(a_plus_power[free] > 0):
-        if np.array_equal(a_plus_power, m_vals):
-            lam1_aplus = lam1  # the weight of lam1: principal_eigenpair would recompute it from these values
-        else:
-            from .eigen import principal_eigenpair
-
-            lam1_aplus = principal_eigenpair(mesh, Weight.nodal(a_plus_power), p).lam
-        lower = eta_star_lower_bound(c_f, p, q, lam, lam1, lam1_aplus)
+    if c_f > 0 and lam < lam1:
+        lam1_aplus = power_weight_lam1(mesh, np.maximum(a_vals, 0.0), p, q, known=(m_vals, lam1))
+        if math.isfinite(lam1_aplus):
+            lower = eta_star_lower_bound(c_f, p, q, lam, lam1, lam1_aplus)
 
     if not np.any(a_vals[free] > 0):
         return EtaStarResult(math.inf, None, lower, 0, [], lam1)
@@ -338,6 +334,25 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
         lam1=lam1,
         start_iterations=iterations,
     )
+
+
+def power_weight_lam1(mesh, clamped, p, q, known=None):
+    """lambda_1 of the power weight clamped^{(p-1)/(q-1)}, clamped = a_+ or a_- as nodal values.
+
+    +inf when the power weight vanishes on every interior vertex (the
+    admissible cone is empty).  known is (nodal values, lambda_1) of a weight
+    whose eigenvalue is already computed, m's say: when the power weight has
+    exactly those values its lambda_1 is reused, as principal_eigenpair would
+    recompute it bit for bit.
+    """
+    power = clamped ** ((p - 1.0) / (q - 1.0))
+    if not np.any(power[mesh.interior_vertices] > 0):
+        return math.inf
+    if known is not None and np.array_equal(power, known[0]):
+        return known[1]
+    from .eigen import principal_eigenpair
+
+    return principal_eigenpair(mesh, Weight.nodal(power), p).lam
 
 
 def eta_star_lower_bound(c_f, p, q, lam, lam1_m, lam1_aplus):

@@ -9,11 +9,12 @@ inverse-power analogue for the p-Laplacian: alternately
 
   (a) minimize the strictly convex functional
       (1/p) * integral |grad v|^p  -  integral m |u_k|^{p-2} u_k v
-      (damped Newton on the regularized energy; for p = 2 one linear solve
-      with K + shift * lumped mass, K the stiffness, from
-      fem.stiffness_solver: closed form by a discrete sine transform on the
-      interior of a rectangle grid, elsewhere one factor reused until the
-      shift changes),
+      (for p != 2, below 2 as above it, fem.newton on its regularized
+      gradient: the damped-Newton loop of the BVP rungs, backtracking on the
+      squared gradient norm; for p = 2 one linear solve with
+      K + shift * lumped mass, K the stiffness, from fem.stiffness_solver:
+      closed form by a discrete sine transform on the interior of a
+      rectangle grid, elsewhere one factor reused until the shift changes),
   (b) clamp to the nonnegative cone and renormalize so integral m |v|^p = 1,
   (c) update the Rayleigh quotient.
 
@@ -48,6 +49,9 @@ __all__ = [
 _RQ_SLACK = 1e-12
 # smoothing width for the zeroth-order |v|^{p-2} v shift term
 _EPS_ZERO = 1e-9
+# gradient-kernel smoothing and Newton iteration cap of the inner solve
+_EPS_FLOOR = 1e-8
+_MAX_INNER = 80
 
 
 @dataclass
@@ -62,8 +66,6 @@ class EigenOptions:
 
     tol: float | None = None
     max_outer: int = 500
-    max_inner: int = 80
-    eps_floor: float = 1e-8
     init: object = "distance_bump"
     seed: int = 0
 
@@ -109,14 +111,19 @@ class _InnerSolver:
     indefinite weights it is chosen by the caller so that the iteration source
     (lam*m + c) u^{p-1} stays nonnegative, which keeps the iterates positive
     (the fixed point is unchanged: the shift cancels at the eigenpair).
+
+    For p != 2 the minimizer is the root of the gradient, found by fem.newton
+    at the regularization floor _EPS_FLOOR down to the caller's goal.  The
+    functional is strictly convex and its Jacobian SPD, so ||r||^2 has no
+    minimum other than the root and the progress test is off (stall = 0).
+    A failed solve restarts cold through an eps ladder, warm-starting each
+    stage.
     """
 
-    def __init__(self, mesh, p, free, eps_floor, max_inner, shift=0.0):
+    def __init__(self, mesh, p, free, shift=0.0):
         self.mesh = mesh
         self.p = p
         self.free = free
-        self.eps_floor = eps_floor
-        self.max_inner = max_inner
         self.shift = shift
         if p == 2:
             self._linear_solve = fem.stiffness_solver(mesh, free, shift)
@@ -129,67 +136,39 @@ class _InnerSolver:
             if self.p == 2:
                 self._linear_solve = fem.stiffness_solver(self.mesh, self.free, shift)
 
-    def solve(self, load_free, v_init):
+    def solve(self, load_free, v_init, goal):
+        """The minimizer for load_free, from v_init; for p != 2 its gradient norm is at most goal."""
         if self.p == 2:
             out = np.zeros(self.mesh.n_vertices)
             out[self.free] = self._linear_solve(load_free)
             return out
         v = v_init.copy()
-        scale = max(np.linalg.norm(load_free), 1e-300)
-        if not self._newton(v, load_free, self.eps_floor, scale):
-            # cold restart through an eps ladder, warm-starting each stage
+        if not self._newton(v, load_free, _EPS_FLOOR, goal):
             v = v_init.copy()
             for eps in (1e-2, 1e-4, 1e-6):
-                if eps > self.eps_floor:
-                    self._newton(v, load_free, eps, scale)
-            if not self._newton(v, load_free, self.eps_floor, scale):
+                self._newton(v, load_free, eps, goal)
+            if not self._newton(v, load_free, _EPS_FLOOR, goal):
                 raise NonConvergence("inner p-Laplacian solve did not converge")
         return v
 
-    def _objective(self, values, load_free, eps):
-        kernel = self.op.kernel
-        g = kernel.gradient(values)
-        g2 = kernel.dot(g, g) + eps * eps
-        energy = float(np.dot(self.mesh.cell_volumes, g2 ** (0.5 * self.p))) / self.p
-        if self.shift:
-            vv = values * values + _EPS_ZERO * _EPS_ZERO
-            energy += self.shift / self.p * float(np.dot(self.mesh.lumped_volumes, vv ** (0.5 * self.p)))
-        return energy - float(np.dot(load_free, values[self.free]))
-
-    def _newton(self, values, load_free, eps, scale):
-        # target is the strict goal; "loose" accepts a roundoff-limited stall,
-        # which still leaves the inner error far below the outer tolerance.
-        # A stall is a step that no longer halves the gradient norm: past that
-        # point the line search only accepts roundoff-level steps.
-        mesh, p, free = self.mesh, self.p, self.free
-        target, loose = 1e-11 * scale, 1e-8 * scale
+    def _newton(self, values, load_free, eps, goal):
+        """fem.newton on the gradient at smoothing eps; True when it converged."""
+        mesh, p, free, shift = self.mesh, self.p, self.free, self.shift
         lump = mesh.lumped_volumes
-        gn = previous = math.inf
-        trial = values.copy()  # line-search buffer; its fixed vertices never change
-        for _ in range(self.max_inner):
-            grad = fem.p_flux(mesh, values, p, eps)[free] - load_free
-            if self.shift:
-                grad += self.shift * (lump * fem.smoothed_odd_power(values, p, _EPS_ZERO))[free]
-            gn = float(np.linalg.norm(grad))
-            if gn <= target or (gn <= loose and gn > 0.5 * previous):
-                return True
-            previous = gn
-            diag = self.shift * lump * fem.smoothed_odd_power_deriv(values, p, _EPS_ZERO) if self.shift else None
-            H = fem.p_flux_jacobian(self.op, values, p, eps, diag)
-            step = fem.solve_sparse(self.op, H, -grad)
-            j0 = self._objective(values, load_free, eps)
-            slope = float(np.dot(grad, step))
-            start = values[free]
-            t = 1.0
-            while t > 1e-12:
-                trial[free] = moved = start + t * step
-                if self._objective(trial, load_free, eps) <= j0 + 1e-4 * t * slope:
-                    values[free] = moved
-                    break
-                t *= 0.5
-            else:
-                return gn <= loose
-        return gn <= loose
+        shift_free = shift * lump[free]
+
+        def res(vals, s):
+            r = fem.p_flux(mesh, vals, p, eps)[free] - load_free
+            if shift:
+                r += shift_free * fem.smoothed_odd_power(s, p, _EPS_ZERO)
+            return r
+
+        def jac(vals):
+            diag = shift * lump * fem.smoothed_odd_power_deriv(vals, p, _EPS_ZERO) if shift else None
+            return fem.p_flux_jacobian(self.op, vals, p, eps, diag)
+
+        reason, _, _ = fem.newton(values, free, res, jac, self.op, lambda s: goal, _MAX_INNER, 0.0)
+        return reason == "converged"
 
 
 def principal_eigenpair(mesh_or_mask, m, p, opts=None):
@@ -236,7 +215,7 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
     # as the quotient descends.
     m_min = float(np.min(m_vals[free]))
     shift = 0.0 if m_min >= 0 else 1.1 * rq0 * (-m_min)
-    inner = _InnerSolver(mesh, p, free, opts.eps_floor, opts.max_inner, shift=shift)
+    inner = _InnerSolver(mesh, p, free, shift=shift)
     rq_history = [rq0]
     residual_norm = math.inf
     iterations = 0
@@ -250,7 +229,12 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
         if residual_norm <= tol:
             break
         load = ((lam * m_vals + shift) * mesh.lumped_volumes * fem.odd_power(u, p))[free]
-        v = np.maximum(inner.solve(load, u), 0.0)
+        # At v = u the inner residual is, up to the smoothing, the eigen residual
+        # of u, of norm residual_norm * smax^(p-1).  The inner solve cuts it at
+        # least a hundredfold: with a goal above it the solve would return u and
+        # the iteration would stall above tol (p = 10, n = 64 with 1e-8 ||load||).
+        goal = min(1e-8 * np.linalg.norm(load), 1e-2 * residual_norm * smax ** (p - 1))
+        v = np.maximum(inner.solve(load, u, goal), 0.0)
         mass = _weighted_mass(mesh, m_vals, v, p)
         if mass <= 0:
             # outside the admissible cone: rescale by the sup norm and retry

@@ -1,4 +1,4 @@
-"""Assembly kernels for the regularized p-Laplacian weak form.
+"""Assembly kernels and the damped-Newton loop (newton) for the regularized p-Laplacian weak form.
 
 Internal machinery shared by the eigensolver and the BVP solver.  The gradient
 term uses the smoothed kernel (|z|^2 + eps_g^2)^{(p-2)/2}, whose linearization
@@ -87,6 +87,7 @@ __all__ = [
     "operator",
     "p_flux",
     "p_flux_jacobian",
+    "newton",
     "restrict",
     "solve_sparse",
     "stiffness_solver",
@@ -491,3 +492,57 @@ def solve_sparse(op, data, rhs):
     not finite.
     """
     return op.factorize(data)(rhs)
+
+
+def newton(values, free, res, jac, op, goal, max_iter, stall):
+    """Damped Newton with a backtracking line search on the squared residual norm.
+
+    values holds nodal values on all vertices and is updated in place on the
+    free vertices; the others never change.  res(values, values[free]) is the
+    residual on free, jac(values) the stored data of its Jacobian on op, and
+    goal(values[free]) the norm at which an iterate has converged.  Returns
+    (reason, iterations, final_norm), where reason names the test that ended
+    the loop:
+
+      * converged: ||r|| <= goal;
+      * stalled: the trial that passed Armijo lowers ||r||^2 by less than the
+        relative stall, and is not taken (stall = 0 switches this off);
+      * line_search: t fell to 1e-10 with no trial passing;
+      * max_newton: max_iter iterations;
+      * singular: the Jacobian could not be factored.
+
+    Each iteration halves t from 1 until the trial passes Armijo,
+    ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2.  Unless the loop converged,
+    values hold the last accepted iterate.
+    """
+    s = values[free]
+    r = res(values, s)
+    rn = float(np.linalg.norm(r))
+    tol = goal(s)
+    trial = values.copy()  # line-search buffer; its fixed vertices never change
+    for it in range(max_iter):
+        if rn <= tol:
+            return "converged", it, rn
+        J = jac(values)
+        try:
+            step = solve_sparse(op, J, -r)
+        except SingularJacobian:
+            return "singular", it, rn
+        merit0 = rn * rn
+        t = 1.0
+        while t > 1e-10:
+            s_trial = s + t * step
+            trial[free] = s_trial
+            r_trial = res(trial, s_trial)
+            merit = float(np.dot(r_trial, r_trial))
+            if merit <= (1.0 - 2e-4 * t) * merit0:
+                break
+            t *= 0.5
+        else:
+            return "line_search", it + 1, rn
+        if merit > (1.0 - stall) * merit0:
+            return "stalled", it + 1, rn
+        values[free] = s = s_trial
+        r, rn = r_trial, float(np.linalg.norm(r_trial))
+        tol = goal(s)
+    return ("converged" if rn <= tol else "max_newton"), max_iter, rn

@@ -48,24 +48,8 @@ class DiscreteFunction:
     def zeros(cls, mesh):
         return cls(mesh, np.zeros(mesh.n_vertices))
 
-    @classmethod
-    def from_callable(cls, mesh, fn):
-        """Interpolate fn(x) (1D) or fn(x, y) (2D) at the vertices."""
-        v = mesh.vertices
-        if mesh.dimension == 1:
-            vals = np.array([fn(x) for x in v[:, 0]])
-        else:
-            vals = np.array([fn(x, y) for x, y in v])
-        return cls(mesh, vals)
-
     def with_values(self, values):
         return DiscreteFunction(self.mesh, values)
-
-    def zero_trace(self):
-        """Copy with the boundary values set to zero."""
-        vals = self.values.copy()
-        vals[self.mesh.boundary_vertices] = 0.0
-        return DiscreteFunction(self.mesh, vals)
 
     def cell_gradients(self):
         """(n_cells, dimension) array of the constant per-cell gradients."""

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bvp import ProblemSpec, SolveOptions, multi_start_solve
-from .critical import eta_star_lower_bound, picone_polynomial_check
+from .bvp import ProblemSpec, SolveOptions, classify_sign, multi_start_solve
+from .critical import eta_star_lower_bound, picone_polynomial_check, power_weight_lam1
 from .errors import InvalidConfig, PlapError
 from .functions import DiscreteFunction, Weight, weight_values, weighted_power_integral
 
@@ -57,6 +57,9 @@ _NEGATIVE = frozenset({"negative"})
 # relative guard band around the computed principal eigenvalue inside which
 # binding regions stay silent (the eigenvalue itself is known to solver tol)
 _LAM1_MARGIN = 1e-6
+# on 2D sweeps, the sign class is also taken without the vertices within this
+# fraction of the diameter of the boundary (interior-only claims)
+_INTERIOR_MARGIN = 0.1
 
 
 @dataclass
@@ -147,7 +150,6 @@ class RegionMap:
 class SweepOptions:
     solve_opts: SolveOptions = field(default_factory=SolveOptions)
     predictions: bool = True
-    interior_margin: float = 0.1
     lam1_override: float | None = None
 
 
@@ -365,9 +367,8 @@ def _eta_threshold_closures(template, lam1, pair=None):
 
     Uses the closed-form bound, which needs min f > 0 and a nontrivial clamped
     weight; returns (pos, neg) callables or None where unavailable.  pair is
-    the principal eigenpair for template.m, if known: a clamped weight with
-    the same nodal values as m (m = a = 1, say) reuses its eigenvalue, which
-    principal_eigenpair would recompute bit for bit from those values.
+    the principal eigenpair for template.m, if known: a power weight with m's
+    nodal values (m = a = 1, say) reuses its eigenvalue (power_weight_lam1).
     """
     mesh = template.mesh
     f_vals = weight_values(template.f, mesh)
@@ -375,21 +376,17 @@ def _eta_threshold_closures(template, lam1, pair=None):
     c_f = float(np.min(f_vals))
     if c_f <= 0 or not math.isfinite(lam1):
         return None, None
-    from .eigen import principal_eigenpair
+    known = None if pair is None else (weight_values(template.m, mesh), pair.lam)
 
     def side(clamped):
-        power = clamped ** ((template.p - 1.0) / (template.q - 1.0))
-        if not np.any(power[mesh.interior_vertices] > 0):
+        lam1_w = power_weight_lam1(mesh, clamped, template.p, template.q, known)
+        if math.isinf(lam1_w):
             return lambda lam: math.inf  # empty admissible cone: critical value infinite
-        if pair is not None and np.array_equal(power, weight_values(template.m, mesh)):
-            lam1_w = pair.lam
-        else:
-            lam1_w = principal_eigenpair(mesh, Weight.nodal(power), template.p).lam
 
-        def bound(lam, _l1w=lam1_w):
+        def bound(lam):
             if lam >= lam1:
                 return 0.0
-            return eta_star_lower_bound(c_f, template.p, template.q, max(lam, 0.0), lam1, _l1w)
+            return eta_star_lower_bound(c_f, template.p, template.q, max(lam, 0.0), lam1, lam1_w)
 
         return bound
 
@@ -468,12 +465,8 @@ def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
                     )
             classes = sorted({o.sign_class for o in ms.outcomes})
             margin_classes = None
-            if mesh.dimension == 2 and opts.interior_margin > 0:
-                from .bvp import classify_sign
-
-                margin_classes = sorted(
-                    {classify_sign(o.u, margin=opts.interior_margin) for o in ms.outcomes}
-                )
+            if mesh.dimension == 2:
+                margin_classes = sorted({classify_sign(o.u, margin=_INTERIOR_MARGIN) for o in ms.outcomes})
             predicted = [pr.id for pr in binding if pr.region(lam, eta)]
             consistent = None
             if predicted:

@@ -40,6 +40,16 @@ def test_eigen_roundtrip(tmp_path):
     assert report["config"]["seed"] == 11
 
 
+def test_eigen_below_p_2(tmp_path):
+    cfg = config("eigen")
+    cfg.update(p=1.5, q=1.2)
+    cfg["domain"]["resolution"] = 256
+    proc = run_cli("eigen", cfg, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "eigen_report.json").read_text())
+    assert abs(report["result"]["lam"] - 5.318718) < 1e-3  # (p-1) pi_p^p at p = 1.5
+
+
 def test_eigen_negative_and_subdomain(tmp_path):
     cfg = config("eigen", negative=True)
     cfg["weights"]["m"] = -1.0
