@@ -19,15 +19,17 @@ then the regularizations downward to their floors.  Two smoothings are used:
     for q < 2 the raw power has unbounded slope at u = 0 (dead cores).
 
 Each rung runs fem.newton, the damped-Newton loop the eigensolver's inner
-solve shares: the step halves, t = 1, 1/2, 1/4, ..., until a trial passes
-the Armijo test on the squared residual norm,
-||r_trial||^2 <= (1 - 2e-4 t) ||r||^2, and the loop ends on one of the
-reasons fem.newton names: converged (||r|| <= the rung's tolerance
-* (1 + size of the right-hand side)), stalled, line_search, max_newton or
-singular.  A rung has stalled when the trial that passed Armijo lowers
-||r||^2 by less than the relative STALL_DECREASE = 1e-5; that trial is not
-taken.  Armijo alone asks for 2e-4 t, so only steps damped below t ~ 0.05
-can trip this test (Dennis & Schnabel 1996, section 6.3 and A6.3.1).
+solve shares: each line search tries t = 1, 1/2, 1/4, ... and takes the
+first trial that passes the Armijo test on the squared residual norm,
+||r_trial||^2 <= (1 - 2e-4 t) ||r||^2 (fem.newton evaluates the trials in
+stacked chunks, as many as the last search needed, with the result of a
+search that tries one t at a time).  The loop ends on one of the reasons
+fem.newton names: converged (||r|| <= the rung's tolerance * (1 + size of
+the right-hand side)), stalled, line_search, max_newton or singular.  A
+rung has stalled when the trial that passed Armijo lowers ||r||^2 by less
+than the relative STALL_DECREASE = 1e-5; that trial is not taken.  Armijo
+alone asks for 2e-4 t, so only steps damped below t ~ 0.05 can trip this
+test (Dennis & Schnabel 1996, section 6.3 and A6.3.1).
 
 Every reason but converged ends the rung at its last accepted iterate, which
 warm-starts the next rung; on the final rung solve raises NonConvergence
@@ -39,9 +41,13 @@ starts): without it, 41 rungs accepted steps at t <= 2^-14 and none of them
 converged, yet they made 27,067 of the grid's 30,226 residual evaluations;
 with it the grid makes 7,314, the same 10 starts fail (a median of 299
 evaluations each instead of 2,242) and each cell finds the same solutions.
-A t floor of 1e-6 instead would cut converging rungs: one 1D f = 1 rung
-needs t = 2^-32.  (The eigensolver's inner solve runs the loop with the
-test off: its problem is strictly convex, so ||r||^2 has no stall to catch.)
+These figures count trials, one residual evaluation each.  Since a search
+evaluates its trials in chunks, the grid (with the rung store below) makes
+1,898 residual calls for 741 Newton iterations, where one call per trial
+made 6,053.  A t floor of 1e-6 instead would cut converging rungs: one 1D
+f = 1 rung needs t = 2^-32.  (The eigensolver's inner solve runs the loop
+with the test off: its problem is strictly convex, so ||r||^2 has no stall
+to catch.)
 
 The ladder's first rungs do not read eta: the lam rungs and (lam, 0) at the
 first smoothing, the unperturbed problem the eta term is switched on from.
@@ -294,7 +300,8 @@ class _NewtonDriver:
         """The residual on the free vertices at one rung, as res(values, values[free]).
 
         lam*lump*m and eta*lump*a are formed here, once per rung, and the
-        zeroth-order powers share s^2 + eps_s^2.
+        zeroth-order powers share s^2 + eps_s^2.  A (rows, n_vertices) stack
+        gives one C-ordered residual row per row, each bit for bit that row's.
         """
         spec, free = self.spec, self.free
         coef_m = (lam * self.lump * self.m_vals)[free]
@@ -302,7 +309,7 @@ class _NewtonDriver:
         exponents = (spec.p, spec.q) if eta != 0.0 else (spec.p,)
 
         def res(vals, s):
-            r = fem.p_flux(spec.mesh, vals, spec.p, eps_g)[free]
+            r = fem.p_flux(spec.mesh, vals, spec.p, eps_g).take(free, axis=-1)
             powers = _odd_powers(s, eps_s, exponents)
             r -= coef_m * powers[0]
             if eta != 0.0:

@@ -158,7 +158,7 @@ class _InnerSolver:
         shift_free = shift * lump[free]
 
         def res(vals, s):
-            r = fem.p_flux(mesh, vals, p, eps)[free] - load_free
+            r = fem.p_flux(mesh, vals, p, eps).take(free, axis=-1) - load_free
             if shift:
                 r += shift_free * fem.smoothed_odd_power(s, p, _EPS_ZERO)
             return r

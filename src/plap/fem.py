@@ -25,7 +25,24 @@ use: it keeps each local vertex's column of the cell array and each hat
 gradient coefficient as contiguous arrays, so grad u, G g and |g|^2 are
 (d+1) d multiply-adds on vectors of length n_cells.  The kernel and p_flux
 also take a stack of functions, one per row, with the same arithmetic per
-row as a call on that row alone.
+row as a call on that row alone.  A stack shares one pass's per-call
+overhead among its rows (newton's line search stacks its trials), until the
+pass's temporaries outgrow the cache.  Time per row of one stacked pass at
+p = 3 against a call on one vector, in microseconds (same machine, one
+thread, best of 7, one run on a shared host):
+
+    mesh     cells   vector   2 rows    4     8    16    32
+    n=256      256     27       21     12     8     6     5
+    n=1024    1024     40       31     23    19    18    31
+    n=4096    4096     63       75     75    79   191   196
+    24^2      1152     74       62     48    40    34    39
+    48^2      4608    191      157    156   162   152   254
+    64^2      8192    264      243    314   300   286   549
+
+Beyond about 2^14 rows x cells (2 MB of L2 per core here) a row costs as
+much as a call on it alone or more, so p_flux runs a stack in passes of at
+most MAX_STACK_CELLS // n_cells rows: 64 at n = 256, 14 on 24^2, 2 on 64^2,
+and one row at a time above 2^14 cells.
 
 The storage follows the half-bandwidth b of the free-vertex numbering.  When
 b <= MAX_BAND it is LAPACK band storage, factored once by gbtrf and solved by
@@ -68,6 +85,7 @@ that factors once for a few solves gains there.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 
 import numpy as np
@@ -142,6 +160,7 @@ class Gradients:
         self.coefficients = tuple(
             tuple(np.ascontiguousarray(mesh.cell_gradients[:, i, k]) for k in range(d)) for i in range(d + 1)
         )
+        self._stack_index = np.empty((0, self.cells.size), dtype=np.int64)
 
     def gradient(self, values):
         """(d, ..., n_cells) array: row k holds the k-th component of grad u on every cell.
@@ -152,7 +171,9 @@ class Gradients:
         if values.ndim == 1:
             local = [values[col] for col in self.columns]
         else:
-            local = [values[:, col] for col in self.columns]
+            # take gives C-ordered rows; values[:, col] is F-ordered, and
+            # broadcasting a coefficient along its strided rows costs twice as much
+            local = [values.take(col, axis=1) for col in self.columns]
         g = np.empty((len(self.coefficients[0]),) + local[0].shape)
         for k, row in enumerate(g):
             np.multiply(local[0], self.coefficients[0][k], out=row)
@@ -185,12 +206,17 @@ class Gradients:
 
         A (rows, n_cells, d+1) stack gives a (rows, n_vertices) array from one
         bincount over row-offset vertex indices: each row's bins see the same
-        terms in the same order as a call on that row alone.
+        terms in the same order as a call on that row alone.  The offset
+        indices of the largest stack so far are kept; a smaller stack uses
+        their first rows.
         """
         if per_cell.ndim == 2:
             return np.bincount(self.cells.ravel(), weights=per_cell.ravel(), minlength=self.n_vertices)
         rows = len(per_cell)
-        index = np.arange(0, rows * self.n_vertices, self.n_vertices)[:, None] + self.cells.ravel()
+        if len(self._stack_index) < rows:
+            offsets = np.arange(0, rows * self.n_vertices, self.n_vertices)
+            self._stack_index = offsets[:, None] + self.cells.ravel()
+        index = self._stack_index[:rows]
         sums = np.bincount(index.ravel(), weights=per_cell.ravel(), minlength=rows * self.n_vertices)
         return sums.reshape(rows, self.n_vertices)
 
@@ -217,15 +243,28 @@ def _cell_terms(kernel, values, eps):
     return g, g2
 
 
+# most cells one pass of a stacked p_flux evaluates (rows x cells); see the module docstring
+MAX_STACK_CELLS = 2**14
+
+
 def p_flux(mesh, values, p, eps=0.0):
     """Vector with entries sum_T vol_T kappa(grad u) grad u . grad hat_i, all vertices.
 
     With eps = 0 this is the exact discrete p-Laplacian pairing; the i-th entry
     is the gradient part of the weak residual at vertex i.  values of shape
     (rows, n_vertices) give one such vector per row, each bit for bit the
-    vector of that row alone.
+    vector of that row alone; the rows go through the kernel in passes of at
+    most MAX_STACK_CELLS // n_cells rows, one row at a time when that is 1.
     """
     kernel = gradients(mesh)
+    rows = max(1, MAX_STACK_CELLS // len(mesh.cells))
+    if values.ndim == 1 or len(values) <= rows:
+        return _p_flux(kernel, mesh.cell_volumes, values, p, eps)
+    parts = values if rows == 1 else [values[i : i + rows] for i in range(0, len(values), rows)]
+    return np.vstack([_p_flux(kernel, mesh.cell_volumes, part, p, eps) for part in parts])
+
+
+def _p_flux(kernel, volumes, values, p, eps):
     g, g2 = _cell_terms(kernel, values, eps)
     if eps == 0.0 and p < 2:
         # |z|^{p-2} z is continuous with value 0 at z = 0; force that limit.
@@ -234,7 +273,7 @@ def p_flux(mesh, values, p, eps=0.0):
         kappa[nz] = g2[nz] ** (0.5 * (p - 2))
     else:
         kappa = g2 ** (0.5 * (p - 2))
-    return kernel.scatter(kernel.pairings(g, mesh.cell_volumes * kappa))
+    return kernel.scatter(kernel.pairings(g, volumes * kappa))
 
 
 # widest half-bandwidth kept in LAPACK band storage; see the module docstring
@@ -500,9 +539,11 @@ def newton(values, free, res, jac, op, goal, max_iter, stall):
     values holds nodal values on all vertices and is updated in place on the
     free vertices; the others never change.  res(values, values[free]) is the
     residual on free, jac(values) the stored data of its Jacobian on op, and
-    goal(values[free]) the norm at which an iterate has converged.  Returns
-    (reason, iterations, final_norm), where reason names the test that ended
-    the loop:
+    goal(values[free]) the norm at which an iterate has converged.  res also
+    takes a stack, (rows, n_vertices) values with their (rows, len(free))
+    free parts, and returns one C-ordered residual row per row, each bit for
+    bit the residual of that row alone.  Returns (reason, iterations,
+    final_norm), where reason names the test that ended the loop:
 
       * converged: ||r|| <= goal;
       * stalled: the trial that passed Armijo lowers ||r||^2 by less than the
@@ -514,12 +555,24 @@ def newton(values, free, res, jac, op, goal, max_iter, stall):
     Each iteration halves t from 1 until the trial passes Armijo,
     ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2.  Unless the loop converged,
     values hold the last accepted iterate.
+
+    The trials are evaluated in chunks: the next k step sizes t, t/2, ...,
+    t/2^(k-1) above the 1e-10 floor, as the rows of one stacked res call,
+    and the first row in order that passes Armijo is taken.  Each row's
+    residual and its dot product are those of the trial alone, so the step,
+    the tests and the values are those of a search that evaluates one trial
+    at a time; a chunk only adds trials past the accepted one.  k is the
+    number of trials the previous iteration's search needed, 1 on the first
+    iteration, so a search that backtracks as deeply as the last one costs
+    one call, where most of a call on a few hundred vertices is per-call
+    overhead.  A one-row chunk calls res on the vector.
     """
     s = values[free]
     r = res(values, s)
     rn = float(np.linalg.norm(r))
     tol = goal(s)
-    trial = values.copy()  # line-search buffer; its fixed vertices never change
+    trial = values.copy()  # one-row buffer; its fixed vertices never change
+    width = 1
     for it in range(max_iter):
         if rn <= tol:
             return "converged", it, rn
@@ -529,20 +582,39 @@ def newton(values, free, res, jac, op, goal, max_iter, stall):
         except SingularJacobian:
             return "singular", it, rn
         merit0 = rn * rn
-        t = 1.0
-        while t > 1e-10:
-            s_trial = s + t * step
-            trial[free] = s_trial
-            r_trial = res(trial, s_trial)
+        for tried, (t, s_trial, r_trial) in enumerate(_trials(trial, free, res, s, step, width), 1):
             merit = float(np.dot(r_trial, r_trial))
             if merit <= (1.0 - 2e-4 * t) * merit0:
                 break
-            t *= 0.5
         else:
             return "line_search", it + 1, rn
+        width = tried
         if merit > (1.0 - stall) * merit0:
             return "stalled", it + 1, rn
         values[free] = s = s_trial
-        r, rn = r_trial, float(np.linalg.norm(r_trial))
+        r, rn = r_trial, math.sqrt(merit)  # np.linalg.norm of a vector is sqrt(r.dot(r))
         tol = goal(s)
     return ("converged" if rn <= tol else "max_newton"), max_iter, rn
+
+
+def _trials(trial, free, res, s, step, width):
+    """(t, s + t * step, its residual) for t = 1, 1/2, ... above the 1e-10 floor.
+
+    The trials are evaluated width at a time, as the rows of one res call;
+    a single t is evaluated in trial, which holds the iterate's fixed
+    vertices.
+    """
+    t = 1.0
+    while t > 1e-10:
+        sizes = [t]
+        while len(sizes) < width and sizes[-1] * 0.5 > 1e-10:
+            sizes.append(sizes[-1] * 0.5)
+        if len(sizes) == 1:
+            trial[free] = s_trial = s + t * step
+            yield t, s_trial, res(trial, s_trial)
+        else:
+            s_trials = s + np.multiply.outer(sizes, step)
+            trials = np.repeat(trial[None], len(sizes), axis=0)
+            trials[:, free] = s_trials
+            yield from zip(sizes, s_trials, res(trials, s_trials))
+        t = sizes[-1] * 0.5

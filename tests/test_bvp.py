@@ -273,12 +273,12 @@ def test_stalled_starts_fail_cheaply(interval_256, pair_p3_256, monkeypatch):
     import plap.bvp as bvp
     import plap.fem as fem
 
-    calls = [0]
+    calls = [0]  # residual evaluations: one per vector, one per row of a stack
     p_flux, solve_one = fem.p_flux, bvp.solve
 
-    def counting_p_flux(*args, **kw):
-        calls[0] += 1
-        return p_flux(*args, **kw)
+    def counting_p_flux(mesh, values, *args, **kw):
+        calls[0] += 1 if values.ndim == 1 else len(values)
+        return p_flux(mesh, values, *args, **kw)
 
     failed_evals = []
 

@@ -18,6 +18,8 @@ from plap import (
     grad_energy,
     jacobian,
 )
+from plap.bvp import _NewtonDriver
+from plap.eigen import _InnerSolver
 
 
 def dense_loop_jacobian(mesh, values, p, eps, diag, free):
@@ -212,18 +214,104 @@ def test_pattern_and_pin_match_the_previous_construction(free_set, max_band, rng
         assert np.array_equal(op.pin(data, pinned), repeat_pin(op, data, pinned))
 
 
+def _assert_stack_matches_rows(mesh, p, eps, rows, rng):
+    values = rng.standard_normal((rows, mesh.n_vertices))
+    values[-1, :] = 0.0  # a row with zero gradients, where p < 2 takes the limit
+    for _ in range(2):  # the second call reuses the stack's cached scatter index
+        stacked = fem.p_flux(mesh, values, p, eps)
+        assert stacked.shape == values.shape
+        for row, want in zip(values, stacked):
+            assert np.array_equal(fem.p_flux(mesh, row, p, eps), want)
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize(
     "mesh", [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 5, 5)], ids=["n12", "5x5"]
 )
 def test_stacked_p_flux_matches_each_row(mesh, p, eps, rng):
-    values = rng.standard_normal((4, mesh.n_vertices))
-    values[1, :] = 0.0  # a row with zero gradients, where p < 2 takes the limit
-    stacked = fem.p_flux(mesh, values, p, eps)
-    assert stacked.shape == values.shape
-    for row, want in zip(values, stacked):
-        assert np.array_equal(fem.p_flux(mesh, row, p, eps), want)
+    _assert_stack_matches_rows(mesh, p, eps, 4, rng)
+
+
+# the 66 x 3 strip is the grid whose interior operator is CSC (beyond fem.MAX_BAND)
+STACK_MESHES = pytest.mark.parametrize(
+    "mesh",
+    [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 5, 5), build_rectangle(0.0, 4.0, 0.0, 1.0, 66, 3)],
+    ids=["n12", "5x5", "66x3"],
+)
+
+
+@pytest.mark.parametrize("rows_per_pass", [None, 4, 1])
+@pytest.mark.parametrize("rows", [1, 2, 13])
+@STACK_MESHES
+def test_stacks_of_1_2_and_13_rows_match_each_row(mesh, rows, rows_per_pass, rng, monkeypatch):
+    if rows_per_pass is not None:  # else every stack here fits one pass of the kernel
+        monkeypatch.setattr(fem, "MAX_STACK_CELLS", rows_per_pass * len(mesh.cells))
+    for p in (1.5, 3.0):
+        for eps in (0.0, 1e-2):
+            _assert_stack_matches_rows(mesh, p, eps, rows, rng)
+
+
+def _closure_stack(mesh, rng, rows=5):
+    """rows random nodal functions, zero on the boundary, and their free parts."""
+    free = mesh.interior_vertices
+    values = np.zeros((rows, mesh.n_vertices))
+    values[:, free] = rng.standard_normal((rows, len(free)))
+    return values, values[:, free]
+
+
+def _assert_rows(res, values, s):
+    stacked = res(values, s)
+    assert stacked.flags.c_contiguous  # fem.newton takes each row's BLAS dot as a single trial's
+    for k, want in enumerate(stacked):
+        assert np.array_equal(res(values[k], s[k]), want)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.4])
+@pytest.mark.parametrize("eps_s", [0.0, 1e-3])
+@STACK_MESHES
+def test_bvp_residual_closure_on_a_stack_equals_its_rows(mesh, eps_s, eta, rng):
+    spec = ProblemSpec(mesh, 3.0, 1.5, 7.0, eta, Weight.constant(1.0), Weight.expression("x - 0.3"), Weight.constant(1.0))
+    _assert_rows(_NewtonDriver(spec).residual(7.0, eta, 1e-2, eps_s), *_closure_stack(mesh, rng))
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.5])
+@STACK_MESHES
+def test_eigen_residual_closure_on_a_stack_equals_its_rows(mesh, shift, rng, monkeypatch):
+    closures = []
+    newton = fem.newton
+
+    def keep(values, free, res, *args):
+        closures.append(res)
+        return newton(values, free, res, *args)
+
+    monkeypatch.setattr(fem, "newton", keep)
+    free = mesh.interior_vertices
+    solver = _InnerSolver(mesh, 3.0, free, shift)
+    load = rng.random(len(free)) * mesh.lumped_volumes[free]
+    solver.solve(load, np.zeros(mesh.n_vertices), 1e-6)
+    _assert_rows(closures[0], *_closure_stack(mesh, rng))
+
+
+def test_stack_index_holds_only_arrays_and_dies_with_its_mesh(rng):
+    mesh = build_rectangle(0.0, 1.0, 0.0, 1.0, 4, 4)
+    kernel = fem.gradients(mesh)
+    fem.p_flux(mesh, rng.standard_normal((6, mesh.n_vertices)), 3.0, 1e-2)
+    assert len(kernel._stack_index) == 6
+    fem.p_flux(mesh, rng.standard_normal((3, mesh.n_vertices)), 3.0, 1e-2)
+    assert len(kernel._stack_index) == 6  # a smaller stack uses the first rows
+
+    def arrays(value):
+        if isinstance(value, tuple):
+            return all(arrays(v) for v in value)
+        return isinstance(value, (np.ndarray, int))
+
+    assert all(arrays(value) for value in vars(kernel).values())
+    mesh_ref, kernel_ref = weakref.ref(mesh), weakref.ref(kernel)
+    del mesh, kernel
+    gc.collect()
+    assert mesh_ref() is None
+    assert kernel_ref() is None
 
 
 def test_cached_operator_dies_with_its_mesh():
