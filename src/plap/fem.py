@@ -25,24 +25,30 @@ use: it keeps each local vertex's column of the cell array and each hat
 gradient coefficient as contiguous arrays, so grad u, G g and |g|^2 are
 (d+1) d multiply-adds on vectors of length n_cells.  The kernel and p_flux
 also take a stack of functions, one per row, with the same arithmetic per
-row as a call on that row alone.  A stack shares one pass's per-call
-overhead among its rows (newton's line search stacks its trials), until the
-pass's temporaries outgrow the cache.  Time per row of one stacked pass at
-p = 3 against a call on one vector, in microseconds (same machine, one
-thread, best of 7, one run on a shared host):
+row as a call on that row alone.  A stack shares one call's overhead among
+its rows (newton's line search stacks its trials).  Time per row of one
+stacked call at p = 3 against a call on one vector, in microseconds (one
+thread, best of 7, the lower of two runs on a shared 2-core Xeon host with
+2 MB of L2 per core):
 
-    mesh     cells   vector   2 rows    4     8    16    32
-    n=256      256     27       21     12     8     6     5
-    n=1024    1024     40       31     23    19    18    31
-    n=4096    4096     63       75     75    79   191   196
-    24^2      1152     74       62     48    40    34    39
-    48^2      4608    191      157    156   162   152   254
-    64^2      8192    264      243    314   300   286   549
+    mesh     cells   vector   1 row   2 rows    4     8    16    32
+    n=256      256     24       32      20     12     6     6     4
+    n=1024    1024     33       41      31     21    18    18    36
+    n=4096    4096     76       73      82     77    80   191   236
+    24^2      1152     76       91      66     50    43    40    40
+    48^2      4608    171      164     133    138   169   178   344
+    64^2      8192    322      324     321    304   303   345   613
 
-Beyond about 2^14 rows x cells (2 MB of L2 per core here) a row costs as
-much as a call on it alone or more, so p_flux runs a stack in passes of at
-most MAX_STACK_CELLS // n_cells rows: 64 at n = 256, 14 on 24^2, 2 on 64^2,
-and one row at a time above 2^14 cells.
+A stack of one costs more than the vector call on the meshes of a few
+hundred cells where the per-call overhead dominates, so newton evaluates a
+single trial as a vector.  newton's chunks hold at most 34 rows, the step
+sizes above its 1e-10 floor; on the benchmark's sweep grids (the n = 256
+interval and the 24^2 square) they reach 19 and 18 rows, where every stack
+of two or more rows pays.  Past about 2^14 rows x cells a stack's
+temporaries outgrow L2 and a row costs as much as a vector call or more
+(n = 4096 and 48^2 from 16 rows).  No search stacks there in the benchmark:
+the eigensolver's inner solve at n = 4096 takes full steps, one vector per
+search.  So p_flux evaluates every stack in one call.
 
 The storage follows the half-bandwidth b of the free-vertex numbering.  When
 b <= MAX_BAND it is LAPACK band storage, factored once by gbtrf and solved by
@@ -243,28 +249,15 @@ def _cell_terms(kernel, values, eps):
     return g, g2
 
 
-# most cells one pass of a stacked p_flux evaluates (rows x cells); see the module docstring
-MAX_STACK_CELLS = 2**14
-
-
 def p_flux(mesh, values, p, eps=0.0):
     """Vector with entries sum_T vol_T kappa(grad u) grad u . grad hat_i, all vertices.
 
     With eps = 0 this is the exact discrete p-Laplacian pairing; the i-th entry
     is the gradient part of the weak residual at vertex i.  values of shape
     (rows, n_vertices) give one such vector per row, each bit for bit the
-    vector of that row alone; the rows go through the kernel in passes of at
-    most MAX_STACK_CELLS // n_cells rows, one row at a time when that is 1.
+    vector of that row alone.
     """
     kernel = gradients(mesh)
-    rows = max(1, MAX_STACK_CELLS // len(mesh.cells))
-    if values.ndim == 1 or len(values) <= rows:
-        return _p_flux(kernel, mesh.cell_volumes, values, p, eps)
-    parts = values if rows == 1 else [values[i : i + rows] for i in range(0, len(values), rows)]
-    return np.vstack([_p_flux(kernel, mesh.cell_volumes, part, p, eps) for part in parts])
-
-
-def _p_flux(kernel, volumes, values, p, eps):
     g, g2 = _cell_terms(kernel, values, eps)
     if eps == 0.0 and p < 2:
         # |z|^{p-2} z is continuous with value 0 at z = 0; force that limit.
@@ -273,7 +266,7 @@ def _p_flux(kernel, volumes, values, p, eps):
         kappa[nz] = g2[nz] ** (0.5 * (p - 2))
     else:
         kappa = g2 ** (0.5 * (p - 2))
-    return kernel.scatter(kernel.pairings(g, volumes * kappa))
+    return kernel.scatter(kernel.pairings(g, mesh.cell_volumes * kappa))
 
 
 # widest half-bandwidth kept in LAPACK band storage; see the module docstring
@@ -565,7 +558,8 @@ def newton(values, free, res, jac, op, goal, max_iter, stall):
     number of trials the previous iteration's search needed, 1 on the first
     iteration, so a search that backtracks as deeply as the last one costs
     one call, where most of a call on a few hundred vertices is per-call
-    overhead.  A one-row chunk calls res on the vector.
+    overhead.  A one-row chunk calls res on the vector, which costs less
+    than a stack of one (the table in the module docstring).
     """
     s = values[free]
     r = res(values, s)

@@ -241,12 +241,9 @@ STACK_MESHES = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("rows_per_pass", [None, 4, 1])
 @pytest.mark.parametrize("rows", [1, 2, 13])
 @STACK_MESHES
-def test_stacks_of_1_2_and_13_rows_match_each_row(mesh, rows, rows_per_pass, rng, monkeypatch):
-    if rows_per_pass is not None:  # else every stack here fits one pass of the kernel
-        monkeypatch.setattr(fem, "MAX_STACK_CELLS", rows_per_pass * len(mesh.cells))
+def test_stacks_of_1_2_and_13_rows_match_each_row(mesh, rows, rng):
     for p in (1.5, 3.0):
         for eps in (0.0, 1e-2):
             _assert_stack_matches_rows(mesh, p, eps, rows, rng)

@@ -1,19 +1,27 @@
-"""fem.newton, whose line search evaluates its trials in chunks, against the serial loop.
+"""fem.newton, whose line search evaluates its trials in chunks, against serial loops.
+
+_reference_rung is the loop bvp._NewtonDriver.newton ran before the loop
+moved to fem.newton, kept verbatim as the reference: it builds the rung's
+residual, Jacobian, goal and stall test from the driver itself.  Every rung
+of the census solves runs through both, from the same values, and must
+return the same (reason, iterations, norm) and the same nodal values bit for
+bit.
 
 _serial_newton is the loop fem.newton ran before its line search evaluated
-trials in chunks: one residual call per trial, t = 1, 1/2, 1/4, ...  It is
-the loop bvp._NewtonDriver.newton ran before it moved to fem.newton, with the
-rung's residual, Jacobian and goal passed in.  _Both stands in for
-fem.newton: every call runs the serial loop on a copy of the values and
-fem.newton on the values themselves, and they must return the same
-(reason, iterations, norm) and the same nodal values bit for bit.  It keeps
-each call's trials per search (serial) and rows per residual call (chunked).
+trials in chunks: one residual call per trial, t = 1, 1/2, 1/4, ..., with
+the caller's residual, Jacobian and goal passed in.  _checked stands in for
+fem.newton with _Both, which runs the serial loop on a copy of the values
+and fem.newton on the values themselves and keeps each call's trials per
+search (serial) and rows per residual call (chunked); it also checks each
+BVP rung against _reference_rung.  The eigensolver's inner solve, which has
+no BVP rung, is checked against _serial_newton alone.
 
 The solves are census cells (tests/test_census.py: p = 3, q = 1.5, m = 1)
 from starts whose rungs end in every reason fem.newton names, the
 eigensolver's inner solve, and random small problems.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -32,10 +40,46 @@ from plap import (
     principal_eigenpair,
     solve,
 )
-from plap.bvp import _NewtonDriver
+from plap.bvp import STALL_DECREASE, _NewtonDriver
 from plap.errors import PlapError, SingularJacobian
 
 P, Q = 3.0, 1.5
+
+
+def _reference_rung(driver, values, lam, eta, eps_g, eps_s, tol, max_iter):
+    free = driver.free
+    res = driver.residual(lam, eta, eps_g, eps_s)
+    s = values[free]
+    r = res(values, s)
+    rn = float(np.linalg.norm(r))
+    goal = tol * driver._scale(s, lam, eta)
+    trial = values.copy()
+    for it in range(max_iter):
+        if rn <= goal:
+            return "converged", it, rn
+        J = driver.jacobian(values, lam, eta, eps_g, eps_s)
+        try:
+            step = fem.solve_sparse(driver.op, J, -r)
+        except SingularJacobian:
+            return "singular", it, rn
+        merit0 = rn * rn
+        t = 1.0
+        while t > 1e-10:
+            s_trial = s + t * step
+            trial[free] = s_trial
+            r_trial = res(trial, s_trial)
+            merit = float(np.dot(r_trial, r_trial))
+            if merit <= (1.0 - 2e-4 * t) * merit0:
+                break
+            t *= 0.5
+        else:
+            return "line_search", it + 1, rn
+        if merit > (1.0 - STALL_DECREASE) * merit0:
+            return "stalled", it + 1, rn
+        values[free] = s = s_trial
+        r, rn = r_trial, float(np.linalg.norm(r_trial))
+        goal = tol * driver._scale(s, lam, eta)
+    return ("converged" if rn <= goal else "max_newton"), max_iter, rn
 
 
 def _serial_newton(values, free, res, jac, op, goal, max_iter, stall):
@@ -118,11 +162,36 @@ class _Both:
         return got
 
 
-@pytest.fixture()
-def both(monkeypatch):
+def _against_reference(rung):
+    """rung, checked against _reference_rung from a copy of the same values."""
+
+    def checked(driver, values, *args):
+        expected_values = values.copy()
+        expected = _reference_rung(driver, expected_values, *args)
+        got = rung(driver, values, *args)
+        assert got == expected, args
+        assert values.tobytes() == expected_values.tobytes(), args
+        return got
+
+    return checked
+
+
+@contextlib.contextmanager
+def _checked():
+    """fem.newton against _serial_newton, and every BVP rung against _reference_rung."""
     check = _Both()
-    monkeypatch.setattr(fem, "newton", check)
-    return check
+    newton, rung = fem.newton, _NewtonDriver.newton
+    fem.newton, _NewtonDriver.newton = check, _against_reference(rung)
+    try:
+        yield check
+    finally:
+        fem.newton, _NewtonDriver.newton = newton, rung
+
+
+@pytest.fixture()
+def both():
+    with _checked() as check:
+        yield check
 
 
 # (grid, lam / lam1, eta, a, f, start as a multiple of phi1 or "zero", newton_tol)
@@ -161,10 +230,31 @@ def _solve_case(pairs, grid, lam_frac, eta, a_src, f_src, start, tol):
         pass
 
 
-def test_fem_newton_matches_the_reference_rung_loop(pairs, both):
-    for case in CASES:
-        _solve_case(pairs, *case)
-    assert {"converged", "stalled", "line_search", "max_newton"} <= {outcome[0] for outcome, _, _ in both.rungs}
+def test_fem_newton_matches_the_reference_rung_loop(interval_256, pair_p3_256, square_24, monkeypatch):
+    one = Weight.constant(1.0)
+    pairs = {"1d": (interval_256, pair_p3_256), "2d": (square_24, principal_eigenpair(square_24, one, P))}
+    rung = _NewtonDriver.newton
+    reasons = []
+
+    def both(driver, values, *args):
+        expected_values = values.copy()
+        expected = _reference_rung(driver, expected_values, *args)
+        got = rung(driver, values, *args)
+        assert got == expected, args
+        assert values.tobytes() == expected_values.tobytes(), args
+        reasons.append(got[0])
+        return got
+
+    monkeypatch.setattr(_NewtonDriver, "newton", both)
+    for grid, lam_frac, eta, a_src, f_src, start, tol in CASES:
+        mesh, pair = pairs[grid]
+        spec = ProblemSpec(mesh, P, Q, lam_frac * pair.lam, eta, one, _weight(a_src), _weight(f_src))
+        init = "zero" if start == "zero" else start * pair.phi.values
+        try:
+            solve(spec, init, SolveOptions(newton_tol=tol, lam1=pair.lam))
+        except NonConvergence:
+            pass
+    assert {"converged", "stalled", "line_search", "max_newton"} <= set(reasons)
 
 
 def test_deep_backtracking_rung_is_the_serial_one(pairs, both):
@@ -232,12 +322,9 @@ def test_chunked_search_is_the_serial_search(mesh_key, p, lam, eta, modes):
     for k, amplitude in modes:
         start += amplitude * np.prod(np.sin(k * math.pi * x), axis=1)
     one = Weight.constant(1.0)
-    check = _Both()
-    real, fem.newton = fem.newton, check
-    try:
-        solve(ProblemSpec(mesh, p, (1.0 + p) / 2, lam, eta, one, one, one), start, SolveOptions(max_newton=30))
-    except PlapError:
-        pass
-    finally:
-        fem.newton = real
+    with _checked() as check:
+        try:
+            solve(ProblemSpec(mesh, p, (1.0 + p) / 2, lam, eta, one, one, one), start, SolveOptions(max_newton=30))
+        except PlapError:
+            pass
     assert check.rungs
