@@ -206,7 +206,7 @@ def jacobian(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
     return driver.op.matrix(driver.jacobian(u.values, spec.lam, spec.eta, eps_grad, eps_zero))
 
 
-def classify_sign(u, boundary_excluded=True, margin=0.0):
+def classify_sign(u, margin=0.0):
     """Sign class of a DiscreteFunction from its interior nodal values.
 
     Thresholds: zero iff sup <= 1e-12; strict sign iff every interior value
@@ -215,7 +215,7 @@ def classify_sign(u, boundary_excluded=True, margin=0.0):
     the boundary are dropped first (interior-only claims).
     """
     mesh = u.mesh
-    idx = mesh.interior_vertices if boundary_excluded else np.arange(mesh.n_vertices)
+    idx = mesh.interior_vertices
     if margin > 0.0:
         dist = mesh.distance_to_boundary()
         idx = idx[dist[idx] >= margin * mesh.diameter()]

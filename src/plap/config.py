@@ -12,19 +12,21 @@ A config names the domain, exponents, weights, the mode and its parameters:
       "output": {"dir": ".", "csv": "sweep.csv", "report": "report.json"}
     }
 
+Every level has a table of its fields, name -> (check, default), and
+_check_fields validates an object against it: an unknown key is an error, and
+an omitted key reads as its default, checked like a given value (None stays
+None).  The top level picks its table, and so the MODE_PARAMS table of
+mode_params, by "mode"; the domain and a weight object pick theirs by "kind".
+Every error names the field path, e.g. mode_params.family[0].radius.
+
 Weights may be numbers (constants), strings (expressions over x, y), or
 objects: {"kind": "nodal", "values": [...]} / {"kind": "nodal", "path": ...}
 (a JSON file holding the value list) / {"kind": "constant", "value": c} /
-{"kind": "expression", "src": ...}; an optional "gamma" key carries the
-integrability exponent as metadata.  Every number must be finite, and a bool
-is never read as a number.
-
-Each mode accepts the mode_params keys listed in its MODE_PARAMS table, with
-their types, ranges and defaults; an unknown key is an error.  parse_config
-hands the runners the validated, defaulted values in RunConfig.mode_params.
-Every error names the offending field path, e.g. mode_params.family[0].radius.
-The report echo carries the parsed domain, exponents, seed and output block,
-and the weights and mode_params exactly as given.  Seeds default to a fixed
+{"kind": "expression", "src": ...}, with an optional "gamma" >= 1 that is
+only echoed.  Numbers must be finite, and a bool is never read as a number;
+build_mesh checks that expression weights are finite at every vertex.  The
+report echo carries the parsed domain, exponents, seed and output block, and
+the weights and mode_params exactly as given.  Seeds default to a fixed
 constant so bare runs reproduce.
 """
 
@@ -60,10 +62,11 @@ class RunConfig:
 
 
 def _fail(path, reason):
-    raise InvalidConfig(f"{path}: {reason}")
+    # the top level's path is "", so its fields' paths start with a dot
+    raise InvalidConfig(f"{path.removeprefix('.') or '<root>'}: {reason}")
 
 
-def _require_number(obj, path, low=None, high=None):
+def _require_number(obj, path, low=None):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         _fail(path, f"expected a number, got {type(obj).__name__}")
     try:
@@ -74,31 +77,38 @@ def _require_number(obj, path, low=None, high=None):
         _fail(path, f"must be finite, got {val}")
     if low is not None and val < low:
         _fail(path, f"must be >= {low}, got {val}")
-    if high is not None and val > high:
-        _fail(path, f"must be <= {high}, got {val}")
     return val
-
-
-def _require_int(obj, path, low=None):
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        _fail(path, f"expected an integer, got {type(obj).__name__}")
-    if low is not None and obj < low:
-        _fail(path, f"must be >= {low}, got {obj}")
-    return obj
 
 
 _REQUIRED = object()  # default of a field that has none
 
 
-def _positive(obj, path):
-    val = _require_number(obj, path)
-    if val <= 0:
-        _fail(path, f"must be positive, got {val}")
-    return val
+def _given(obj, path):
+    return obj
+
+
+def _above(low):
+    def check(obj, path):
+        val = _require_number(obj, path)
+        if val <= low:
+            _fail(path, f"must exceed {low}, got {val}")
+        return val
+
+    return check
+
+
+_positive = _above(0)
 
 
 def _count(low):
-    return lambda obj, path: _require_int(obj, path, low=low)
+    def check(obj, path):
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            _fail(path, f"expected an integer, got {type(obj).__name__}")
+        if obj < low:
+            _fail(path, f"must be >= {low}, got {obj}")
+        return obj
+
+    return check
 
 
 def _flag(obj, path):
@@ -116,6 +126,21 @@ def _choice(*allowed):
     return check
 
 
+def _path_string(obj, path):
+    if not isinstance(obj, str) or "\0" in obj:
+        _fail(path, "expected a path string")
+    return obj
+
+
+def _expression(obj, path):
+    if not isinstance(obj, str):
+        _fail(path, "expected an expression string")
+    try:
+        return parse_expr(obj)
+    except ParseError as exc:
+        _fail(path, f"bad expression: {exc}")
+
+
 def _list_of(item, nonempty=False):
     def check(obj, path):
         if not isinstance(obj, list) or (nonempty and not obj):
@@ -125,8 +150,42 @@ def _list_of(item, nonempty=False):
     return check
 
 
+def _bounds(size):
+    """[x0, x1] or [x0, x1, y0, y1], each upper bound above its lower one."""
+    numbers = _list_of(_require_number)
+
+    def check(obj, path):
+        vals = list(numbers(obj, path))
+        if len(vals) != size or any(hi <= lo for lo, hi in zip(vals[::2], vals[1::2])):
+            _fail(path, f"expected {size} numbers, each upper bound above its lower one, got {vals}")
+        return vals
+
+    return check
+
+
+def _cells(obj, path):
+    """A rectangle's [nx, ny] cell counts; one integer n stands for [n, n]."""
+    counts = [obj, obj] if isinstance(obj, int) else obj
+    if not (isinstance(counts, list) and len(counts) == 2):
+        _fail(path, "expected [nx, ny] or a single integer")
+    return [_count(2)(n, f"{path}[{i}]") for i, n in enumerate(counts)]
+
+
 def _object(fields):
     return lambda obj, path: _check_fields(obj, fields, path)
+
+
+def _by_kind(tag, tables):
+    """Check an object whose tag field names the table of its fields."""
+    tables = {kind: {tag: (_given, _REQUIRED), **fields} for kind, fields in tables.items()}
+    pick = _choice(*tables)
+
+    def check(obj, path):
+        if not isinstance(obj, dict):
+            _fail(path, "expected an object")
+        return _check_fields(obj, tables[pick(obj.get(tag), f"{path}.{tag}")], path)
+
+    return check
 
 
 def _check_fields(raw, fields, path):
@@ -138,12 +197,13 @@ def _check_fields(raw, fields, path):
             _fail(f"{path}.{key}", f"unknown field; expected one of {', '.join(fields)}")
     out = {}
     for key, (check, default) in fields.items():
+        sub = f"{path}.{key}"
         if key in raw:
-            out[key] = check(raw[key], f"{path}.{key}")
+            out[key] = check(raw[key], sub)
         elif default is _REQUIRED:
-            _fail(f"{path}.{key}", "missing required field")
+            _fail(sub, "missing required field")
         else:
-            out[key] = default
+            out[key] = None if default is None else check(default, sub)
     return out
 
 
@@ -152,7 +212,7 @@ SOLVE_OPTIONS = {
     "newton_tol": (_require_number, 1e-10),
     "max_newton": (_count(1), 60),
     "lam1": (_require_number, None),
-    "t_grid": (_list_of(_require_number), (0.5, 1.0, 2.0, 4.0, 8.0)),
+    "t_grid": (_list_of(_require_number), [0.5, 1.0, 2.0, 4.0, 8.0]),
     "n_random": (_count(0), 2),
     "dedup_tol": (_require_number, 1e-6),
 }
@@ -191,9 +251,9 @@ MODE_PARAMS = {
         "max_iter": (_count(1), 600),
     },
     "picone-check": {
-        "q_grid": (_list_of(_require_number), ()),
+        "q_grid": (_list_of(_require_number), []),
         "discrete_trials": (_count(0), 0),
-        "eps": (_list_of(_positive), (0.1, 1e-3)),
+        "eps": (_list_of(_positive), [0.1, 1e-3]),
     },
     "nonuniformity": {
         "family": (
@@ -210,81 +270,65 @@ MODE_PARAMS = {
     },
 }
 
+_DOMAINS = {
+    "interval": {"bounds": (_bounds(2), _REQUIRED), "resolution": (_count(2), 256)},
+    "rectangle": {"bounds": (_bounds(4), _REQUIRED), "resolution": (_cells, 16)},
+}
 
-def _parse_domain(raw, path):
-    if not isinstance(raw, dict):
-        _fail(path, "expected an object")
-    kind = raw.get("kind")
-    if kind not in ("interval", "rectangle"):
-        _fail(f"{path}.kind", f"expected 'interval' or 'rectangle', got {kind!r}")
-    bounds = raw.get("bounds")
-    if kind == "interval":
-        if not (isinstance(bounds, list) and len(bounds) == 2):
-            _fail(f"{path}.bounds", "interval needs [x0, x1]")
-        x0 = _require_number(bounds[0], f"{path}.bounds[0]")
-        x1 = _require_number(bounds[1], f"{path}.bounds[1]")
-        if x1 <= x0:
-            _fail(f"{path}.bounds", f"x1 must exceed x0, got [{x0}, {x1}]")
-        res = _require_int(raw.get("resolution", 256), f"{path}.resolution", low=2)
-        return {"kind": kind, "bounds": [x0, x1], "resolution": res}
-    if not (isinstance(bounds, list) and len(bounds) == 4):
-        _fail(f"{path}.bounds", "rectangle needs [x0, x1, y0, y1]")
-    vals = [_require_number(b, f"{path}.bounds[{i}]") for i, b in enumerate(bounds)]
-    if vals[1] <= vals[0] or vals[3] <= vals[2]:
-        _fail(f"{path}.bounds", f"degenerate rectangle {vals}")
-    res = raw.get("resolution", [16, 16])
-    if isinstance(res, int):
-        res = [res, res]
-    if not (isinstance(res, list) and len(res) == 2):
-        _fail(f"{path}.resolution", "rectangle needs [nx, ny] or a single integer")
-    nx = _require_int(res[0], f"{path}.resolution[0]", low=2)
-    ny = _require_int(res[1], f"{path}.resolution[1]", low=2)
-    return {"kind": kind, "bounds": vals, "resolution": [nx, ny]}
+_GAMMA = (lambda obj, path: _require_number(obj, path, low=1.0), None)  # only echoed
+_NODAL_VALUES = _list_of(_require_number, nonempty=True)
+_WEIGHT_OBJECT = _by_kind(
+    "kind",
+    {
+        "constant": {"value": (_require_number, _REQUIRED), "gamma": _GAMMA},
+        "expression": {"src": (_expression, _REQUIRED), "gamma": _GAMMA},
+        # _parse_weight checks nodal values once they are read, from the config or a file
+        "nodal": {"values": (_given, None), "path": (_path_string, None), "gamma": _GAMMA},
+    },
+)
+
+
+def _top_level(mode):
+    # _parse_weight checks each weight; a and f default to zero (no perturbation, no source)
+    report = f"{mode.replace('-', '_')}_report.json"
+    output = {"dir": (_path_string, "."), "csv": (_path_string, "sweep.csv"), "report": (_path_string, report)}
+    return {
+        "domain": (_by_kind("kind", _DOMAINS), _REQUIRED),
+        "p": (_above(1), _REQUIRED),
+        "q": (_require_number, _REQUIRED),  # 1 < q < p, checked in parse_config
+        "weights": (_object({"m": (_given, _REQUIRED), "a": (_given, 0.0), "f": (_given, 0.0)}), _REQUIRED),
+        "mode_params": (_object(MODE_PARAMS[mode]), {}),
+        "seed": (_count(0), DEFAULT_SEED),
+        "output": (_object(output), {}),
+    }
+
+
+_CONFIG = _by_kind("mode", {mode: _top_level(mode) for mode in MODES})
 
 
 def _parse_weight(raw, path, base_dir):
-    gamma = None
-    if isinstance(raw, dict) and "gamma" in raw:
-        gamma = _require_number(raw["gamma"], f"{path}.gamma", low=1.0)
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return Weight.constant(_require_number(raw, path), gamma)
+        return Weight.constant(_require_number(raw, path))
     if isinstance(raw, str):
+        return Weight("expression", _expression(raw, path))
+    if not isinstance(raw, dict):
+        _fail(path, f"expected a number, expression string or weight object, got {type(raw).__name__}")
+    spec = _WEIGHT_OBJECT(raw, path)
+    if spec["kind"] == "constant":
+        return Weight.constant(spec["value"])
+    if spec["kind"] == "expression":
+        return Weight("expression", spec["src"])
+    values = spec["values"]
+    if spec["path"] is not None:
+        file_path = os.path.join(base_dir, spec["path"])
+        if not os.path.exists(file_path):
+            _fail(f"{path}.path", f"referenced file {file_path!r} does not exist")
         try:
-            return Weight("expression", parse_expr(raw), gamma)
-        except ParseError as exc:
-            _fail(path, f"bad expression: {exc}")
-    if isinstance(raw, dict):
-        kind = raw.get("kind")
-        if kind == "constant":
-            return Weight.constant(_require_number(raw.get("value"), f"{path}.value"), gamma)
-        if kind == "expression":
-            src = raw.get("src")
-            if not isinstance(src, str):
-                _fail(f"{path}.src", "expected an expression string")
-            try:
-                return Weight("expression", parse_expr(src), gamma)
-            except ParseError as exc:
-                _fail(f"{path}.src", f"bad expression: {exc}")
-        if kind == "nodal":
-            if "path" in raw:
-                if not isinstance(raw["path"], str):
-                    _fail(f"{path}.path", "expected a file path string")
-                file_path = os.path.join(base_dir, raw["path"])
-                if not os.path.exists(file_path):
-                    _fail(f"{path}.path", f"referenced file {file_path!r} does not exist")
-                try:
-                    with open(file_path, "r", encoding="utf-8") as handle:
-                        values = json.load(handle)
-                except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-                    _fail(f"{path}.path", f"could not read nodal values: {exc}")
-            else:
-                values = raw.get("values")
-            if not isinstance(values, list) or not values:
-                _fail(f"{path}.values", "expected a nonempty list of numbers")
-            vals = [_require_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
-            return Weight.nodal(vals, gamma)
-        _fail(f"{path}.kind", f"expected 'constant', 'expression' or 'nodal', got {kind!r}")
-    _fail(path, f"expected a number, expression string or weight object, got {type(raw).__name__}")
+            with open(file_path, "r", encoding="utf-8") as handle:
+                values = json.load(handle)
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and bad UTF-8
+            _fail(f"{path}.path", f"could not read nodal values: {exc}")
+    return Weight.nodal(_NODAL_VALUES(values, f"{path}.values"))
 
 
 def parse_config(text, base_dir="."):
@@ -305,75 +349,19 @@ def parse_config(text, base_dir="."):
         raise ParseError(f"config is not valid JSON: {exc}")
     except RecursionError:
         raise ParseError("config is not valid JSON: nested too deeply")
-    if not isinstance(raw, dict):
-        _fail("<root>", "top level must be an object")
-    for key in ("domain", "p", "q", "weights", "mode"):
-        if key not in raw:
-            _fail(key, "missing required field")
-
-    domain = _parse_domain(raw["domain"], "domain")
-    p = _require_number(raw["p"], "p")
-    if p <= 1.0:
-        _fail("p", f"must exceed 1, got {p}")
-    q = _require_number(raw["q"], "q")
+    cfg = _CONFIG(raw, "")
+    p, q, mode, mode_params = cfg["p"], cfg["q"], cfg["mode"], cfg["mode_params"]
     if not 1.0 < q < p:
         _fail("q", f"must satisfy 1 < q < p = {p}, got {q}")
-
-    weights_raw = raw["weights"]
-    if not isinstance(weights_raw, dict):
-        _fail("weights", "expected an object with keys m, a, f")
-    if "m" not in weights_raw:
-        _fail("weights.m", "missing weight")
-    weights = {}
-    for name in ("m", "a", "f"):
-        # a and f default to zero (the unperturbed, source-free problem)
-        spec = weights_raw.get(name, 0.0)
-        weights[name] = _parse_weight(spec, f"weights.{name}", base_dir)
-
-    mode = raw["mode"]
-    if mode not in MODES:
-        _fail("mode", f"expected one of {MODES}, got {mode!r}")
-    mode_params_raw = raw.get("mode_params", {})
-    mode_params = _check_fields(mode_params_raw, MODE_PARAMS[mode], "mode_params")
+    weights = {name: _parse_weight(spec, f"weights.{name}", base_dir) for name, spec in cfg["weights"].items()}
     if mode == "critval" and mode_params["lam"] is None and mode_params["lam_frac"] is None:
         _fail("mode_params", "needs either lam or lam_frac")
     if mode == "picone-check":
         for i, qv in enumerate(mode_params["q_grid"]):
             if not 1.0 < qv < p:
                 _fail(f"mode_params.q_grid[{i}]", f"must satisfy 1 < q < p = {p}, got {qv}")
-    seed = raw.get("seed", DEFAULT_SEED)
-    seed = _require_int(seed, "seed", low=0)
-    output_raw = raw.get("output", {})
-    if not isinstance(output_raw, dict):
-        _fail("output", "expected an object")
-    output = {"dir": ".", "csv": "sweep.csv", "report": f"{mode.replace('-', '_')}_report.json"}
-    for key in output:
-        if key in output_raw:
-            if not isinstance(output_raw[key], str) or "\0" in output_raw[key]:
-                _fail(f"output.{key}", "expected a path string")
-            output[key] = output_raw[key]
-
-    echo = {
-        "domain": domain,
-        "p": p,
-        "q": q,
-        "weights": {name: weights_raw.get(name, 0.0) for name in ("m", "a", "f")},
-        "mode": mode,
-        "mode_params": mode_params_raw,
-        "seed": seed,
-        "output": output,
-    }
-    return RunConfig(
-        domain=domain,
-        p=p,
-        q=q,
-        weights=weights,
-        mode=mode,
-        mode_params=mode_params,
-        seed=seed,
-        output=output,
-        echo=echo,
-    )
+    echo = {**cfg, "mode_params": raw.get("mode_params", {})}
+    return RunConfig(cfg["domain"], p, q, weights, mode, mode_params, cfg["seed"], cfg["output"], echo)
 
 
 def build_mesh(config):
@@ -384,12 +372,9 @@ def build_mesh(config):
     """
     dom = config.domain
     if dom["kind"] == "interval":
-        x0, x1 = dom["bounds"]
-        mesh = build_interval(x0, x1, dom["resolution"])
+        mesh = build_interval(*dom["bounds"], dom["resolution"])
     else:
-        x0, x1, y0, y1 = dom["bounds"]
-        nx, ny = dom["resolution"]
-        mesh = build_rectangle(x0, x1, y0, y1, nx, ny)
+        mesh = build_rectangle(*dom["bounds"], *dom["resolution"])
     for name, weight in config.weights.items():
         try:
             weight.values(mesh)

@@ -387,10 +387,10 @@ class PolynomialCheck:
     argmin: float
 
 
-def picone_polynomial_check(p, q, n_grid=4000):
+def picone_polynomial_check(p, q):
     """Check the polynomial condition for the generalized Picone route.
 
-    Evaluates on a log-uniform grid over [0, s_max] with
+    Evaluates on a log-uniform grid of 4000 points over [0, s_max] with
     s_max = max(10, (p/(q-1))^{2/(p-q)}) (the leading term dominates beyond),
     refines every bracketed local minimum, and holds iff the minimum clears
     -1e-12.  Where that s_max overflows (q close to p) it is
@@ -408,7 +408,7 @@ def picone_polynomial_check(p, q, n_grid=4000):
     except OverflowError:
         s_max = math.pow((p - q) / (q - 1.0), 1.0 / (p - 1.0))
     s_max = max(10.0, s_max)
-    grid = np.concatenate([[0.0], np.geomspace(1e-8, s_max, n_grid)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-8, s_max, 4000)])
     vals = picone_polynomial(p, q, grid)
     best_idx = int(np.argmin(vals))
     min_value, argmin = float(vals[best_idx]), float(grid[best_idx])
@@ -433,7 +433,7 @@ class PiconeCheckResult:
     slack: float
 
 
-def discrete_picone_check(u, phi, p, eps, slack_coeff=0.5):
+def discrete_picone_check(u, phi, p, eps):
     """Discrete weak Picone inequality with nodally interpolated test function.
 
     Forms w = |phi|^p / (u + eps)^{p-1} at the vertices, differentiates it as a
@@ -443,7 +443,7 @@ def discrete_picone_check(u, phi, p, eps, slack_coeff=0.5):
 
     The continuum inequality is exact; interpolating w commits an O(h) crime
     (none at all in 1D, where the per-cell inequality is exact), so
-    slack = (1e-8 + slack_coeff * h) * (1 + |rhs|) with h the mesh size.
+    slack = (1e-8 + h/2) * (1 + |rhs|) with h the mesh size.
     """
     if eps <= 0:
         raise InvalidConfig(f"eps must be positive, got {eps}")
@@ -460,5 +460,5 @@ def discrete_picone_check(u, phi, p, eps, slack_coeff=0.5):
     kappa[nz] = g2[nz] ** (0.5 * (p - 2.0))
     lhs = float(np.dot(mesh.cell_volumes * kappa, kernel.dot(gu, gw)))
     rhs = grad_energy(phi, p)
-    slack = (1e-8 + slack_coeff * mesh.mesh_size()) * (1.0 + abs(rhs))
+    slack = (1e-8 + 0.5 * mesh.mesh_size()) * (1.0 + abs(rhs))
     return PiconeCheckResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + slack), slack=slack)

@@ -13,6 +13,10 @@ step (Heaviside, 1 for arguments >= 0), min, max, and bump(center, radius),
 the smooth compactly supported profile exp(-1/(1-t^2)) with
 t = |x - center|/radius inside the support and 0 outside (it reads the
 evaluation point's x coordinate).  No user-defined functions.
+
+parse_expr raises ParseError, with the position, at a number literal that is
+not finite and where nesting passes MAX_DEPTH levels: each operator, function
+call and pair of parentheses is one level.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import numpy as np
 from .errors import EvalError, ParseError
 
 __all__ = ["parse_expr", "eval_expr", "eval_expr_array", "format_expr"]
+
+MAX_DEPTH = 100  # parsing takes about 400 Python frames at this depth, evaluating fewer
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}  # of the left-associative operators
 
 _FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "step": 1, "min": 2, "max": 2, "bump": 2}
 
@@ -76,7 +83,10 @@ def _tokenize(src):
             bad_pos = len(src) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_pos)
         if m.group("number") is not None:
-            tokens.append(("number", float(m.group("number")), m.start("number")))
+            value = float(m.group("number"))
+            if not math.isfinite(value):
+                raise ParseError(f"number {m.group('number')} is not finite", m.start("number"))
+            tokens.append(("number", value, m.start("number")))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:
@@ -86,10 +96,13 @@ def _tokenize(src):
 
 
 class _Parser:
+    """Recursive descent; each method returns (node, nesting depth of the node)."""
+
     def __init__(self, src):
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.open = 0  # unary() frames now active: every recursion passes through one
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.src))
@@ -99,84 +112,82 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, op):
+        found = self.peek()[:2] == ("op", op)
+        self.i += found
+        return found
+
     def expect_op(self, op):
         kind, val, pos = self.take()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val!r}", pos)
 
+    @staticmethod
+    def nested(depth, pos):
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.binary()
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected trailing token {val!r}", pos)
         return node
 
-    def expr(self):
-        node = self.term()
+    def binary(self, level=1):
+        """A left-associative chain of unary operands joined by operators of precedence >= level."""
+        node, depth = self.unary()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                node = Bin(val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                node = Bin(val, node, self.unary())
-            else:
-                return node
+            kind, val, pos = self.peek()
+            if kind != "op" or _PRECEDENCE.get(val, 0) < level:
+                return node, depth
+            self.take()
+            right, right_depth = self.binary(_PRECEDENCE[val] + 1)
+            node, depth = Bin(val, node, right), self.nested(1 + max(depth, right_depth), pos)
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.power()
+        pos = self.peek()[2]
+        self.open = self.nested(self.open + 1, pos)
+        if self.accept("-"):
+            child, depth = self.unary()
+            node, depth = Neg(child), depth + 1
+        else:
+            node, depth = self.power()
+        self.open -= 1
+        return node, self.nested(depth, pos)
 
     def power(self):
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            return Bin("^", node, self.unary())
-        return node
+        node, depth = self.atom()
+        if self.accept("^"):
+            right, right_depth = self.unary()
+            return Bin("^", node, right), 1 + max(depth, right_depth)
+        return node, depth
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "number":
-            return Num(val)
+            return Num(val), 1
         if kind == "ident":
-            nxt_kind, nxt_val, _ = self.peek()
-            if nxt_kind == "op" and nxt_val == "(":
+            if self.accept("("):
                 if val not in _FUNCTIONS:
                     raise ParseError(f"unknown function {val!r}", pos)
-                self.take()
-                args = [self.expr()]
-                while True:
-                    k, v, p = self.peek()
-                    if k == "op" and v == ",":
-                        self.take()
-                        args.append(self.expr())
-                    else:
-                        break
+                args = [self.binary()]
+                while self.accept(","):
+                    args.append(self.binary())
                 self.expect_op(")")
                 if len(args) != _FUNCTIONS[val]:
                     raise ParseError(
                         f"function {val!r} takes {_FUNCTIONS[val]} argument(s), got {len(args)}", pos
                     )
-                return Call(val, tuple(args))
+                return Call(val, tuple(arg for arg, _ in args)), 1 + max(depth for _, depth in args)
             if val in ("x", "y"):
-                return Var(val)
+                return Var(val), 1
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node, depth = self.binary()
             self.expect_op(")")
-            return node
+            return node, depth + 1
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
@@ -196,7 +207,17 @@ def _power(base, expo):
 
 
 def eval_expr(ast, x, y=None):
-    """Evaluate the AST at a point; 1D evaluation leaves y undefined."""
+    """Evaluate the AST at a point (1D leaves y undefined); EvalError where any node is undefined or not finite."""
+    try:
+        val = _eval_node(ast, x, y)
+    except OverflowError:  # math.exp and float powers raise where numpy returns inf
+        val = math.inf
+    if not math.isfinite(val):
+        raise EvalError(f"{format_expr(ast)} is not finite")
+    return val
+
+
+def _eval_node(ast, x, y):
     if isinstance(ast, Num):
         return ast.value
     if isinstance(ast, Var):
@@ -322,7 +343,7 @@ def _eval_array(ast, x, y, suspect):
 
 
 def format_expr(ast):
-    """Fully parenthesized text form; parse_expr(format_expr(a)) evaluates like a."""
+    """Fully parenthesized text form; parse_expr(format_expr(a)) evaluates like a if a is <= MAX_DEPTH // 2 deep."""
     if isinstance(ast, Num):
         return repr(ast.value)
     if isinstance(ast, Var):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import fem
 from .errors import InvalidConfig
+from .expr import eval_expr_array, parse_expr
 
 __all__ = [
     "DiscreteFunction",
@@ -72,34 +73,27 @@ class DiscreteFunction:
 
 
 class Weight:
-    """A coefficient field given as a constant, an expression string, or nodal data.
+    """A coefficient field given as a constant, an expression string, or nodal data."""
 
-    declared_gamma is integrability metadata carried through reports; it has no
-    computational role at desk scale where every weight is bounded.
-    """
-
-    def __init__(self, kind, payload, declared_gamma=None):
+    def __init__(self, kind, payload):
         if kind not in ("constant", "expression", "nodal"):
             raise InvalidConfig(f"unknown weight kind {kind!r}")
         self.kind = kind
         self.payload = payload
-        self.declared_gamma = declared_gamma
         # keyed by the mesh object itself; entries die with their mesh
         self._cache = weakref.WeakKeyDictionary()
 
     @classmethod
-    def constant(cls, value, declared_gamma=None):
-        return cls("constant", float(value), declared_gamma)
+    def constant(cls, value):
+        return cls("constant", float(value))
 
     @classmethod
-    def expression(cls, src, declared_gamma=None):
-        from .expr import parse_expr  # deferred: expr imports nothing from here
-
-        return cls("expression", parse_expr(src), declared_gamma)
+    def expression(cls, src):
+        return cls("expression", parse_expr(src))
 
     @classmethod
-    def nodal(cls, values, declared_gamma=None):
-        return cls("nodal", np.asarray(values, dtype=float), declared_gamma)
+    def nodal(cls, values):
+        return cls("nodal", np.asarray(values, dtype=float))
 
     def values(self, mesh):
         """Nodal samples of the weight on the mesh (cached per mesh)."""
@@ -114,8 +108,6 @@ class Weight:
                         f"nodal weight has {vals.shape[0]} values, mesh has {mesh.n_vertices} vertices"
                     )
             else:
-                from .expr import eval_expr_array
-
                 y = mesh.vertices[:, 1] if mesh.dimension == 2 else None
                 vals = eval_expr_array(self.payload, mesh.vertices[:, 0], y)
             vals.setflags(write=False)

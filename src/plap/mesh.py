@@ -86,9 +86,9 @@ class Mesh:
     def n_vertices(self):
         return len(self.vertices)
 
-    def distance_to_boundary(self, points=None):
-        """Exact distance from each point to the boundary of the bounding box."""
-        pts = self.vertices if points is None else np.atleast_2d(points)
+    def distance_to_boundary(self):
+        """Exact distance from each vertex to the boundary of the bounding box."""
+        pts = self.vertices
         if self.dimension == 1:
             x0, x1 = self.bounds
             return np.minimum(pts[:, 0] - x0, x1 - pts[:, 0])

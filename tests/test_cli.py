@@ -246,6 +246,29 @@ PROBES = [
     ("critval", {"lam": -1.0}, {}, "mode_params.lam"),
     ("critval", {"lam_frac": 0.5}, {"weights": {"m": 1, "a": 1, "f": "x - 0.5"}}, "weights.f"),
     ("eigen", {"subdomain": {"rho": 0.6}}, {}, "mode_params.subdomain.rho"),
+    # an unknown key at every level of the config
+    ("solve", {"lam": 3.0}, {"domain": {**BASE["domain"], "resolutoin": 8}}, "domain.resolutoin"),
+    ("solve", {"lam": 3.0}, {"weights": {"m": 1, "a": 1, "f": 1, "F": 5}}, "weights.F"),
+    ("solve", {"lam": 3.0}, {"weights": {"m": {"kind": "constant", "value": 1, "gama": 2}}}, "weights.m.gama"),
+    ("solve", {"lam": 3.0}, {"mode_parms": {"lam": 3.0}}, "mode_parms"),
+    ("solve", {"lam": 3.0}, {"outptu": {"dir": "."}}, "outptu"),
+    ("solve", {"lam": 3.0}, {"output": {"csvv": "a.csv"}}, "output.csvv"),
+    # expression weights that are not finite, or nest too deeply to walk
+    *[
+        ("solve", {"lam": 3.0}, {"weights": {"m": 1, "a": 1, "f": src}}, "weights.f")
+        for src in [
+            "1e400",
+            "x*1e400",
+            "1e400-1e400",
+            "exp(1000)",
+            "10^400",
+            "sin(1e400)",
+            "(" * 200 + "x" + ")" * 200,
+            "-" * 1000 + "x",
+            "1^" * 1000 + "1",
+            "+".join(["x"] * 1000),
+        ]
+    ],
 ]
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,97 @@ def test_mode_params_validate_or_raise_config_errors(mode_and_params):
     assert all(math.isfinite(v) for v in _leaves(cfg.mode_params) if isinstance(v, float))
 
 
+def _edit(obj_and_key):
+    """obj less key if it has key, else obj with key (an unknown field) set to 1; key None changes nothing."""
+    obj, key = obj_and_key
+    if key in obj:
+        del obj[key]
+    elif key is not None:
+        obj[key] = 1
+    return obj
+
+
+def _objects(fields):
+    """Objects with the given fields, each drawn from its strategy; at times one is left out or one added."""
+    edits = st.sampled_from([None] * 8 + sorted(fields) + ["bogus"])
+    return st.tuples(st.fixed_dictionaries(fields), edits).map(_edit)
+
+
+_EXPRESSIONS = st.sampled_from(["x", "1 - x", "x*y - 0.5", "bump(0.5, 0.1)", "1/x", "exp(1000)", "1e400", "(x"])
+_WEIGHT_SPECS = (
+    st.floats(-2, 2)
+    | _EXPRESSIONS
+    | _JSON
+    | _objects(
+        {
+            "kind": st.sampled_from(["constant", "expression", "nodal"]) | _JSON,
+            "value": _JSON,
+            "src": _EXPRESSIONS | _JSON,
+            "values": st.lists(st.floats(-2, 2), min_size=1, max_size=4) | _JSON,
+            "path": st.sampled_from(["absent.json", "", 3]),  # none names a readable file
+            "gamma": _JSON,
+        }
+    )
+)
+# Each level is a valid value or a draw, so that many configs reach the levels after it.
+_VALID_PARAMS = {
+    "solve": {"lam": 1.0},
+    "critval": {"lam_frac": 0.5},
+    "nonuniformity": {"family": [{"center": 0.5, "radius": 0.1}]},
+}
+_CONFIGS = _MODE_AND_PARAMS.flatmap(
+    lambda mode_and_params: _objects(
+        {
+            "domain": st.sampled_from(
+                [
+                    {"kind": "interval", "bounds": [0, 1], "resolution": 8},
+                    {"kind": "rectangle", "bounds": [0, 1, 0, 2], "resolution": [3, 4]},
+                ]
+            )
+            | _objects(
+                {
+                    "kind": st.sampled_from(["interval", "rectangle"]) | _JSON,
+                    "bounds": st.lists(st.floats() | st.integers(), max_size=5) | _JSON,
+                    "resolution": st.integers(0, 40) | st.lists(st.integers(0, 40), max_size=3) | _JSON,
+                }
+            ),
+            "p": st.just(3.0) | _JSON,
+            "q": st.just(1.5) | _JSON,
+            "weights": st.just({"m": 1, "a": "x - 0.5"})
+            | _objects({"m": _WEIGHT_SPECS, "a": _WEIGHT_SPECS, "f": _WEIGHT_SPECS}),
+            "mode": st.just(mode_and_params[0]),
+            "mode_params": st.sampled_from([_VALID_PARAMS.get(mode_and_params[0], {})] * 2 + [mode_and_params[1]]),
+            "seed": st.integers(-1, 2**64),
+            "output": _objects(
+                {"dir": st.text(max_size=6) | _JSON, "csv": st.text(max_size=6), "report": st.text(max_size=6)}
+            ),
+        }
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_CONFIGS)
+def test_whole_configs_validate_or_raise_config_errors(raw):
+    try:
+        cfg = parse_config(json.dumps(raw))
+    except (InvalidConfig, ParseError):
+        return
+    assert cfg.mode in MODES and set(cfg.weights) == {"m", "a", "f"}
+    assert set(cfg.output) == {"dir", "csv", "report"} and all(isinstance(v, str) for v in cfg.output.values())
+    assert all(math.isfinite(v) for v in [cfg.p, cfg.q, *cfg.domain["bounds"]])
+    assert json.dumps(cfg.echo["mode_params"]) == json.dumps(raw.get("mode_params", {}))
+    weight_objects = [spec for spec in raw["weights"].values() if isinstance(spec, dict)]
+    assert all("bogus" not in obj for obj in [raw, raw["domain"], raw["weights"], raw.get("output", {}), *weight_objects])
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    cfg = parse_config(example)
+    assert cfg.mode == "sweep" and cfg.mode_params["lam_grid"] == (2.0, 5.0, 12.0)
+
+
 def test_missing_nodal_file(tmp_path):
     raw = json.loads(cfg_text())
     raw["weights"]["f"] = {"kind": "nodal", "path": "absent.json"}
@@ -193,7 +286,7 @@ def test_nodal_file_roundtrip(tmp_path):
     cfg = parse_config(json.dumps(raw), base_dir=str(tmp_path))
     mesh = build_mesh(cfg)
     np.testing.assert_allclose(cfg.weights["m"].values(mesh), values)
-    assert cfg.weights["m"].declared_gamma == 3.0
+    assert cfg.echo["weights"]["m"]["gamma"] == 3.0
 
 
 def test_rectangle_domain_and_expression_weight():

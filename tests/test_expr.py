@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plap import EvalError, ParseError, eval_expr, format_expr, parse_expr
-from plap.expr import eval_expr_array
+from plap.expr import MAX_DEPTH, eval_expr_array
 
 
 def ev(src, x=0.0, y=None):
@@ -89,6 +89,38 @@ def test_eval_errors():
         ev("(-2)^0.5")
     with pytest.raises(EvalError):
         ev("bump(0.5, -0.1)")
+    for src in ["exp(1000)", "10^400", "x*1e300*1e300", "sin(exp(1000))", "1/exp(1000)"]:
+        with pytest.raises(EvalError, match="is not finite"):
+            ev(src, x=0.5)
+
+
+def test_non_finite_literals_are_parse_errors():
+    for src, pos in [("1e400", 0), ("x*1e400", 2), ("1e400-1e400", 0), ("sin(1e400)", 4)]:
+        with pytest.raises(ParseError, match="not finite") as info:
+            parse_expr(src)
+        assert info.value.position == pos
+
+
+NESTINGS = {  # builders of an expression nested n levels deep
+    "parentheses": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
+    "negations": lambda n: "-" * (n - 1) + "x",
+    "powers": lambda n: "1^" * (n - 1) + "x",
+    "sum": lambda n: "+".join(["x"] * n),
+    "calls": lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1),
+    "right sums": lambda n: "x+(" * ((n - 1) // 2) + "x" + ")" * ((n - 1) // 2),  # two levels a term
+}
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_is_capped_at_max_depth(shape):
+    ast = parse_expr(NESTINGS[shape](MAX_DEPTH))
+    xs = np.linspace(0.1, 0.9, 5)
+    np.testing.assert_allclose(eval_expr_array(ast, xs), [eval_expr(ast, x) for x in xs], rtol=1e-15)
+    assert format_expr(ast)  # walks the whole tree
+    for n in (MAX_DEPTH + 1, 10 * MAX_DEPTH):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}") as info:
+            parse_expr(NESTINGS[shape](n))
+        assert info.value.position is not None
 
 
 _leaf = st.one_of(
@@ -156,6 +188,7 @@ ERROR_CASES = [
     "exp(1000*x)",  # math.exp overflows past x = 0.71
     "(10*x)^400",
     "0^(x - 1)",
+    "x*1e300*1e300",  # not finite past x = 0, with no exception from float arithmetic
 ]
 
 
