@@ -10,13 +10,17 @@ evaluated with exact per-cell gradients and mass-lumped lower-order terms.  The
 solver runs damped Newton on the regularized weak form with a continuation
 ladder: spectral parameter first (from a safe value below the principal
 eigenvalue when the target sits below it), then the sublinear strength eta,
-then the regularizations downward to their floors.  Two smoothings are used:
+then the regularizations downward to their floors.  Each rung solves
+fem.weak_form, the regularized weak residual the eigensolver's inner solve
+shares, with the terms (lam lump m, p) and, when eta != 0, (eta lump a, q).
+Its two smoothings are:
 
-  * gradient kernel (|grad u|^2 + eps_g^2)^{(p-2)/2}, marched 1e-2 -> 1e-8;
-    the raw kernel is the zero matrix at grad u = 0 for p > 2 and unbounded
-    for p < 2;
-  * zeroth-order odd powers (u^2 + eps_s^2)^{(r-2)/2} u, marched 1e-3 -> 1e-9;
-    for q < 2 the raw power has unbounded slope at u = 0 (dead cores).
+  * gradient kernel (|grad u|^2 + eps_g^2)^{(p-2)/2}, marched 1e-2 down to
+    fem.EPS_GRAD_FLOOR = 1e-8; the raw kernel is the zero matrix at
+    grad u = 0 for p > 2 and unbounded for p < 2;
+  * zeroth-order odd powers (u^2 + eps_s^2)^{(r-2)/2} u, marched 1e-3 down to
+    fem.EPS_ZERO_FLOOR = 1e-9; for q < 2 the raw power has unbounded slope
+    at u = 0 (dead cores).
 
 Each rung runs fem.newton, the damped-Newton loop the eigensolver's inner
 solve shares: each line search tries t = 1, 1/2, 1/4, ... and takes the
@@ -88,22 +92,12 @@ __all__ = [
     "multi_start_solve",
 ]
 
-EPS_GRAD_FLOOR = 1e-8
-EPS_ZERO_FLOOR = 1e-9
+EPS_GRAD_FLOOR = fem.EPS_GRAD_FLOOR
+EPS_ZERO_FLOOR = fem.EPS_ZERO_FLOOR
 STALL_DECREASE = 1e-5  # relative drop of ||r||^2 below which a rung has stalled; see above
 _LAM_RUNGS = 4  # lam values, the target included, on the approach from 0.9 lam1
 _ETA_RUNGS = 3  # eta values, the target included, on the way up from eta = 0
 _EPS_LADDER = ((1e-2, 1e-3), (1e-4, 1e-5), (1e-6, 1e-7), (EPS_GRAD_FLOOR, EPS_ZERO_FLOOR))
-
-SIGN_CLASSES = (
-    "positive",
-    "negative",
-    "nonneg_with_zeros",
-    "nonpos_with_zeros",
-    "sign_changing",
-    "zero",
-)
-
 
 @dataclass
 class ProblemSpec:
@@ -212,13 +206,18 @@ def classify_sign(u, margin=0.0):
     Thresholds: zero iff sup <= 1e-12; strict sign iff every interior value
     clears +-tau with tau = 1e-8 * sup; the *_with_zeros classes allow values
     inside [-tau, tau].  With margin > 0, vertices within margin * diameter of
-    the boundary are dropped first (interior-only claims).
+    the boundary are dropped first (interior-only claims).  On a domain too
+    thin for that (a rectangle of aspect ratio above about 4.9 at margin 0.1)
+    the margin would drop every interior vertex; the class is then taken on
+    all interior vertices.
     """
     mesh = u.mesh
     idx = mesh.interior_vertices
     if margin > 0.0:
         dist = mesh.distance_to_boundary()
-        idx = idx[dist[idx] >= margin * mesh.diameter()]
+        inner = idx[dist[idx] >= margin * mesh.diameter()]
+        if len(inner):
+            idx = inner
     smax = sup_norm(u)
     if smax <= 1e-12:
         return "zero"
@@ -275,14 +274,6 @@ def _boundary_flux_sign(u):
     return np.sign(-inner_vals).astype(int)
 
 
-def _odd_powers(s, eps, exponents):
-    """fem.smoothed_odd_power(s, r, eps) for each r in exponents, sharing s^2 + eps^2."""
-    if eps == 0.0:
-        return [fem.odd_power(s, r) for r in exponents]
-    t = s * s + eps * eps
-    return [t ** (0.5 * (r - 2)) * s for r in exponents]
-
-
 class _NewtonDriver:
     def __init__(self, spec):
         self.spec = spec
@@ -296,41 +287,26 @@ class _NewtonDriver:
         self.lump_m = (self.lump * self.m_vals)[self.free]
         self.lump_a = (self.lump * self.a_vals)[self.free]
 
+    def weak_form(self, lam, eta, eps_g, eps_s):
+        """fem.weak_form of one rung: terms (lam*lump*m, p) and, when eta != 0, (eta*lump*a, q)."""
+        spec = self.spec
+        terms = [(lam * self.lump * self.m_vals, spec.p)]
+        if eta != 0.0:
+            terms.append((eta * self.lump * self.a_vals, spec.q))
+        return fem.weak_form(spec.mesh, self.op, spec.p, eps_g, eps_s, terms, self.load)
+
     def residual(self, lam, eta, eps_g, eps_s):
-        """The residual on the free vertices at one rung, as res(values, values[free]).
-
-        lam*lump*m and eta*lump*a are formed here, once per rung, and the
-        zeroth-order powers share s^2 + eps_s^2.  A (rows, n_vertices) stack
-        gives one C-ordered residual row per row, each bit for bit that row's.
-        """
-        spec, free = self.spec, self.free
-        coef_m = (lam * self.lump * self.m_vals)[free]
-        coef_a = (eta * self.lump * self.a_vals)[free]
-        exponents = (spec.p, spec.q) if eta != 0.0 else (spec.p,)
-
-        def res(vals, s):
-            r = fem.p_flux(spec.mesh, vals, spec.p, eps_g).take(free, axis=-1)
-            powers = _odd_powers(s, eps_s, exponents)
-            r -= coef_m * powers[0]
-            if eta != 0.0:
-                r -= coef_a * powers[1]
-            r -= self.load
-            return r
-
-        return res
+        """The residual on the free vertices at one rung, as res(values, values[free])."""
+        return self.weak_form(lam, eta, eps_g, eps_s)[0]
 
     def jacobian(self, values, lam, eta, eps_g, eps_s):
         """Stored data of the Jacobian of residual() at values (all vertices)."""
-        p, q = self.spec.p, self.spec.q
-        diag = -lam * self.lump * self.m_vals * fem.smoothed_odd_power_deriv(values, p, eps_s)
-        if eta != 0.0:
-            diag -= eta * self.lump * self.a_vals * fem.smoothed_odd_power_deriv(values, q, eps_s)
-        return fem.p_flux_jacobian(self.op, values, p, eps_g, diag)
+        return self.weak_form(lam, eta, eps_g, eps_s)[1](values)
 
     def _scale(self, s, lam, eta):
         """1 + the size of the right-hand side at free values s; sets the rung's goal."""
         exponents = (self.spec.p, self.spec.q) if eta != 0.0 else (self.spec.p,)
-        powers = _odd_powers(s, EPS_ZERO_FLOOR, exponents)
+        powers = fem.odd_powers(s, EPS_ZERO_FLOOR, exponents)
         ref = self.load_norm + abs(lam) * np.linalg.norm(self.lump_m * powers[0])
         if eta != 0.0:
             ref += abs(eta) * np.linalg.norm(self.lump_a * powers[1])
@@ -345,8 +321,7 @@ class _NewtonDriver:
         return fem.newton(
             values,
             self.free,
-            self.residual(lam, eta, eps_g, eps_s),
-            lambda vals: self.jacobian(vals, lam, eta, eps_g, eps_s),
+            *self.weak_form(lam, eta, eps_g, eps_s),
             self.op,
             lambda s: tol * self._scale(s, lam, eta),
             max_iter,

@@ -85,10 +85,7 @@ def _run_sweep(cfg, mesh, seed, out_dir):
             )
             eta_bar = est.value if math.isfinite(est.value) else 1.0
             eta_grid = np.linspace(-eta_bar, eta_bar, mp["n_eta"]).tolist()
-    sweep_opts = SweepOptions(
-        solve_opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}),
-        lam1_override=mp["lam1"],
-    )
+    sweep_opts = SweepOptions(solve_opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}))
     region_map = sweep(template, lam_grid, eta_grid, sweep_opts, pair=pair)
     write_csv(region_map, os.path.join(out_dir, cfg.output["csv"]))
     return region_map

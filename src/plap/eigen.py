@@ -9,12 +9,13 @@ inverse-power analogue for the p-Laplacian: alternately
 
   (a) minimize the strictly convex functional
       (1/p) * integral |grad v|^p  -  integral m |u_k|^{p-2} u_k v
-      (for p != 2, below 2 as above it, fem.newton on its regularized
-      gradient: the damped-Newton loop of the BVP rungs, backtracking on the
-      squared gradient norm; for p = 2 one linear solve with
-      K + shift * lumped mass, K the stiffness, from fem.stiffness_solver:
-      closed form by a discrete sine transform on the interior of a
-      rectangle grid, elsewhere one factor reused until the shift changes),
+      (for p != 2, below 2 as above it, fem.newton on its gradient, the
+      regularized weak form of fem.weak_form that the BVP rungs solve too,
+      with the term -shift * lump and the same smoothing floors; for p = 2
+      one linear solve with K + shift * lumped mass, K the stiffness, from
+      fem.stiffness_solver: closed form by a discrete sine transform on the
+      interior of a rectangle grid, elsewhere one factor, rebuilt when the
+      shift changes),
   (b) clamp to the nonnegative cone and renormalize so integral m |v|^p = 1,
   (c) update the Rayleigh quotient.
 
@@ -47,10 +48,7 @@ __all__ = [
 # Rayleigh-quotient backtracking never needs to be this fine unless the
 # iterate is already stationary.
 _RQ_SLACK = 1e-12
-# smoothing width for the zeroth-order |v|^{p-2} v shift term
-_EPS_ZERO = 1e-9
-# gradient-kernel smoothing and Newton iteration cap of the inner solve
-_EPS_FLOOR = 1e-8
+# Newton iteration cap of the inner solve
 _MAX_INNER = 80
 
 
@@ -104,71 +102,36 @@ def _eigen_residual(mesh, m_vals, values, lam, p, free):
     return r[free]
 
 
-class _InnerSolver:
-    """Minimizes (1/p) integral |grad v|^p + (c/p) sum lumped |v|^p - <load, v>.
+def _inner_solve(mesh, op, p, shift, load, v_init, goal):
+    """Minimizer of (1/p) integral |grad v|^p + (shift/p) sum lumped |v|^p - <load, v> for p != 2.
 
-    The zeroth-order shift c >= 0 is zero for nonnegative weights; for
-    indefinite weights it is chosen by the caller so that the iteration source
-    (lam*m + c) u^{p-1} stays nonnegative, which keeps the iterates positive
-    (the fixed point is unchanged: the shift cancels at the eigenpair).
+    The zeroth-order shift >= 0 is zero for nonnegative weights; for
+    indefinite weights the caller chooses it so that the iteration source
+    (lam*m + shift) u^{p-1} stays nonnegative, which keeps the iterates
+    positive (the fixed point is unchanged: the shift cancels at the
+    eigenpair).
 
-    For p != 2 the minimizer is the root of the gradient, found by fem.newton
-    at the regularization floor _EPS_FLOOR down to the caller's goal.  The
-    functional is strictly convex and its Jacobian SPD, so ||r||^2 has no
-    minimum other than the root and the progress test is off (stall = 0).
-    A failed solve restarts cold through an eps ladder, warm-starting each
-    stage.
+    The minimizer is the root of the gradient, fem.weak_form with the term
+    (-shift * lump, p), found by fem.newton at the floor fem.EPS_GRAD_FLOOR
+    down to the norm goal.  The functional is strictly convex and its
+    Jacobian SPD, so ||r||^2 has no minimum other than the root and the
+    progress test is off (stall = 0).  A failed solve restarts cold from
+    v_init through an eps ladder, warm-starting each stage.
     """
+    terms = [(-shift * mesh.lumped_volumes, p)] if shift else []
 
-    def __init__(self, mesh, p, free, shift=0.0):
-        self.mesh = mesh
-        self.p = p
-        self.free = free
-        self.shift = shift
-        if p == 2:
-            self._linear_solve = fem.stiffness_solver(mesh, free, shift)
-        else:
-            self.op = fem.operator(mesh, free)
+    def converged(values, eps):
+        res, jac = fem.weak_form(mesh, op, p, eps, fem.EPS_ZERO_FLOOR, terms, load)
+        return fem.newton(values, op.free, res, jac, op, lambda s: goal, _MAX_INNER, 0.0)[0] == "converged"
 
-    def set_shift(self, shift):
-        if shift != self.shift:
-            self.shift = shift
-            if self.p == 2:
-                self._linear_solve = fem.stiffness_solver(self.mesh, self.free, shift)
-
-    def solve(self, load_free, v_init, goal):
-        """The minimizer for load_free, from v_init; for p != 2 its gradient norm is at most goal."""
-        if self.p == 2:
-            out = np.zeros(self.mesh.n_vertices)
-            out[self.free] = self._linear_solve(load_free)
-            return out
+    v = v_init.copy()
+    if not converged(v, fem.EPS_GRAD_FLOOR):
         v = v_init.copy()
-        if not self._newton(v, load_free, _EPS_FLOOR, goal):
-            v = v_init.copy()
-            for eps in (1e-2, 1e-4, 1e-6):
-                self._newton(v, load_free, eps, goal)
-            if not self._newton(v, load_free, _EPS_FLOOR, goal):
-                raise NonConvergence("inner p-Laplacian solve did not converge")
-        return v
-
-    def _newton(self, values, load_free, eps, goal):
-        """fem.newton on the gradient at smoothing eps; True when it converged."""
-        mesh, p, free, shift = self.mesh, self.p, self.free, self.shift
-        lump = mesh.lumped_volumes
-        shift_free = shift * lump[free]
-
-        def res(vals, s):
-            r = fem.p_flux(mesh, vals, p, eps).take(free, axis=-1) - load_free
-            if shift:
-                r += shift_free * fem.smoothed_odd_power(s, p, _EPS_ZERO)
-            return r
-
-        def jac(vals):
-            diag = shift * lump * fem.smoothed_odd_power_deriv(vals, p, _EPS_ZERO) if shift else None
-            return fem.p_flux_jacobian(self.op, vals, p, eps, diag)
-
-        reason, _, _ = fem.newton(values, free, res, jac, self.op, lambda s: goal, _MAX_INNER, 0.0)
-        return reason == "converged"
+        for eps in (1e-2, 1e-4, 1e-6):
+            converged(v, eps)
+        if not converged(v, fem.EPS_GRAD_FLOOR):
+            raise NonConvergence("inner p-Laplacian solve did not converge")
+    return v
 
 
 def principal_eigenpair(mesh_or_mask, m, p, opts=None):
@@ -215,26 +178,35 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
     # as the quotient descends.
     m_min = float(np.min(m_vals[free]))
     shift = 0.0 if m_min >= 0 else 1.1 * rq0 * (-m_min)
-    inner = _InnerSolver(mesh, p, free, shift=shift)
+    if p == 2:
+        stiffness = fem.stiffness_solver(mesh, free, shift)
+    else:
+        op = fem.operator(mesh, free)
     rq_history = [rq0]
     residual_norm = math.inf
     iterations = 0
     for iterations in range(1, opts.max_outer + 1):
         lam = rq_history[-1]
-        if m_min < 0 and 1.1 * lam * (-m_min) < 0.6 * inner.shift:
-            inner.set_shift(1.1 * lam * (-m_min))
-        shift = inner.shift
+        if m_min < 0 and 1.1 * lam * (-m_min) < 0.6 * shift:
+            shift = 1.1 * lam * (-m_min)
+            if p == 2:
+                stiffness = fem.stiffness_solver(mesh, free, shift)
         smax = np.max(u)
         residual_norm = float(np.linalg.norm(_eigen_residual(mesh, m_vals, u / smax, lam, p, free)))
         if residual_norm <= tol:
             break
         load = ((lam * m_vals + shift) * mesh.lumped_volumes * fem.odd_power(u, p))[free]
-        # At v = u the inner residual is, up to the smoothing, the eigen residual
-        # of u, of norm residual_norm * smax^(p-1).  The inner solve cuts it at
-        # least a hundredfold: with a goal above it the solve would return u and
-        # the iteration would stall above tol (p = 10, n = 64 with 1e-8 ||load||).
-        goal = min(1e-8 * np.linalg.norm(load), 1e-2 * residual_norm * smax ** (p - 1))
-        v = np.maximum(inner.solve(load, u, goal), 0.0)
+        if p == 2:
+            v = np.zeros(mesh.n_vertices)
+            v[free] = stiffness(load)
+        else:
+            # At v = u the inner residual is, up to the smoothing, the eigen residual
+            # of u, of norm residual_norm * smax^(p-1).  The inner solve cuts it at
+            # least a hundredfold: with a goal above it the solve would return u and
+            # the iteration would stall above tol (p = 10, n = 64 with 1e-8 ||load||).
+            goal = min(1e-8 * np.linalg.norm(load), 1e-2 * residual_norm * smax ** (p - 1))
+            v = _inner_solve(mesh, op, p, shift, load, u, goal)
+        v = np.maximum(v, 0.0)
         mass = _weighted_mass(mesh, m_vals, v, p)
         if mass <= 0:
             # outside the admissible cone: rescale by the sup norm and retry

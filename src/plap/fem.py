@@ -1,14 +1,23 @@
-"""Assembly kernels and the damped-Newton loop (newton) for the regularized p-Laplacian weak form.
+"""The regularized p-Laplacian weak form, its assembly kernels and the damped-Newton loop (newton).
 
-Internal machinery shared by the eigensolver and the BVP solver.  The gradient
-term uses the smoothed kernel (|z|^2 + eps_g^2)^{(p-2)/2}, whose linearization
-per cell is
+Internal machinery shared by the eigensolver and the BVP solver.  Both solve
+the one regularized weak residual that weak_form defines on a set of free
+vertices s = u[free],
+
+    r(u) = p_flux(u; p, eps_g)[free] - sum_k c_k (s^2 + eps_s^2)^{(r_k-2)/2} s - load,
+
+with its Jacobian on an Operator: the BVP rungs with the terms
+(lam lump m, p) and (eta lump a, q), the eigensolver's inner solve with
+(-shift lump, p).  The gradient term uses the smoothed kernel
+(|z|^2 + eps_g^2)^{(p-2)/2}, whose linearization per cell is
 
     A(z) = (|z|^2 + eps^2)^{(p-2)/2} * (I + (p-2) z (x) z / (|z|^2 + eps^2)),
 
 a symmetric positive definite matrix for p > 1.  Zeroth-order odd powers
 |s|^{r-2} s are smoothed as (s^2 + eps_s^2)^{(r-2)/2} s, which for q < 2
-removes the unbounded derivative at s = 0.
+removes the unbounded derivative at s = 0.  The floors of the two
+smoothings, EPS_GRAD_FLOOR and EPS_ZERO_FLOOR, are the ones every solve
+ends on.
 
 Linearized systems live on an Operator: the Jacobian restricted to one set of
 free vertices, with its storage pattern, the scatter map from each cell's
@@ -102,20 +111,29 @@ import scipy.sparse.linalg as spla
 from .errors import SingularJacobian
 
 __all__ = [
-    "smoothed_odd_power",
-    "smoothed_odd_power_deriv",
+    "EPS_GRAD_FLOOR",
+    "EPS_ZERO_FLOOR",
     "odd_power",
+    "odd_powers",
+    "smoothed_odd_power_deriv",
     "Gradients",
     "gradients",
     "Operator",
     "operator",
     "p_flux",
     "p_flux_jacobian",
+    "weak_form",
     "newton",
     "restrict",
     "solve_sparse",
     "stiffness_solver",
 ]
+
+
+# smoothing floors of the weak form: the gradient kernel's eps_g and the
+# zeroth-order powers' eps_s at the end of every solve
+EPS_GRAD_FLOOR = 1e-8
+EPS_ZERO_FLOOR = 1e-9
 
 
 def odd_power(s, r):
@@ -127,16 +145,16 @@ def odd_power(s, r):
     return out
 
 
-def smoothed_odd_power(s, r, eps):
-    """(s^2 + eps^2)^{(r-2)/2} s; equals |s|^{r-2} s when eps = 0."""
+def odd_powers(s, eps, exponents):
+    """(s^2 + eps^2)^{(r-2)/2} s for each r in exponents, sharing s^2 + eps^2; |s|^{r-2} s when eps = 0."""
     if eps == 0.0:
-        return odd_power(s, r)
-    s = np.asarray(s, dtype=float)
-    return (s * s + eps * eps) ** (0.5 * (r - 2)) * s
+        return [odd_power(s, r) for r in exponents]
+    t = s * s + eps * eps
+    return [t ** (0.5 * (r - 2)) * s for r in exponents]
 
 
 def smoothed_odd_power_deriv(s, r, eps):
-    """d/ds of smoothed_odd_power: (s^2+eps^2)^{(r-4)/2} ((r-1) s^2 + eps^2)."""
+    """d/ds of the smoothed odd power: (s^2+eps^2)^{(r-4)/2} ((r-1) s^2 + eps^2)."""
     s = np.asarray(s, dtype=float)
     if eps == 0.0:
         return (r - 1) * np.abs(s) ** (r - 2)
@@ -314,19 +332,12 @@ class Operator:
             self.diagonal = band * n + np.arange(n)
         else:
             # keys col * n + row sort in CSC order; the diagonal is always stored.
-            # One stable sort: a key's slot is the number of distinct keys before it.
+            # A key's slot is its position among the distinct keys.
             self.band = None
             keys = cols * n + rows
             keys[outside] = n * n
             every = np.concatenate([keys.ravel(), np.arange(n) * (n + 1)])
-            order = np.argsort(every, kind="stable")
-            ordered = every[order]
-            first = np.empty(len(ordered), dtype=bool)
-            first[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-            slot = np.empty(len(every), dtype=np.int64)
-            slot[order] = np.cumsum(first) - 1
-            pattern = ordered[first]
+            pattern, slot = np.unique(every, return_inverse=True)
             pattern = pattern[pattern < n * n]
             self.size = len(pattern)
             self.indices = (pattern % n).astype(np.intc)
@@ -452,6 +463,43 @@ def p_flux_jacobian(op, values, p, eps, diag=None):
     if diag is not None:
         op.add_diagonal(data, diag)
     return data
+
+
+def weak_form(mesh, op, p, eps_g, eps_s, terms, load):
+    """(res, jac) of the regularized weak residual on op's free vertices, as newton takes them.
+
+        r(u) = p_flux(u; p, eps_g)[free] - sum_k c_k (s^2 + eps_s^2)^{(r_k-2)/2} s - load,
+
+    s = u[free].  terms is a sequence of (c_k, r_k) with c_k over all
+    vertices, load is over free; the terms are subtracted in order, then the
+    load.  res(values, s) takes nodal values on all vertices with their free
+    part, or a (rows, n_vertices) stack with its (rows, len(free)) free part,
+    and returns one C-ordered residual row per row, each bit for bit that
+    row's.  jac(values) is the stored data on op of the Jacobian: the
+    linearized gradient term plus the diagonal -sum_k c_k d/ds of the
+    smoothed powers.
+    """
+    free = op.free
+    coefs = [c[free] for c, _ in terms]
+    exponents = [r for _, r in terms]
+
+    def res(values, s):
+        r = p_flux(mesh, values, p, eps_g).take(free, axis=-1)
+        if terms:
+            for c, power in zip(coefs, odd_powers(s, eps_s, exponents)):
+                r -= c * power
+        r -= load
+        return r
+
+    def jac(values):
+        diag = None
+        if terms:
+            diag = np.zeros(len(values))
+            for c, r in terms:
+                diag -= c * smoothed_odd_power_deriv(values, r, eps_s)
+        return p_flux_jacobian(op, values, p, eps_g, diag)
+
+    return res, jac
 
 
 def stiffness_solver(mesh, free, shift=0.0):

@@ -38,17 +38,6 @@ __all__ = [
     "NonuniformityReport",
 ]
 
-PREDICTION_IDS = (
-    "thm0",
-    "thm1",
-    "thm-1",
-    "thm1-w",
-    "thm-1ww",
-    "prop-noneg",
-    "prop-nonex",
-    "cor-amp-loc",
-)
-
 _NONNEGATIVE = frozenset({"positive", "nonneg_with_zeros", "zero"})
 _NOT_NONNEGATIVE = frozenset({"negative", "nonpos_with_zeros", "sign_changing"})
 _POSITIVE = frozenset({"positive"})
@@ -150,7 +139,6 @@ class RegionMap:
 class SweepOptions:
     solve_opts: SolveOptions = field(default_factory=SolveOptions)
     predictions: bool = True
-    lam1_override: float | None = None
 
 
 def _vanishing_strip_width(mesh, vals):
@@ -404,7 +392,9 @@ def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
     that fail are recorded as rows with sign_class "failed", never fatal.
     Returns the RegionMap with measured MP/AMP half-widths.  pair is the
     principal eigenpair of template.m with default EigenOptions, when the
-    caller has already computed it; it is then not solved again.
+    caller has already computed it; it is then not solved again.  A set
+    opts.solve_opts.lam1 stands in for lam1 in the predictions as in the
+    solves.
 
     The cells of one lam row share a rung store (bvp.solve's _prefix): each
     start runs the eta-free rungs of its ladder once per row, and every cell
@@ -418,7 +408,7 @@ def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
     lam_grid = [float(v) for v in lam_grid]
     eta_grid = [float(v) for v in eta_grid]
 
-    phi1, lam1_computed = None, math.inf
+    phi1, lam1 = None, math.inf
     if pair is None:
         try:
             from .eigen import principal_eigenpair
@@ -427,8 +417,12 @@ def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
         except PlapError:
             pass
     if pair is not None:
-        phi1, lam1_computed = pair.phi, pair.lam
-    lam1 = opts.lam1_override if opts.lam1_override is not None else lam1_computed
+        phi1, lam1 = pair.phi, pair.lam
+    solve_opts = opts.solve_opts
+    if solve_opts.lam1 is not None:
+        lam1 = solve_opts.lam1
+    elif math.isfinite(lam1):
+        solve_opts = replace(solve_opts, lam1=lam1)
 
     lam2_bound = math.inf
     if mesh.dimension == 1 and isinstance(template.m, Weight) and template.m.kind == "constant":
@@ -443,10 +437,6 @@ def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
         thr_pos, thr_neg = _eta_threshold_closures(template, lam1, pair)
         predictions = check_hypotheses(template, lam1, phi1, thr_pos, thr_neg)
     binding = [pr for pr in predictions if pr.region is not None and pr.applicable]
-
-    solve_opts = opts.solve_opts
-    if solve_opts.lam1 is None and math.isfinite(lam1):
-        solve_opts = replace(solve_opts, lam1=lam1)
 
     cells = {}
     counterexamples = []

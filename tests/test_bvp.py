@@ -229,6 +229,36 @@ def test_multi_start_never_raises_at_resonance(interval_256, pair_p2_256):
     assert len(ms.per_start) >= 1  # never aborts the batch
 
 
+def test_multi_start_without_phi1_solves_its_own_eigenpair(interval_256, pair_p3_256):
+    spec = make_spec(interval_256, p=3.0, lam=0.5 * pair_p3_256.lam)
+    own = multi_start_solve(spec, SolveOptions(n_random=1))
+    given = multi_start_solve(spec, SolveOptions(n_random=1, lam1=pair_p3_256.lam), phi1=pair_p3_256.phi)
+    assert len(own.per_start) == 12  # zero, +-t*phi1 for five t, random0
+    for (label, out, err), (label_g, out_g, err_g) in zip(own.per_start, given.per_start, strict=True):
+        assert (label, err) == (label_g, err_g)
+        assert (out is None) == (out_g is None)
+        if out is not None:
+            assert out.u.values.tobytes() == out_g.u.values.tobytes()
+            assert (out.residual_norm, out.newton_iters) == (out_g.residual_norm, out_g.newton_iters)
+
+
+def test_multi_start_drops_phi1_starts_when_the_eigensolve_fails(interval_256):
+    # m = -1 has no positive part, so there is no principal eigenpair and no +-t*phi1 start
+    ms = multi_start_solve(make_spec(interval_256, p=3.0, lam=1.0, m=-1.0), SolveOptions(n_random=1))
+    assert [label for label, _, _ in ms.per_start] == ["zero", "random0"]
+
+
+def test_margin_that_drops_every_interior_vertex_keeps_them_all():
+    # 0.1 * diameter is about 1 here, ten times the width of the strip
+    mesh = build_rectangle(0.0, 10.0, 0.0, 0.1, 20, 4)
+    vals = np.zeros(mesh.n_vertices)
+    vals[mesh.interior_vertices] = 1.0
+    vals[mesh.interior_vertices[0]] = -1.0
+    u = DiscreteFunction(mesh, vals)
+    assert classify_sign(u, margin=0.1) == classify_sign(u) == "sign_changing"
+    assert classify_sign(DiscreteFunction(mesh, np.abs(vals)), margin=0.1) == "positive"
+
+
 def test_classifier_thresholds(interval_256):
     n = interval_256.n_vertices
     interior = interval_256.interior_vertices

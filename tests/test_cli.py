@@ -152,6 +152,15 @@ def test_default_sweep_solves_its_eigenproblem_once(tmp_path, monkeypatch):
     assert once[1:] == twice[1:]
 
 
+def test_sweep_on_a_thin_rectangle(tmp_path):
+    # the interior-only classes of a 2D sweep once dropped every vertex of so thin a domain
+    cfg = config("sweep", lam_grid=[1], eta_grid=[0])
+    cfg["domain"] = {"kind": "rectangle", "bounds": [0, 10, 0, 0.1], "resolution": [20, 4]}
+    proc = run_cli("sweep", cfg, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) > 1
+
+
 def test_sweep_roundtrip_and_determinism(tmp_path):
     cfg = config("sweep", lam_grid=[2.0, 12.0], eta_grid=[0.0, 0.3], t_grid=[1.0], n_random=1)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

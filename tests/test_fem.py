@@ -19,7 +19,7 @@ from plap import (
     jacobian,
 )
 from plap.bvp import _NewtonDriver
-from plap.eigen import _InnerSolver
+from plap.eigen import _inner_solve
 
 
 def dense_loop_jacobian(mesh, values, p, eps, diag, free):
@@ -284,9 +284,8 @@ def test_eigen_residual_closure_on_a_stack_equals_its_rows(mesh, shift, rng, mon
 
     monkeypatch.setattr(fem, "newton", keep)
     free = mesh.interior_vertices
-    solver = _InnerSolver(mesh, 3.0, free, shift)
     load = rng.random(len(free)) * mesh.lumped_volumes[free]
-    solver.solve(load, np.zeros(mesh.n_vertices), 1e-6)
+    _inner_solve(mesh, fem.operator(mesh, free), 3.0, shift, load, np.zeros(mesh.n_vertices), 1e-6)
     _assert_rows(closures[0], *_closure_stack(mesh, rng))
 
 

@@ -110,9 +110,7 @@ def test_sweep_mp_amp_and_measurements(interval_256, pair_p2_256):
 def test_sweep_counterexample_machinery(interval_256):
     # a deliberately false eigenvalue override makes the no-nonnegative-solution
     # region swallow genuinely positive cells, which must surface as records
-    opts = SweepOptions(
-        solve_opts=SolveOptions(t_grid=(1.0,), n_random=0), lam1_override=1.0
-    )
+    opts = SweepOptions(solve_opts=SolveOptions(lam1=1.0, t_grid=(1.0,), n_random=0))
     region_map = sweep(template(interval_256), [3.0], [0.0], opts)
     assert len(region_map.counterexamples) == 1
     record = region_map.counterexamples[0]
