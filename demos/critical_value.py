@@ -29,8 +29,9 @@ print(f"{'lam/lam1':>9} | {'eta* (computed)':>15} | {'lower bound':>12} | {'gap'
 prev = None
 estimates = {}
 for frac in (0.0, 0.25, 0.5, 0.75, 0.9):
+    # eta_star and multi_start_solve share one eigensolve of (mesh, m, p) for lam1 and phi1
     opts = EtaStarOptions(
-        lam1=pair.lam, phi1=pair.phi, n_starts=16,
+        n_starts=16,
         extra_starts=[prev.minimizer] if prev is not None and prev.minimizer else [],
     )
     res = eta_star(mesh, one, one, one, p, q, frac * pair.lam, opts)
@@ -42,10 +43,10 @@ print("the estimate collapses to zero as lam approaches lam1 (take u = phi1)")
 print("\n== crossing the threshold at lam = 0.5*lam1 ==")
 lam = 0.5 * pair.lam
 threshold = estimates[0.5]
-solve_opts = SolveOptions(lam1=pair.lam, t_grid=(0.5, 1.0, 2.0, 4.0, 8.0), n_random=3)
+solve_opts = SolveOptions(t_grid=(0.5, 1.0, 2.0, 4.0, 8.0), n_random=3)
 for scale in (-6.0, -1.0, 0.9, 4.0, 8.0, 16.0):
     spec = ProblemSpec(mesh, p, q, lam, scale * threshold, one, one, one)
-    ms = multi_start_solve(spec, solve_opts, phi1=pair.phi)
+    ms = multi_start_solve(spec, solve_opts)
     classes = sorted({o.sign_class for o in ms.outcomes})
     mn = min(float(np.min(o.u.values)) for o in ms.outcomes) if ms.outcomes else float("nan")
     print(f"eta = {scale:+5.1f} * eta*: classes {classes}, min nodal value {mn:+.4f}")

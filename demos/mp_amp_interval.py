@@ -16,10 +16,11 @@ for p in (2.0, 3.0):
     pair = principal_eigenpair(mesh, one, p)
     print(f"\n== p = {p:g}, lam1 = {pair.lam:.4f} ==")
     print(f"{'lam/lam1':>9} | {'sign class':>16} | {'sup norm':>10} | flux sign at x=0")
-    opts = SolveOptions(lam1=pair.lam, t_grid=(1.0, 4.0), n_random=1)
+    # multi_start_solve finds lam1 and phi1 itself, one eigensolve per (mesh, m, p)
+    opts = SolveOptions(t_grid=(1.0, 4.0), n_random=1)
     for frac in (0.3, 0.7, 0.9, 0.99, 1.01, 1.05, 1.3, 1.8):
         spec = ProblemSpec(mesh, p, 1.5, frac * pair.lam, 0.0, one, one, one)
-        ms = multi_start_solve(spec, opts, phi1=pair.phi)
+        ms = multi_start_solve(spec, opts)
         if not ms.outcomes:
             print(f"{frac:9.2f} | {'(no solve converged)':>16} |")
             continue

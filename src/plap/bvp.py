@@ -73,6 +73,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem
+from .eigen import _principal
 from .errors import InvalidConfig, NonConvergence, PlapError, ResonantParameter, SingularJacobian
 from .functions import DiscreteFunction, Weight, grad_energy, sup_norm, weight_values, weighted_power_integral
 
@@ -144,7 +145,7 @@ class SolveOptions:
 
     newton_tol: float = 1e-10
     max_newton: int = 60
-    lam1: float | None = None  # precomputed principal eigenvalue estimate
+    lam1: float | None = None  # principal eigenvalue; multi_start_solve fills in the computed one when unset
     t_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
     n_random: int = 2
     dedup_tol: float = 1e-6
@@ -486,32 +487,28 @@ class MultiStartResult:
         return self.outcomes[i]
 
 
-def multi_start_solve(spec, opts=None, phi1=None, *, _prefix=None):
+def multi_start_solve(spec, opts=None, *, _prefix=None):
     """Run solve() from the start family {zero, +-t*phi1, random} and deduplicate.
 
     Per-start failures are recorded, never raised.  Outcomes within
     dedup_tol * (1 + min sup) of each other in the sup norm count as one
-    solution.  phi1 may be passed to skip the eigensolve for the +-t starts;
-    when the eigensolve fails (e.g. m <= 0) those starts are dropped.
-    _prefix is passed to every solve() (see there).
+    solution.  phi1, and lam1 for an unset opts.lam1, come from
+    eigen._principal; when it fails (e.g. m <= 0) the +-t starts are
+    dropped.  _prefix is passed to every solve() (see there).
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
     starts = [("zero", "zero")]
-    if phi1 is None:
-        from .eigen import principal_eigenpair
-
-        try:
-            pair = principal_eigenpair(mesh, spec.m, spec.p)
-            phi1 = pair.phi
-            if opts.lam1 is None:
-                opts = replace(opts, lam1=pair.lam)
-        except PlapError:
-            phi1 = None
-    if phi1 is not None:
+    try:
+        pair = _principal(mesh, spec.m, spec.p)
+    except PlapError:
+        pass
+    else:
+        if opts.lam1 is None:
+            opts = replace(opts, lam1=pair.lam)
         for t in opts.t_grid:
-            starts.append((f"pos_phi1_t{t:g}", t * phi1.values))
-            starts.append((f"neg_phi1_t{t:g}", -t * phi1.values))
+            starts.append((f"pos_phi1_t{t:g}", t * pair.phi.values))
+            starts.append((f"neg_phi1_t{t:g}", -t * pair.phi.values))
     rng = np.random.default_rng(opts.seed)
     for k, vals in enumerate(_random_smooth_starts(mesh, rng, opts.n_random)):
         starts.append((f"random{k}", vals))

@@ -21,7 +21,7 @@ import numpy as np
 from .bvp import ProblemSpec, SolveOptions, solve
 from .config import MODES, SOLVE_OPTIONS, build_mesh, parse_config
 from .critical import EtaStarOptions, discrete_picone_check, eta_star, picone_polynomial_check
-from .eigen import EigenOptions, principal_eigenpair, principal_eigenpair_negative, subdomain_eigenvalue
+from .eigen import EigenOptions, _principal, principal_eigenpair, principal_eigenpair_negative, subdomain_eigenvalue
 from .errors import (
     EmptyAdmissibleSet,
     InvalidConfig,
@@ -72,21 +72,20 @@ def _run_sweep(cfg, mesh, seed, out_dir):
     )
     lam_grid = mp["lam_grid"]
     eta_grid = mp["eta_grid"]
-    pair = None
     if lam_grid is None or eta_grid is None:
-        pair = principal_eigenpair(mesh, cfg.weights["m"], cfg.p)
+        lam1 = _principal(mesh, cfg.weights["m"], cfg.p).lam
         if lam_grid is None:
-            lam_grid = np.linspace(0.0, 2.0 * pair.lam, mp["n_lam"]).tolist()
+            lam_grid = np.linspace(0.0, 2.0 * lam1, mp["n_lam"]).tolist()
         if eta_grid is None:
             est = eta_star(
                 mesh, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"], cfg.p, cfg.q,
-                0.5 * pair.lam,
-                EtaStarOptions(seed=seed, lam1=pair.lam, phi1=pair.phi, n_starts=mp["eta_star_starts"]),
+                0.5 * lam1,
+                EtaStarOptions(seed=seed, n_starts=mp["eta_star_starts"]),
             )
             eta_bar = est.value if math.isfinite(est.value) else 1.0
             eta_grid = np.linspace(-eta_bar, eta_bar, mp["n_eta"]).tolist()
     sweep_opts = SweepOptions(solve_opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}))
-    region_map = sweep(template, lam_grid, eta_grid, sweep_opts, pair=pair)
+    region_map = sweep(template, lam_grid, eta_grid, sweep_opts)
     write_csv(region_map, os.path.join(out_dir, cfg.output["csv"]))
     return region_map
 
@@ -98,9 +97,7 @@ def _run_critval(cfg, mesh, seed, out_dir):
     opts = EtaStarOptions(n_starts=mp["n_starts"], max_iter=mp["max_iter"], seed=seed)
     lam, field = mp["lam"], "mode_params.lam"
     if lam is None:
-        pair = principal_eigenpair(mesh, cfg.weights["m"], cfg.p)
-        opts.lam1, opts.phi1 = pair.lam, pair.phi
-        lam, field = mp["lam_frac"] * pair.lam, "mode_params.lam_frac"
+        lam, field = mp["lam_frac"] * _principal(mesh, cfg.weights["m"], cfg.p).lam, "mode_params.lam_frac"
     try:
         return eta_star(mesh, cfg.weights["m"], cfg.weights["a"], cfg.weights["f"], cfg.p, cfg.q, lam, opts)
     except InvalidConfig as exc:  # exponents and f are checked already, so lam lies outside [0, lam1]

@@ -59,8 +59,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
+from .eigen import _principal
 from .errors import InvalidConfig
-from .functions import DiscreteFunction, Weight, grad_energy, weight_values, weighted_power_integral
+from .functions import DiscreteFunction, grad_energy, weight_values, weighted_power_integral
 
 __all__ = [
     "EtaStarOptions",
@@ -88,8 +89,6 @@ class EtaStarOptions:
     n_starts: int = 32
     max_iter: int = 600
     seed: int = 0
-    lam1: float | None = None
-    phi1: DiscreteFunction | None = None
     extra_starts: list = field(default_factory=list)
 
 
@@ -277,7 +276,8 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     """Critical perturbation size by multi-start preconditioned projected descent.
 
     Requires f >= 0 nodally and 0 <= lam <= lambda_1(m) (up to a 1e-6 relative
-    margin).  Returns the +infinity sentinel when no start attains a positive
+    margin); lambda_1(m) and phi1, the first start, come from eigen._principal.
+    Returns the +infinity sentinel when no start attains a positive
     denominator (empty admissible cone).  The lower_bound field carries the
     closed-form bound when min f > 0 and the power-weight eigenvalue exists.
     """
@@ -290,12 +290,8 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     if np.any(f_vals < 0):
         raise InvalidConfig("source weight must be nonnegative for the critical value")
 
-    lam1, phi1 = opts.lam1, opts.phi1
-    if lam1 is None:
-        from .eigen import principal_eigenpair
-
-        pair = principal_eigenpair(mesh, m, p)
-        lam1, phi1 = pair.lam, pair.phi
+    pair = _principal(mesh, m, p)
+    lam1 = pair.lam
     if lam < 0 or lam > lam1 * (1.0 + 1e-6):
         raise InvalidConfig(f"lam must lie in [0, lambda_1 ~ {lam1:.6g}], got {lam}")
 
@@ -303,7 +299,7 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     lower = None
     c_f = float(np.min(f_vals))
     if c_f > 0 and lam < lam1:
-        lam1_aplus = power_weight_lam1(mesh, np.maximum(a_vals, 0.0), p, q, known=(m_vals, lam1))
+        lam1_aplus = power_weight_lam1(mesh, np.maximum(a_vals, 0.0), p, q)
         if math.isfinite(lam1_aplus):
             lower = eta_star_lower_bound(c_f, p, q, lam, lam1, lam1_aplus)
 
@@ -311,9 +307,8 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
         return EtaStarResult(math.inf, None, lower, 0, [], lam1)
 
     dist = mesh.distance_to_boundary()
-    starts = [] if phi1 is None else [phi1.values]
-    starts.append(dist * (a_vals > 0))  # a bump on the support of a
-    starts.append(np.maximum(a_vals, 0.0))
+    # phi1, a bump on the support of a, and a_+
+    starts = [pair.phi.values, dist * (a_vals > 0), np.maximum(a_vals, 0.0)]
     for extra in opts.extra_starts:
         starts.append(extra.values if isinstance(extra, DiscreteFunction) else np.asarray(extra, float))
     rng = np.random.default_rng(opts.seed)
@@ -336,23 +331,17 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     )
 
 
-def power_weight_lam1(mesh, clamped, p, q, known=None):
+def power_weight_lam1(mesh, clamped, p, q):
     """lambda_1 of the power weight clamped^{(p-1)/(q-1)}, clamped = a_+ or a_- as nodal values.
 
     +inf when the power weight vanishes on every interior vertex (the
-    admissible cone is empty).  known is (nodal values, lambda_1) of a weight
-    whose eigenvalue is already computed, m's say: when the power weight has
-    exactly those values its lambda_1 is reused, as principal_eigenpair would
-    recompute it bit for bit.
+    admissible cone is empty).  Solved once per (mesh, nodal values, p)
+    (eigen._principal): a power weight with m's values shares m's solve.
     """
     power = clamped ** ((p - 1.0) / (q - 1.0))
     if not np.any(power[mesh.interior_vertices] > 0):
         return math.inf
-    if known is not None and np.array_equal(power, known[0]):
-        return known[1]
-    from .eigen import principal_eigenpair
-
-    return principal_eigenpair(mesh, Weight.nodal(power), p).lam
+    return _principal(mesh, power, p).lam
 
 
 def eta_star_lower_bound(c_f, p, q, lam, lam1_m, lam1_aplus):

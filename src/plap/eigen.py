@@ -27,12 +27,13 @@ safeguard keeps the recorded Rayleigh quotients nonincreasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fem
-from .errors import EmptyAdmissibleSet, InvalidConfig, NonConvergence
+from .errors import EmptyAdmissibleSet, InvalidConfig, NonConvergence, PlapError
 from .functions import DiscreteFunction, Weight, grad_energy, weight_values
 from .mesh import SubdomainMask
 
@@ -251,6 +252,32 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
         rq_history=rq_history,
         residual_norm=residual_norm,
     )
+
+
+_PRINCIPAL = weakref.WeakKeyDictionary()
+
+
+def _principal(mesh, m, p):
+    """principal_eigenpair(mesh, m, p) with default options, solved once per (mesh, nodal values of m, p).
+
+    m is a Weight or nodal values.  A PlapError is kept as its type and
+    message and raised afresh; no other error is kept.  Entries hold phi's
+    values, never the mesh, so they die with their weak key.
+    """
+    per_mesh = _PRINCIPAL.setdefault(mesh, {})
+    key = (weight_values(m, mesh).tobytes(), p)
+    if key not in per_mesh:
+        try:
+            pair = principal_eigenpair(mesh, m, p)
+        except PlapError as exc:
+            per_mesh[key] = (None, (type(exc), str(exc)))
+        else:
+            per_mesh[key] = (replace(pair, phi=None), pair.phi.values)
+    pair, phi = per_mesh[key]
+    if pair is None:
+        error, message = phi
+        raise error(message)
+    return replace(pair, phi=DiscreteFunction(mesh, phi))
 
 
 def principal_eigenpair_negative(mesh, m, p, opts=None):

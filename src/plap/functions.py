@@ -93,7 +93,7 @@ class Weight:
 
     @classmethod
     def nodal(cls, values):
-        return cls("nodal", np.asarray(values, dtype=float))
+        return cls("nodal", np.array(values, dtype=float))  # a copy: values() makes it read-only
 
     def values(self, mesh):
         """Nodal samples of the weight on the mesh (cached per mesh)."""

@@ -17,14 +17,15 @@ completeness of the solution set is undecidable here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bvp import ProblemSpec, SolveOptions, classify_sign, multi_start_solve
 from .critical import eta_star_lower_bound, picone_polynomial_check, power_weight_lam1
+from .eigen import _principal, second_eigenvalue_1d
 from .errors import InvalidConfig, PlapError
-from .functions import DiscreteFunction, Weight, weight_values, weighted_power_integral
+from .functions import weight_values, weighted_power_integral
 
 __all__ = [
     "TheoremPrediction",
@@ -171,8 +172,8 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
     a_nonneg = bool(np.all(a_vals >= 0))
     m_nonneg = bool(np.all(m_vals >= 0))
     if phi1 is not None:
-        a_phi = weighted_power_integral(Weight.nodal(a_vals), phi1, q)
-        f_phi = weighted_power_integral(Weight.nodal(f_vals), phi1, 1.0, signed=True)
+        a_phi = weighted_power_integral(a_vals, phi1, q)
+        f_phi = weighted_power_integral(f_vals, phi1, 1.0, signed=True)
     else:
         a_phi = math.nan
         f_phi = math.nan
@@ -350,13 +351,13 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
     return [pr for pr in preds if pr.applicable]
 
 
-def _eta_threshold_closures(template, lam1, pair=None):
+def _eta_threshold_closures(template, lam1):
     """Certified per-lam lower bounds for the critical value on each eta side.
 
     Uses the closed-form bound, which needs min f > 0 and a nontrivial clamped
-    weight; returns (pos, neg) callables or None where unavailable.  pair is
-    the principal eigenpair for template.m, if known: a power weight with m's
-    nodal values (m = a = 1, say) reuses its eigenvalue (power_weight_lam1).
+    weight; returns (pos, neg) callables or None where unavailable.  A power
+    weight with m's nodal values (m = a = 1, say) shares m's eigensolve
+    (power_weight_lam1).
     """
     mesh = template.mesh
     f_vals = weight_values(template.f, mesh)
@@ -364,10 +365,9 @@ def _eta_threshold_closures(template, lam1, pair=None):
     c_f = float(np.min(f_vals))
     if c_f <= 0 or not math.isfinite(lam1):
         return None, None
-    known = None if pair is None else (weight_values(template.m, mesh), pair.lam)
 
     def side(clamped):
-        lam1_w = power_weight_lam1(mesh, clamped, template.p, template.q, known)
+        lam1_w = power_weight_lam1(mesh, clamped, template.p, template.q)
         if math.isinf(lam1_w):
             return lambda lam: math.inf  # empty admissible cone: critical value infinite
 
@@ -385,16 +385,15 @@ def _all_in(classes, claim):
     return len(classes) > 0 and all(c in claim for c in classes)
 
 
-def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
+def sweep(template, lam_grid, eta_grid, opts=None):
     """Run multi-start solves over the grid and join them with predictions.
 
     template is a ProblemSpec whose lam/eta fields are ignored.  Cell solves
     that fail are recorded as rows with sign_class "failed", never fatal.
-    Returns the RegionMap with measured MP/AMP half-widths.  pair is the
-    principal eigenpair of template.m with default EigenOptions, when the
-    caller has already computed it; it is then not solved again.  A set
-    opts.solve_opts.lam1 stands in for lam1 in the predictions as in the
-    solves.
+    Returns the RegionMap with measured MP/AMP half-widths.  (lam1, phi1)
+    come from eigen._principal (lam1 = inf when it fails), as in every
+    cell.  A set opts.solve_opts.lam1 stands in for lam1 in the predictions
+    as in the solves.
 
     The cells of one lam row share a rung store (bvp.solve's _prefix): each
     start runs the eta-free rungs of its ladder once per row, and every cell
@@ -409,32 +408,22 @@ def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
     eta_grid = [float(v) for v in eta_grid]
 
     phi1, lam1 = None, math.inf
-    if pair is None:
-        try:
-            from .eigen import principal_eigenpair
-
-            pair = principal_eigenpair(mesh, template.m, template.p)
-        except PlapError:
-            pass
-    if pair is not None:
+    try:
+        pair = _principal(mesh, template.m, template.p)
         phi1, lam1 = pair.phi, pair.lam
-    solve_opts = opts.solve_opts
-    if solve_opts.lam1 is not None:
-        lam1 = solve_opts.lam1
-    elif math.isfinite(lam1):
-        solve_opts = replace(solve_opts, lam1=lam1)
+    except PlapError:
+        pass
+    if opts.solve_opts.lam1 is not None:
+        lam1 = opts.solve_opts.lam1
 
+    m_vals = weight_values(template.m, mesh)
     lam2_bound = math.inf
-    if mesh.dimension == 1 and isinstance(template.m, Weight) and template.m.kind == "constant":
-        c = float(template.m.payload)
-        if c > 0:
-            from .eigen import second_eigenvalue_1d
-
-            lam2_bound = second_eigenvalue_1d(mesh.bounds[0], mesh.bounds[1], template.p) / c
+    if mesh.dimension == 1 and m_vals[0] > 0 and np.all(m_vals == m_vals[0]):
+        lam2_bound = second_eigenvalue_1d(mesh.bounds[0], mesh.bounds[1], template.p) / float(m_vals[0])
 
     predictions = []
     if opts.predictions:
-        thr_pos, thr_neg = _eta_threshold_closures(template, lam1, pair)
+        thr_pos, thr_neg = _eta_threshold_closures(template, lam1)
         predictions = check_hypotheses(template, lam1, phi1, thr_pos, thr_neg)
     binding = [pr for pr in predictions if pr.region is not None and pr.applicable]
 
@@ -444,7 +433,7 @@ def sweep(template, lam_grid, eta_grid, opts=None, *, pair=None):
         prefix = {}  # the row's eta-free rungs, run once per start (bvp.solve)
         for j, eta in enumerate(eta_grid):
             spec = template.replace(lam=lam, eta=eta)
-            ms = multi_start_solve(spec, solve_opts, phi1=phi1, _prefix=prefix)
+            ms = multi_start_solve(spec, opts.solve_opts, _prefix=prefix)
             rows = []
             for strategy, out, err in ms.per_start:
                 if out is None:
@@ -575,16 +564,11 @@ def nonuniformity_experiment(
     contiguous all-negative lam prefix above lam1 at eta = 0) is measured on a
     shared lam grid.  Requires a >= 0; raises InvalidConfig otherwise.
     """
-    from .eigen import principal_eigenpair
-
     solve_opts = opts or SolveOptions()
     a_vals = weight_values(a, mesh)
     if np.any(a_vals < 0):
         raise InvalidConfig(f"a: must be >= 0 for the nonuniformity probe, min value {float(a_vals.min()):g}")
-    pair = principal_eigenpair(mesh, m, p)
-    lam1, phi1 = pair.lam, pair.phi
-    if solve_opts.lam1 is None:
-        solve_opts = replace(solve_opts, lam1=lam1)
+    lam1 = _principal(mesh, m, p).lam
     lam_probe = lam1 + eps_lambda
     span = delta_span if delta_span is not None else max(1.5 * eps_lambda, 0.1 * lam1)
     lam_scan = np.linspace(lam1 * (1.0 + 2e-3), lam1 + span, n_lam)
@@ -595,13 +579,13 @@ def nonuniformity_experiment(
         prefix = {}  # the two probes share their eta-free rungs (bvp.solve)
         for eta, key in ((0.0, "classes_eta0"), (eta_small, "classes_eta_small")):
             spec = ProblemSpec(mesh, p, q, lam_probe, eta, m, a, f)
-            ms = multi_start_solve(spec, solve_opts, phi1=phi1, _prefix=prefix)
+            ms = multi_start_solve(spec, solve_opts, _prefix=prefix)
             entry[key] = sorted({o.sign_class for o in ms.outcomes})
             entry.setdefault("failures", {})[key] = len(ms.failures)
         delta_hat = 0.0
         for lam in lam_scan:
             spec = ProblemSpec(mesh, p, q, float(lam), 0.0, m, a, f)
-            ms = multi_start_solve(spec, solve_opts, phi1=phi1)
+            ms = multi_start_solve(spec, solve_opts)
             classes = {o.sign_class for o in ms.outcomes}
             if classes and classes <= {"negative"}:
                 delta_hat = float(lam) - lam1

@@ -89,7 +89,7 @@ def test_criterion_3_mp_region(p, interval_256):
         pair = principal_eigenpair(interval_256, ONE, p)
         est = eta_star(
             interval_256, ONE, ONE, ONE, p, 1.5, 0.95 * pair.lam,
-            EtaStarOptions(lam1=pair.lam, phi1=pair.phi, n_starts=16),
+            EtaStarOptions(n_starts=16),
         )
         eta_small = 0.3 * est.value
         assert eta_small < est.value  # the positive eta stays below the estimate
@@ -111,7 +111,7 @@ def test_criterion_4_amp_region_p2(interval_256, pair_p2_256):
         lam_grid = np.linspace(1.05 * lam1 + 0.05, 3.8 * math.pi**2, 12)
         opts = SolveOptions(lam1=lam1, t_grid=(1.0, 4.0), n_random=1)
         for lam in lam_grid:
-            ms = multi_start_solve(spec_for(interval_256, 2.0, lam=float(lam)), opts, phi1=pair_p2_256.phi)
+            ms = multi_start_solve(spec_for(interval_256, 2.0, lam=float(lam)), opts)
             assert len(ms.outcomes) >= 1
             for out in ms.outcomes:
                 assert out.sign_class == "negative", (lam, out.sign_class)
@@ -133,14 +133,14 @@ def test_criterion_4_amp_region_p3(interval_256, pair_p3_256):
 
 def test_criterion_5_nonnegativity_region(interval_256, pair_p2_256):
     with criterion(5, "nonnegativity region below lam1"):
-        lam1, phi1 = pair_p2_256.lam, pair_p2_256.phi
+        lam1 = pair_p2_256.lam
         allowed = {"positive", "nonneg_with_zeros", "zero"}
         prev = None
         counterexamples = 0
         for frac in (0.0, 0.25, 0.5, 0.75, 0.95):
             lam = frac * lam1
             opts = EtaStarOptions(
-                lam1=lam1, phi1=phi1, n_starts=12,
+                n_starts=12,
                 extra_starts=[prev.minimizer] if prev is not None and prev.minimizer else [],
             )
             est = eta_star(interval_256, ONE, ONE, ONE, 2.0, 1.5, lam, opts)
@@ -161,12 +161,11 @@ def test_criterion_5_nonnegativity_region(interval_256, pair_p2_256):
 
 def test_criterion_6_eta_star_bracketing(interval_256, pair_p2_256):
     with criterion(6, "eta* bracketing and monotone collapse"):
-        lam1, phi1 = pair_p2_256.lam, pair_p2_256.phi
+        lam1 = pair_p2_256.lam
         values = []
         prev = None
         for frac in (0.0, 0.25, 0.5, 0.75):
             opts = EtaStarOptions(
-                lam1=lam1, phi1=phi1,
                 extra_starts=[prev.minimizer] if prev is not None and prev.minimizer else [],
             )
             res = eta_star(interval_256, ONE, ONE, ONE, 2.0, 1.5, frac * lam1, opts)

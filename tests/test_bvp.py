@@ -211,28 +211,29 @@ def test_sup_bound_diagnostic_reported(interval_256):
 def test_multi_start_unique_linear(interval_256, pair_p2_256):
     for lam in (0.5 * pair_p2_256.lam, 1.2 * pair_p2_256.lam):
         spec = make_spec(interval_256, lam=lam)
-        ms = multi_start_solve(spec, SolveOptions(lam1=pair_p2_256.lam), phi1=pair_p2_256.phi)
+        ms = multi_start_solve(spec, SolveOptions(lam1=pair_p2_256.lam))
         assert len(ms) == 1
         assert ms[0].residual_norm < 1e-9
 
 
 def test_multi_start_p3_below_lam1_all_positive(interval_256, pair_p3_256):
     spec = make_spec(interval_256, p=3.0, lam=0.95 * pair_p3_256.lam)
-    ms = multi_start_solve(spec, SolveOptions(lam1=pair_p3_256.lam), phi1=pair_p3_256.phi)
+    ms = multi_start_solve(spec, SolveOptions(lam1=pair_p3_256.lam))
     assert len(ms.outcomes) >= 1
     assert all(o.sign_class == "positive" for o in ms.outcomes)
 
 
 def test_multi_start_never_raises_at_resonance(interval_256, pair_p2_256):
     spec = make_spec(interval_256, lam=pair_p2_256.lam)
-    ms = multi_start_solve(spec, SolveOptions(lam1=pair_p2_256.lam), phi1=pair_p2_256.phi)
+    ms = multi_start_solve(spec, SolveOptions(lam1=pair_p2_256.lam))
     assert len(ms.per_start) >= 1  # never aborts the batch
 
 
 def test_multi_start_without_phi1_solves_its_own_eigenpair(interval_256, pair_p3_256):
+    # own fills in lam1 from its eigensolve; given sets it by hand
     spec = make_spec(interval_256, p=3.0, lam=0.5 * pair_p3_256.lam)
     own = multi_start_solve(spec, SolveOptions(n_random=1))
-    given = multi_start_solve(spec, SolveOptions(n_random=1, lam1=pair_p3_256.lam), phi1=pair_p3_256.phi)
+    given = multi_start_solve(spec, SolveOptions(n_random=1, lam1=pair_p3_256.lam))
     assert len(own.per_start) == 12  # zero, +-t*phi1 for five t, random0
     for (label, out, err), (label_g, out_g, err_g) in zip(own.per_start, given.per_start, strict=True):
         assert (label, err) == (label_g, err_g)
@@ -323,7 +324,7 @@ def test_stalled_starts_fail_cheaply(interval_256, pair_p3_256, monkeypatch):
     monkeypatch.setattr(fem, "p_flux", counting_p_flux)
     monkeypatch.setattr(bvp, "solve", counting_solve)
     spec = make_spec(interval_256, p=3.0, lam=0.8 * pair_p3_256.lam)
-    ms = multi_start_solve(spec, SolveOptions(n_random=0, lam1=pair_p3_256.lam), phi1=pair_p3_256.phi)
+    ms = multi_start_solve(spec, SolveOptions(n_random=0, lam1=pair_p3_256.lam))
 
     converged = {
         label: (out.sign_class, round(out.sup_norm, 9), out.newton_iters)
@@ -342,7 +343,7 @@ def test_failed_start_names_max_newton(interval_256, pair_p3_256):
     opts = SolveOptions(n_random=0, lam1=pair_p3_256.lam, max_newton=1)
     with pytest.raises(NonConvergence, match="Newton max_newton"):
         solve(spec, opts=opts)
-    ms = multi_start_solve(spec, opts, phi1=pair_p3_256.phi)
+    ms = multi_start_solve(spec, opts)
     assert len(ms.failures) >= 9
     assert all(err.startswith("NonConvergence: Newton max_newton") for _, err in ms.failures)
 

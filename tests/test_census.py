@@ -92,7 +92,7 @@ def test_cell_keeps_its_solutions(cell, interval_256, pair_p3_256, square_24, pa
     one = Weight.constant(1.0)
     spec = ProblemSpec(mesh, P, Q, lam_frac * pair.lam, eta, one, _weight(a_src), _weight(f_src))
     opts = SolveOptions(n_random=0, lam1=pair.lam)
-    ms = multi_start_solve(spec, opts, phi1=pair.phi)
+    ms = multi_start_solve(spec, opts)
     found = [(o.sign_class, o.sup_norm) for o in ms.outcomes]
     lost, gained = _match(CENSUS[cell], found)
     report = [f"lost {cell} {c} {s:.6f}" for c, s in lost]

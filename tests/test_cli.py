@@ -110,6 +110,15 @@ def test_nonuniformity_roundtrip(tmp_path):
     assert len(report["result"]["members"]) == 2
 
 
+def test_nonuniformity_without_an_eigenpair_exits_2(tmp_path):
+    # m = -1 has no positive part; the kept failure still raises EmptyAdmissibleSet
+    cfg = config("nonuniformity", family=[{"center": 0.9, "radius": 0.05}], n_lam=2)
+    cfg["weights"]["m"] = -1
+    proc = run_cli("nonuniformity", cfg, tmp_path)
+    assert proc.returncode == 2
+    assert "no positive part" in proc.stderr
+
+
 def test_sweep_default_grids(tmp_path):
     # omitting the grids triggers the documented defaults: lam spans [0, 2*lam1]
     # and eta spans +-(eta* estimate at lam1/2); shrunk point counts keep it fast
@@ -123,7 +132,7 @@ def test_sweep_default_grids(tmp_path):
 
 
 def test_default_sweep_solves_its_eigenproblem_once(tmp_path, monkeypatch):
-    from plap import cli, eigen, regions
+    from plap import bvp, cli, critical, eigen, regions
 
     cfg = config("sweep", n_lam=3, n_eta=3)
     cfg["p"] = 3.0
@@ -137,7 +146,6 @@ def test_default_sweep_solves_its_eigenproblem_once(tmp_path, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(eigen, "principal_eigenpair", counting)
-    monkeypatch.setattr(cli, "principal_eigenpair", counting)
 
     def run(out):
         del calls[:]
@@ -145,11 +153,13 @@ def test_default_sweep_solves_its_eigenproblem_once(tmp_path, monkeypatch):
         return len(calls), (out / "sweep.csv").read_bytes(), (out / "sweep_report.json").read_bytes()
 
     once = run(tmp_path / "once")
-    # the sweep solving the eigenproblem again, as it did before the CLI handed it the pair
-    monkeypatch.setattr(cli, "sweep", lambda *args, pair: regions.sweep(*args))
-    twice = run(tmp_path / "twice")
-    assert (once[0], twice[0]) == (1, 2)
-    assert once[1:] == twice[1:]
+    # without the eigenpair memo: the grid, eta*, its power weight, the sweep,
+    # its threshold and each of the nine cells solve the eigenproblem again
+    for module in (bvp, cli, critical, regions):
+        monkeypatch.setattr(module, "_principal", counting)
+    again = run(tmp_path / "again")
+    assert (once[0], again[0]) == (1, 14)
+    assert once[1:] == again[1:]
 
 
 def test_sweep_on_a_thin_rectangle(tmp_path):

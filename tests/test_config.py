@@ -270,6 +270,14 @@ def test_readme_example_parses():
     assert cfg.mode == "sweep" and cfg.mode_params["lam_grid"] == (2.0, 5.0, 12.0)
 
 
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == ["negative"]  # the antimaximum principle just right of lam1
+
+
 def test_missing_nodal_file(tmp_path):
     raw = json.loads(cfg_text())
     raw["weights"]["f"] = {"kind": "nodal", "path": "absent.json"}

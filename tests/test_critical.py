@@ -30,7 +30,7 @@ def test_constant_factor():
 def test_eta_star_zero_at_lam1(interval_256, one, pair_p2_256):
     res = eta_star(
         interval_256, one, one, one, 2.0, 1.5, pair_p2_256.lam,
-        EtaStarOptions(lam1=pair_p2_256.lam, phi1=pair_p2_256.phi, n_starts=4),
+        EtaStarOptions(n_starts=4),
     )
     assert res.value <= 1e-8
 
@@ -38,7 +38,7 @@ def test_eta_star_zero_at_lam1(interval_256, one, pair_p2_256):
 def test_eta_star_sentinel_for_nonpositive_a(interval_256, one, pair_p2_256):
     res = eta_star(
         interval_256, one, Weight.constant(-1.0), one, 2.0, 1.5, 0.5 * pair_p2_256.lam,
-        EtaStarOptions(lam1=pair_p2_256.lam, phi1=pair_p2_256.phi),
+        EtaStarOptions(),
     )
     assert res.value == math.inf
     assert res.minimizer is None
@@ -48,7 +48,7 @@ def test_eta_star_bracketed_by_bound_and_bump_family(interval_256, one, pair_p2_
     lam = 0.5 * pair_p2_256.lam
     res = eta_star(
         interval_256, one, one, one, 2.0, 1.5, lam,
-        EtaStarOptions(lam1=pair_p2_256.lam, phi1=pair_p2_256.phi),
+        EtaStarOptions(),
     )
     assert res.starts_used >= 32
     assert math.isfinite(res.value)
@@ -63,7 +63,7 @@ def test_eta_star_bracketed_by_bound_and_bump_family(interval_256, one, pair_p2_
 def test_every_start_converges_to_one_value(interval_256, one, pair_p3_256):
     res = eta_star(
         interval_256, one, one, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,
-        EtaStarOptions(lam1=pair_p3_256.lam, phi1=pair_p3_256.phi, n_starts=32),
+        EtaStarOptions(n_starts=32),
     )
     assert len(res.start_iterations) == res.starts_used == 32
     assert max(res.start_iterations) < EtaStarOptions().max_iter
@@ -83,7 +83,7 @@ def test_eta_star_active_set_at_the_cone_boundary(one):
     pair = principal_eigenpair(mesh, one, 2.0)
     res = eta_star(
         mesh, one, Weight.expression("x - 0.3"), one, 2.0, 1.5, 0.5 * pair.lam,
-        EtaStarOptions(lam1=pair.lam, phi1=pair.phi, n_starts=4),
+        EtaStarOptions(n_starts=4),
     )
     assert res.value >= res.lower_bound
     # the plain projected gradient descent from 16 starts gives 24.03381
@@ -191,7 +191,7 @@ def test_start_with_zero_gradient_energy_gives_inf(interval_256, one, pair_p3_25
     res = eta_star(
         interval_256, one, one, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,
         EtaStarOptions(
-            lam1=pair_p3_256.lam, phi1=pair_p3_256.phi, n_starts=6,
+            n_starts=6,
             extra_starts=[-np.ones(interval_256.n_vertices)],
         ),
     )
@@ -202,14 +202,13 @@ def test_start_with_zero_gradient_energy_gives_inf(interval_256, one, pair_p3_25
 
 
 @pytest.mark.parametrize("a_value, eigensolves", [(1.0, 0), (2.0, 1)])
-def test_lower_bound_reuses_lam1_when_the_clamped_weight_is_m(
-    interval_256, one, pair_p3_256, monkeypatch, a_value, eigensolves
-):
+def test_lower_bound_reuses_lam1_when_the_clamped_weight_is_m(one, pair_p3_256, monkeypatch, a_value, eigensolves):
     from plap import eigen, principal_eigenpair
 
+    mesh = build_interval(0.0, 1.0, 256)  # fresh, so the eigenpair memo holds nothing for it yet
     a = Weight.constant(a_value)
-    power = np.full(interval_256.n_vertices, a_value ** (2.0 / 0.5))
-    lam1_aplus = principal_eigenpair(interval_256, Weight.nodal(power), 3.0).lam
+    power = np.full(mesh.n_vertices, a_value ** (2.0 / 0.5))
+    lam1_aplus = principal_eigenpair(mesh, Weight.nodal(power), 3.0).lam
     want = eta_star_lower_bound(1.0, 3.0, 1.5, 0.5 * pair_p3_256.lam, pair_p3_256.lam, lam1_aplus)
     calls = []
     solve = eigen.principal_eigenpair
@@ -219,16 +218,13 @@ def test_lower_bound_reuses_lam1_when_the_clamped_weight_is_m(
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(eigen, "principal_eigenpair", counting)
-    res = eta_star(
-        interval_256, one, a, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,
-        EtaStarOptions(lam1=pair_p3_256.lam, phi1=pair_p3_256.phi, n_starts=4),
-    )
-    assert len(calls) == eigensolves
+    res = eta_star(mesh, one, a, one, 3.0, 1.5, 0.5 * pair_p3_256.lam, EtaStarOptions(n_starts=4))
+    assert len(calls) == 1 + eigensolves  # m's solve, then a's unless its power weight has m's values
     assert res.lower_bound == want
 
 
 def test_eta_star_rejects_bad_lam(interval_256, one, pair_p2_256):
-    opts = EtaStarOptions(lam1=pair_p2_256.lam, phi1=pair_p2_256.phi)
+    opts = EtaStarOptions()
     with pytest.raises(InvalidConfig):
         eta_star(interval_256, one, one, one, 2.0, 1.5, -0.5, opts)
     with pytest.raises(InvalidConfig):

@@ -152,6 +152,14 @@ def test_nodal_weight_length_mismatch():
         Weight.nodal([1.0, 2.0]).values(mesh)
 
 
+def test_nodal_weight_leaves_the_callers_array_writable(two_cell):
+    a = np.array([0.0, 1.0, 0.0])
+    w = Weight.nodal(a)
+    assert w.values(two_cell).tolist() == [0.0, 1.0, 0.0]
+    a[1] = 2.0  # values() made the weight's own copy read-only, not a
+    assert w.values(two_cell).tolist() == [0.0, 1.0, 0.0]
+
+
 def test_weighted_integral_rejects_small_r():
     mesh = build_interval(0, 1, 4)
     with pytest.raises(InvalidConfig):

@@ -178,7 +178,7 @@ def test_nonuniformity_rejects_negative_a(interval_256, one):
 def test_nonuniformity_control_below_lam1(interval_512, one, pair_p2_512):
     f = Weight.expression("bump(0.958, 0.012)")
     spec = ProblemSpec(interval_512, 2.0, 1.5, 0.5 * pair_p2_512.lam, 0.0, one, one, f)
-    ms = multi_start_solve(spec, SolveOptions(lam1=pair_p2_512.lam, t_grid=(1.0,), n_random=1), phi1=pair_p2_512.phi)
+    ms = multi_start_solve(spec, SolveOptions(lam1=pair_p2_512.lam, t_grid=(1.0,), n_random=1))
     assert sorted({o.sign_class for o in ms.outcomes}) == ["positive"]
 
 
@@ -192,30 +192,32 @@ def test_nonuniformity_exact_linear_crosscheck(interval_512, one, pair_p2_512):
     assert out.sign_class == "sign_changing"
 
 
-def test_eigensolve_programming_errors_propagate(interval_256, monkeypatch):
+def test_eigensolve_programming_errors_propagate(monkeypatch):
     import plap.eigen
 
     def broken(*args, **kwargs):
         raise TypeError("bug inside the eigensolver")
 
+    # a fresh mesh: the eigenpair memo never saw it, so each call reaches the eigensolver
+    mesh = build_interval(0.0, 1.0, 256)
     monkeypatch.setattr(plap.eigen, "principal_eigenpair", broken)
-    spec = template(interval_256, p=3.0).replace(lam=1.0)
+    spec = template(mesh, p=3.0).replace(lam=1.0)
     with pytest.raises(TypeError):
         multi_start_solve(spec)
     with pytest.raises(TypeError):
-        sweep(template(interval_256, p=3.0), [1.0], [0.0])
+        sweep(template(mesh, p=3.0), [1.0], [0.0])
 
 
 def _spy_cells(monkeypatch):
-    """Record (spec, opts, phi1, result) of every multi_start_solve that regions makes."""
+    """Record (spec, opts, result) of every multi_start_solve that regions makes."""
     import plap.regions as regions
 
     calls = []
     inner = regions.multi_start_solve
 
-    def spy(spec, opts=None, phi1=None, **kw):
-        ms = inner(spec, opts, phi1=phi1, **kw)
-        calls.append((spec, opts, phi1, ms))
+    def spy(spec, opts=None, **kw):
+        ms = inner(spec, opts, **kw)
+        calls.append((spec, opts, ms))
         return ms
 
     monkeypatch.setattr(regions, "multi_start_solve", spy)
@@ -251,8 +253,8 @@ def test_sweep_rows_match_independent_cells(mesh, p, lam_fracs, monkeypatch):
     opts = SweepOptions(solve_opts=SolveOptions(t_grid=(0.5, 2.0), n_random=2), predictions=False)
     sweep(template(mesh, p=p), [f * lam1 for f in lam_fracs], [-0.3, 0.0, 0.3], opts)
     assert len(calls) == 3 * len(lam_fracs)
-    for spec, solve_opts, phi1, ms in calls:
-        _assert_bit_identical(ms, multi_start_solve(spec, solve_opts, phi1=phi1))
+    for spec, solve_opts, ms in calls:
+        _assert_bit_identical(ms, multi_start_solve(spec, solve_opts))
 
 
 def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
@@ -289,7 +291,7 @@ def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
     for eta in etas:
         spec = template(interval_256, p=3.0).replace(lam=lam, eta=eta)
         before = flux_calls[0]
-        multi_start_solve(spec, replace(solve_opts, lam1=pair_p3_256.lam), phi1=pair_p3_256.phi)
+        multi_start_solve(spec, replace(solve_opts, lam1=pair_p3_256.lam))
         alone.append(flux_calls[0] - before)
     assert in_row[0] == alone[0]  # the first cell of a row pays for the prefix
     assert in_row[1] < alone[1] and in_row[2] < alone[2]
@@ -306,15 +308,13 @@ def test_nonuniformity_probes_match_independent_cells(interval_256, one, monkeyp
         opts=SolveOptions(t_grid=(0.5, 2.0), n_random=1),
     )
     assert len(report.members) == 1 and len(calls) >= 2
-    for spec, solve_opts, phi1, ms in calls:
-        _assert_bit_identical(ms, multi_start_solve(spec, solve_opts, phi1=phi1))
+    for spec, solve_opts, ms in calls:
+        _assert_bit_identical(ms, multi_start_solve(spec, solve_opts))
 
 
-@pytest.mark.parametrize("a, eigensolves", [(1.0, 1), (2.0, 2)])
-def test_sweep_reuses_its_eigenpair_for_the_threshold(interval_256, a, eigensolves, monkeypatch):
-    # with a = m = 1 the clamped weight max(a, 0)^((p-1)/(q-1)) has m's nodal values
+def _count_eigensolves(monkeypatch):
+    """The list to which every principal_eigenpair call from now on appends its arguments."""
     import plap.eigen
-    from plap.regions import _eta_threshold_closures
 
     solves = []
     inner = plap.eigen.principal_eigenpair
@@ -324,10 +324,90 @@ def test_sweep_reuses_its_eigenpair_for_the_threshold(interval_256, a, eigensolv
         return inner(*args, **kw)
 
     monkeypatch.setattr(plap.eigen, "principal_eigenpair", counting)
-    tmpl = template(interval_256, p=3.0, a=a)
+    return solves
+
+
+@pytest.mark.parametrize("a, eigensolves", [(1.0, 1), (2.0, 2)])
+def test_sweep_reuses_its_eigenpair_for_the_threshold(a, eigensolves, monkeypatch):
+    # with a = m = 1 the clamped weight max(a, 0)^((p-1)/(q-1)) has m's nodal values
+    from plap.critical import eta_star_lower_bound
+    from plap.regions import _eta_threshold_closures
+
+    mesh = build_interval(0.0, 1.0, 256)  # fresh, so the memo holds nothing for it yet
+    solves = _count_eigensolves(monkeypatch)
+    tmpl = template(mesh, p=3.0, a=a)
     region_map = sweep(tmpl, [], [], SweepOptions())
     assert len(solves) == eigensolves
-    pair = inner(interval_256, tmpl.m, 3.0)
-    shared = _eta_threshold_closures(tmpl, region_map.lam1, pair)[0]
-    alone = _eta_threshold_closures(tmpl, region_map.lam1)[0]
-    assert [shared(f * pair.lam) for f in (0.0, 0.5, 0.9)] == [alone(f * pair.lam) for f in (0.0, 0.5, 0.9)]
+    lam1 = region_map.lam1
+    shared = _eta_threshold_closures(tmpl, lam1)[0]
+    assert len(solves) == eigensolves  # the sweep's solves are remembered
+    lam1_w = principal_eigenpair(mesh, Weight.nodal(np.full(mesh.n_vertices, a**4.0)), 3.0).lam
+    alone = [eta_star_lower_bound(1.0, 3.0, 1.5, f * lam1, lam1, lam1_w) for f in (0.0, 0.5, 0.9)]
+    assert [shared(f * lam1) for f in (0.0, 0.5, 0.9)] == alone
+
+
+@pytest.mark.parametrize(
+    "build, m",
+    [
+        (lambda: build_rectangle(0.0, 10.0, 0.0, 0.1, 20, 4), 1.0),  # the eigensolve does not converge
+        (lambda: build_interval(0.0, 1.0, 256), -1.0),  # no positive part: no eigenpair
+    ],
+    ids=["thin-rectangle", "m-negative"],
+)
+def test_failed_eigensolve_runs_once_per_sweep(build, m, monkeypatch):
+    solves = _count_eigensolves(monkeypatch)
+    opts = SweepOptions(solve_opts=SolveOptions(n_random=1))
+    region_map = sweep(template(build(), m=m), [1.0, 2.0, 3.0], [0.0, 0.1], opts)
+    assert len(region_map.cells) == 6
+    assert len(solves) == 1
+    assert region_map.lam1 == math.inf
+    assert all([row.strategy for row in cell.rows] == ["zero", "random0"] for cell in region_map.cells.values())
+
+
+def test_eigenpair_memo_keeps_a_failure_as_a_fresh_error(monkeypatch):
+    from plap import EmptyAdmissibleSet, eigen
+
+    solves = _count_eigensolves(monkeypatch)
+    mesh = build_interval(0.0, 1.0, 64)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(EmptyAdmissibleSet) as info:
+            eigen._principal(mesh, np.full(mesh.n_vertices, -1.0), 3.0)  # m = -1: no positive part
+        errors.append(info.value)
+    assert len(solves) == 1
+    assert str(errors[0]) == str(errors[1]) == "weight has no positive part on the active vertex set"
+    assert errors[0] is not errors[1]
+
+
+def test_eigenpair_memo_forgets_its_mesh():
+    import gc
+    import weakref
+
+    from plap import eigen
+
+    mesh = build_interval(0.0, 1.0, 64)
+    pair = eigen._principal(mesh, Weight.constant(1.0), 3.0)
+    assert pair.phi.values.tobytes() == principal_eigenpair(mesh, Weight.constant(1.0), 3.0).phi.values.tobytes()
+    assert eigen._principal(mesh, Weight.nodal(np.ones(65)), 3.0).lam == pair.lam  # keyed by nodal values
+    alive = weakref.ref(mesh)
+    del mesh, pair
+    gc.collect()
+    assert alive() is None
+
+
+@pytest.mark.parametrize(
+    "m, c",
+    [
+        (Weight.constant(2.0), 2.0),
+        (Weight.expression("2"), 2.0),
+        (Weight.nodal(np.full(257, 2.0)), 2.0),
+        (Weight.expression("1 + x"), None),
+    ],
+    ids=["constant", "expression", "nodal", "varying"],
+)
+def test_sweep_lam2_bound_of_a_constant_weight(interval_256, m, c):
+    # lam2 of a constant weight c > 0 is lam2(1) / c; no bound is known for other weights
+    from plap import second_eigenvalue_1d
+
+    region_map = sweep(template(interval_256, m=m), [], [], SweepOptions(predictions=False))
+    assert region_map.lam2_bound == (second_eigenvalue_1d(0.0, 1.0, 2.0) / c if c else math.inf)
