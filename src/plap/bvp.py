@@ -26,42 +26,63 @@ Each rung runs fem.newton, the damped-Newton loop the eigensolver's inner
 solve shares: each line search tries t = 1, 1/2, 1/4, ... and takes the
 first trial that passes the Armijo test on the squared residual norm,
 ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2 (fem.newton evaluates the trials in
-stacked chunks, as many as the last search needed, with the result of a
-search that tries one t at a time).  The loop ends on one of the reasons
-fem.newton names: converged (||r|| <= the rung's tolerance * (1 + size of
-the right-hand side)), stalled, line_search, max_newton or singular.  A
-rung has stalled when the trial that passed Armijo lowers ||r||^2 by less
-than the relative STALL_DECREASE = 1e-5; that trial is not taken.  Armijo
-alone asks for 2e-4 t, so only steps damped below t ~ 0.05 can trip this
-test (Dennis & Schnabel 1996, section 6.3 and A6.3.1).
+stacked chunks, as many as the start's last search needed, carried from
+rung to rung, with the result of a search that tries one t at a time).  The
+loop ends on one of the reasons fem.newton names: converged (||r|| <= the
+rung's tolerance * (1 + size of the right-hand side)), stalled,
+line_search, max_newton or singular.  A rung has stalled when the trial
+that passed Armijo lowers ||r||^2 by less than the relative STALL_DECREASE
+= 1e-5; that trial is not taken.  Armijo alone asks for 2e-4 t, so only
+steps damped below t ~ 0.05 can trip this test (Dennis & Schnabel 1996,
+section 6.3 and A6.3.1).
 
 Every reason but converged ends the rung at its last accepted iterate, which
 warm-starts the next rung; on the final rung solve raises NonConvergence
-naming the reason (ResonantParameter for singular).  The progress test ends a
-rung, not a start: many starts that stall near the degenerate point u = 0 of
-the p > 2 operator recover on a later rung.  Why 1e-5, on the 1D benchmark
-grid (n = 256, p = 3, lam in {0.8, 1.9} lam1, eta in {0, 0.2}, no random
-starts): without it, 41 rungs accepted steps at t <= 2^-14 and none of them
-converged, yet they made 27,067 of the grid's 30,226 residual evaluations;
-with it the grid makes 7,314, the same 10 starts fail (a median of 299
-evaluations each instead of 2,242) and each cell finds the same solutions.
-These figures count trials, one residual evaluation each.  Since a search
-evaluates its trials in chunks, the grid (with the rung store below) makes
-1,898 residual calls for 741 Newton iterations, where one call per trial
-made 6,053.  A t floor of 1e-6 instead would cut converging rungs: one 1D
-f = 1 rung needs t = 2^-32.  (The eigensolver's inner solve runs the loop
-with the test off: its problem is strictly convex, so ||r||^2 has no stall
-to catch.)
+naming the reason and the energy steps of that rung (ResonantParameter for
+singular).  The progress test ends a rung, not a start: many starts that
+stall near the degenerate point u = 0 of the p > 2 operator recover on a
+later rung.  Why 1e-5, on the 1D benchmark grid (n = 256, p = 3, lam in
+{0.8, 1.9} lam1, eta in {0, 0.2}, no random starts), measured before the
+energy rescue below and with one residual call per trial: without it, 41
+rungs accepted steps at t <= 2^-14 and none of them converged, yet they
+made 27,067 of the grid's 30,226 residual evaluations; with it the grid
+made 7,314, the same 10 starts failed (a median of 299 evaluations each
+instead of 2,242) and each cell found the same solutions.  A t floor of
+1e-6 instead would cut converging rungs: one 1D f = 1 rung needs t = 2^-32.
+(The eigensolver's inner solve runs the loop with the test off: its problem
+is strictly convex, so ||r||^2 has no stall to catch.)
+
+Below lam1 a rung that would end can step on the energy instead.  The
+residual is the gradient of the regularized energy E of fem.weak_form, and
+int |grad u|^p >= lam1 int m |u|^p, so for 0 <= lam < lam1 (and for lam < 0
+when m >= 0) E is coercive and the solutions there minimize it; above lam1
+they come from linking and are saddles of E, where a step down E can lead
+away from every root.  So on rungs with lam below lam1, when lam1 is known
+(opts.lam1, which multi_start_solve fills in), the driver hands fem.newton
+the energy: when the ||r||^2 search would end the rung as stalled or
+line_search and the step descends E, an Armijo step on E is taken and the
+rung goes on under the ||r||^2 test (Nocedal & Wright 2006, ch. 3).
+Without it, starts on the wrong side of u = 0 slide into the degenerate
+point and stall there: on the grid above, 6 of the 10 failed starts stalled
+at 0.8 lam1 with ||r|| of 5.5-5.8e-2, close to ||load|| = 6.2e-2.  With it
+5 of them reach the cell's solution after one energy step each (35 energy
+evaluations on the grid), 5 starts fail (4 at 1.9 lam1), and the grid makes
+1,116 residual calls (6,152 trials) for 693 Newton iterations, against
+1,898 calls for 741 iterations before.  The step at every lam, saddles
+included, made the 2D grid's sweep take 1.6-1.8 times as long (CHANGES.md),
+as rescued starts above lam1 crawl toward their roots.  Rungs that never
+stall, rungs above lam1, solves without lam1 and the eigensolver's inner
+solve run as without the rescue, bit for bit.
 
 The ladder's first rungs do not read eta: the lam rungs and (lam, 0) at the
 first smoothing, the unperturbed problem the eta term is switched on from.
 Every cell of one lam row of a sweep runs them alike, so regions.sweep hands
 the row's solves one private store (solve's _prefix) and each start runs
 them once per row.  A later cell copies the stored iterate and replays the
-rung's reason, iterations and norm.  That is exact: Newton is
-deterministic, and the key, the start's initial nodal values and the stages
-run so far, fixes everything the rung reads.  Results stay bit-identical;
-the first cell of a row pays for the shared rungs.
+rung's reason, iterations, norm and the chunk width it ended on.  That is
+exact: Newton is deterministic, and the key, the start's initial nodal
+values and the stages run so far, fixes everything the rung reads.  Results
+stay bit-identical; the first cell of a row pays for the shared rungs.
 """
 
 from __future__ import annotations
@@ -171,18 +192,9 @@ def _h_lam_and_energy(spec, u, grad):
 
 
 def energy_smoothed(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
-    """Regularized energy whose nodal gradient is residual() at the same eps."""
-    mesh = spec.mesh
-    m_vals, a_vals, f_vals = _fields(spec)
-    kernel = fem.gradients(mesh)
-    g = kernel.gradient(u.values)
-    g2 = kernel.dot(g, g) + eps_grad**2
-    grad_term = float(np.dot(mesh.cell_volumes, g2 ** (0.5 * spec.p))) / spec.p
-    s2 = u.values**2 + eps_zero**2
-    m_term = float(np.dot(mesh.lumped_volumes, m_vals * s2 ** (0.5 * spec.p))) / spec.p
-    a_term = float(np.dot(mesh.lumped_volumes, a_vals * s2 ** (0.5 * spec.q))) / spec.q
-    f_term = float(np.dot(mesh.lumped_volumes, f_vals * u.values))
-    return grad_term - spec.lam * m_term - spec.eta * a_term - f_term
+    """Regularized energy whose nodal gradient is residual() at the same eps (fem.weak_form's energy)."""
+    energy = _NewtonDriver(spec).weak_form(spec.lam, spec.eta, eps_grad, eps_zero)[2]
+    return energy(u.values, u.values[spec.mesh.interior_vertices])
 
 
 def residual(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
@@ -276,8 +288,19 @@ def _boundary_flux_sign(u):
 
 
 class _NewtonDriver:
-    def __init__(self, spec):
+    """The rungs of one start: each rung's weak form, goal and energy rescue, and the carried chunk width.
+
+    lam1 is the principal eigenvalue of (m, p), None when unknown; it gates
+    the energy rescue (_coercive).  width is the chunk width fem.newton
+    returned for the start's last rung, and energy_steps the rescue steps of
+    that rung.
+    """
+
+    def __init__(self, spec, lam1=None):
         self.spec = spec
+        self.lam1 = lam1
+        self.width = 1
+        self.energy_steps = 0
         self.free = spec.mesh.interior_vertices
         self.op = fem.operator(spec.mesh, self.free)
         self.m_vals, self.a_vals, self.f_vals = _fields(spec)
@@ -289,7 +312,7 @@ class _NewtonDriver:
         self.lump_a = (self.lump * self.a_vals)[self.free]
 
     def weak_form(self, lam, eta, eps_g, eps_s):
-        """fem.weak_form of one rung: terms (lam*lump*m, p) and, when eta != 0, (eta*lump*a, q)."""
+        """fem.weak_form of one rung, (res, jac, energy): terms (lam*lump*m, p) and, when eta != 0, (eta*lump*a, q)."""
         spec = self.spec
         terms = [(lam * self.lump * self.m_vals, spec.p)]
         if eta != 0.0:
@@ -313,21 +336,34 @@ class _NewtonDriver:
             ref += abs(eta) * np.linalg.norm(self.lump_a * powers[1])
         return 1.0 + ref
 
+    def _coercive(self, lam):
+        """True when lam lies below lam1, where the energy is coercive: 0 <= lam < lam1, or lam < 0 with m >= 0."""
+        if self.lam1 is None:
+            return False
+        return 0.0 <= lam < self.lam1 or (lam < 0.0 and bool(np.all(self.lump_m >= 0.0)))
+
     def newton(self, values, lam, eta, eps_g, eps_s, tol, max_iter):
         """One rung: fem.newton on this rung's residual, with the STALL_DECREASE progress test.
 
-        Mutates values in place; returns (reason, iterations, final_norm), where
-        reason names the test that ended the rung (see the module docstring).
+        The energy rescue runs where _coercive(lam), and the first search
+        takes the chunk width of the start's last one.  Mutates values in
+        place; returns (reason, iterations, final_norm), where reason names
+        the test that ended the rung (see the module docstring).
         """
-        return fem.newton(
+        res, jac, energy = self.weak_form(lam, eta, eps_g, eps_s)
+        reason, iters, rn, self.width, self.energy_steps = fem.newton(
             values,
             self.free,
-            *self.weak_form(lam, eta, eps_g, eps_s),
+            res,
+            jac,
             self.op,
             lambda s: tol * self._scale(s, lam, eta),
             max_iter,
             STALL_DECREASE,
+            energy if self._coercive(lam) else None,
+            self.width,
         )
+        return reason, iters, rn
 
 
 def _continuation_stages(spec, lam1):
@@ -372,8 +408,9 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
     _prefix is a private rung store (a dict) for solves that differ only in
     eta: same mesh, p, q, m, a, f, lam and opts, as in one lam row of
     regions.sweep (see the module docstring).  It keeps the iterate after
-    each _eta_free rung with the rung's (reason, iters, norm), keyed by the
-    initial values' bytes and the stages run so far.  A later solve replays
+    each _eta_free rung with the rung's (reason, iters, norm) and the chunk
+    width it ended on (_NewtonDriver.width), keyed by the initial values'
+    bytes and the stages run so far.  A later solve replays
     the record: its iterations still count in newton_iters, a singular rung
     still sets resonant and a failed rung still only costs the warm start.
     Results are bit-identical to solves without a store.
@@ -390,7 +427,7 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
         raise InvalidConfig(f"unknown init {init!r}")
     values[mesh.boundary_vertices] = 0.0
 
-    driver = _NewtonDriver(spec)
+    driver = _NewtonDriver(spec, opts.lam1)
     stages = _continuation_stages(spec, opts.lam1)
     init_key = values.tobytes() if _prefix is not None else None
     total_iters = 0
@@ -400,22 +437,24 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
         tol = opts.newton_tol if is_final else max(1e-6, opts.newton_tol)
         key = (init_key, *stages[: k + 1]) if init_key is not None and _eta_free(stages[k]) else None
         if key is not None and key in _prefix:
-            stored, reason, iters, rn = _prefix[key]
+            stored, reason, iters, rn, driver.width = _prefix[key]
             values[:] = stored
         else:
             reason, iters, rn = driver.newton(values, lam, eta, eps_g, eps_s, tol, opts.max_newton)
             if key is not None:
-                _prefix[key] = (values.copy(), reason, iters, rn)
+                _prefix[key] = (values.copy(), reason, iters, rn, driver.width)
         total_iters += iters
         if reason != "converged":
             resonant_seen = resonant_seen or reason == "singular"
             if is_final:
+                steps = driver.energy_steps
+                after = f" after {steps} energy step{'s' if steps > 1 else ''}" if steps else ""
                 if reason == "singular":
                     raise ResonantParameter(
-                        f"Newton stalled with singular linearization at lam={lam}, eta={eta}"
+                        f"Newton stalled{after} with singular linearization at lam={lam}, eta={eta}"
                     )
                 raise NonConvergence(
-                    f"Newton {reason}: residual {rn:.3e} above tolerance at lam={lam}, eta={eta}"
+                    f"Newton {reason}{after}: residual {rn:.3e} above tolerance at lam={lam}, eta={eta}"
                 )
             # non-final rung failures only cost the warm start
 

@@ -122,7 +122,7 @@ def _inner_solve(mesh, op, p, shift, load, v_init, goal):
     terms = [(-shift * mesh.lumped_volumes, p)] if shift else []
 
     def converged(values, eps):
-        res, jac = fem.weak_form(mesh, op, p, eps, fem.EPS_ZERO_FLOOR, terms, load)
+        res, jac, _ = fem.weak_form(mesh, op, p, eps, fem.EPS_ZERO_FLOOR, terms, load)
         return fem.newton(values, op.free, res, jac, op, lambda s: goal, _MAX_INNER, 0.0)[0] == "converged"
 
     v = v_init.copy()

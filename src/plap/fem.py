@@ -52,7 +52,7 @@ A stack of one costs more than the vector call on the meshes of a few
 hundred cells where the per-call overhead dominates, so newton evaluates a
 single trial as a vector.  newton's chunks hold at most 34 rows, the step
 sizes above its 1e-10 floor; on the benchmark's sweep grids (the n = 256
-interval and the 24^2 square) they reach 19 and 18 rows, where every stack
+interval and the 24^2 square) they reach 23 and 27 rows, where every stack
 of two or more rows pays.  Past about 2^14 rows x cells a stack's
 temporaries outgrow L2 and a row costs as much as a vector call or more
 (n = 4096 and 48^2 from 16 rows).  No search stacks there in the benchmark:
@@ -466,7 +466,7 @@ def p_flux_jacobian(op, values, p, eps, diag=None):
 
 
 def weak_form(mesh, op, p, eps_g, eps_s, terms, load):
-    """(res, jac) of the regularized weak residual on op's free vertices, as newton takes them.
+    """(res, jac, energy) of the regularized weak residual on op's free vertices, as newton takes them.
 
         r(u) = p_flux(u; p, eps_g)[free] - sum_k c_k (s^2 + eps_s^2)^{(r_k-2)/2} s - load,
 
@@ -477,7 +477,13 @@ def weak_form(mesh, op, p, eps_g, eps_s, terms, load):
     and returns one C-ordered residual row per row, each bit for bit that
     row's.  jac(values) is the stored data on op of the Jacobian: the
     linearized gradient term plus the diagonal -sum_k c_k d/ds of the
-    smoothed powers.
+    smoothed powers.  energy(values, s) is the regularized energy whose
+    gradient in s is r,
+
+        E(u) = (1/p) sum_T vol_T (|grad u|^2 + eps_g^2)^{p/2}
+               - sum_k (1/r_k) sum c_k (s^2 + eps_s^2)^{r_k/2} - load . s,
+
+    on one vector of nodal values.
     """
     free = op.free
     coefs = [c[free] for c, _ in terms]
@@ -499,7 +505,15 @@ def weak_form(mesh, op, p, eps_g, eps_s, terms, load):
                 diag -= c * smoothed_odd_power_deriv(values, r, eps_s)
         return p_flux_jacobian(op, values, p, eps_g, diag)
 
-    return res, jac
+    def energy(values, s):
+        _, g2 = _cell_terms(op.kernel, values, eps_g)
+        e = float(np.dot(op.volumes, g2 ** (0.5 * p))) / p
+        s2 = s * s + eps_s * eps_s
+        for c, r in zip(coefs, exponents):
+            e -= float(np.dot(c, s2 ** (0.5 * r))) / r
+        return e - float(np.dot(load, s))
+
+    return res, jac, energy
 
 
 def stiffness_solver(mesh, free, shift=0.0):
@@ -574,7 +588,7 @@ def solve_sparse(op, data, rhs):
     return op.factorize(data)(rhs)
 
 
-def newton(values, free, res, jac, op, goal, max_iter, stall):
+def newton(values, free, res, jac, op, goal, max_iter, stall, energy=None, width=1):
     """Damped Newton with a backtracking line search on the squared residual norm.
 
     values holds nodal values on all vertices and is updated in place on the
@@ -584,7 +598,8 @@ def newton(values, free, res, jac, op, goal, max_iter, stall):
     takes a stack, (rows, n_vertices) values with their (rows, len(free))
     free parts, and returns one C-ordered residual row per row, each bit for
     bit the residual of that row alone.  Returns (reason, iterations,
-    final_norm), where reason names the test that ended the loop:
+    final_norm, width, energy_steps), where reason names the test that ended
+    the loop:
 
       * converged: ||r|| <= goal;
       * stalled: the trial that passed Armijo lowers ||r||^2 by less than the
@@ -597,46 +612,95 @@ def newton(values, free, res, jac, op, goal, max_iter, stall):
     ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2.  Unless the loop converged,
     values hold the last accepted iterate.
 
+    energy, when given, is E(values, values[free]) with gradient res, and
+    rescues a search that would end the loop as stalled or line_search: if
+    the step descends E (r . step < 0), an energy step takes the first
+    t = 1, 1/2, ... above the 1e-10 floor with a finite E(s + t step) <=
+    E(s) + 1e-4 t (r . step) (Armijo on E; Nocedal & Wright 2006, ch. 3),
+    and the loop goes on from there under the ||r||^2 test.  With no such t
+    the loop ends with the search's reason.  The energy search also stops
+    where the decrease it asks for falls below E's rounding error
+    (_energy_step): near a root, where ||r||^2 stalls on roundoff, E's
+    differences are roundoff too.  energy_steps counts the energy steps
+    taken.  A caller passes energy only where E is coercive, where the
+    solutions it seeks minimize E; at a saddle an energy step can lead away
+    from the root.
+
     The trials are evaluated in chunks: the next k step sizes t, t/2, ...,
     t/2^(k-1) above the 1e-10 floor, as the rows of one stacked res call,
     and the first row in order that passes Armijo is taken.  Each row's
     residual and its dot product are those of the trial alone, so the step,
     the tests and the values are those of a search that evaluates one trial
     at a time; a chunk only adds trials past the accepted one.  k is the
-    number of trials the previous iteration's search needed, 1 on the first
-    iteration, so a search that backtracks as deeply as the last one costs
-    one call, where most of a call on a few hundred vertices is per-call
-    overhead.  A one-row chunk calls res on the vector, which costs less
-    than a stack of one (the table in the module docstring).
+    number of trials the previous search evaluated, all of them when none
+    passed; the first search takes k = width, which the caller carries from
+    the width this returns for its previous call on the same start (1 on a
+    start's first call).  So a search that backtracks as deeply as the last
+    one costs one call, where most of a call on a few hundred vertices is
+    per-call overhead; a rung that stalls on its first iteration after a
+    rung that stalled as deep makes one call, not one per trial.  A one-row
+    chunk calls res on the vector, which costs less than a stack of one (the
+    table in the module docstring).
     """
     s = values[free]
     r = res(values, s)
     rn = float(np.linalg.norm(r))
     tol = goal(s)
     trial = values.copy()  # one-row buffer; its fixed vertices never change
-    width = 1
+    energy_steps = 0
     for it in range(max_iter):
         if rn <= tol:
-            return "converged", it, rn
+            return "converged", it, rn, width, energy_steps
         J = jac(values)
         try:
             step = solve_sparse(op, J, -r)
         except SingularJacobian:
-            return "singular", it, rn
+            return "singular", it, rn, width, energy_steps
         merit0 = rn * rn
+        ended = "line_search"
         for tried, (t, s_trial, r_trial) in enumerate(_trials(trial, free, res, s, step, width), 1):
             merit = float(np.dot(r_trial, r_trial))
             if merit <= (1.0 - 2e-4 * t) * merit0:
+                ended = "stalled" if merit > (1.0 - stall) * merit0 else None
                 break
-        else:
-            return "line_search", it + 1, rn
         width = tried
-        if merit > (1.0 - stall) * merit0:
-            return "stalled", it + 1, rn
+        if ended:
+            s_trial = None if energy is None else _energy_step(energy, trial, free, values, s, r, step)
+            if s_trial is None:
+                return ended, it + 1, rn, width, energy_steps
+            energy_steps += 1
+            r_trial = res(trial, s_trial)  # _energy_step left s_trial in trial
+            merit = float(np.dot(r_trial, r_trial))
         values[free] = s = s_trial
         r, rn = r_trial, math.sqrt(merit)  # np.linalg.norm of a vector is sqrt(r.dot(r))
         tol = goal(s)
-    return ("converged" if rn <= tol else "max_newton"), max_iter, rn
+    return ("converged" if rn <= tol else "max_newton"), max_iter, rn, width, energy_steps
+
+
+def _energy_step(energy, trial, free, values, s, r, step):
+    """s + t * step for the first t = 1, 1/2, ... above the 1e-10 floor that passes Armijo on energy.
+
+    None when step does not descend the energy or no t passes; a trial whose
+    energy is not finite fails.  The search also stops where the decrease it
+    asks for, 1e-4 t |r . step|, falls below len(s) eps |E(s)| (eps the
+    machine epsilon), the size of E's rounding error: past that point a
+    trial passes or fails on noise.  The trials are written into trial,
+    which holds the iterate's fixed vertices; on success it holds the
+    returned one.
+    """
+    slope = float(np.dot(r, step))
+    if not slope < 0.0:
+        return None
+    e0 = energy(values, s)
+    noise = len(s) * np.finfo(float).eps * abs(e0)
+    t = 1.0
+    while t > 1e-10 and -1e-4 * t * slope > noise:
+        trial[free] = s_trial = s + t * step
+        e = energy(trial, s_trial)
+        if math.isfinite(e) and e <= e0 + 1e-4 * t * slope:
+            return s_trial
+        t *= 0.5
+    return None
 
 
 def _trials(trial, free, res, s, step, width):

@@ -2,10 +2,13 @@
 
 These share no numerical kernels with the package (assembly, Newton,
 eigensolver): the tridiagonal arrays, the vectorized RK4 stepper, the Thomas
-solve, the 5-point rectangle stencil and the bump-family quadrature are
+solve, the 5-point rectangle stencil, the bump-family quadrature and the
+per-simplex gradients and lumped masses of the regularized energy are
 written from scratch here, so agreement with the package is evidence rather
 than tautology.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -197,3 +200,33 @@ def principal_generalized_eigenvalue(K, mass_diag):
     if mu[-1] <= 0:
         raise ValueError("mass has no positive part")
     return 1.0 / mu[-1]
+
+
+def regularized_energy(vertices, cells, free, values, p, eps_g, eps_s, terms, f_values):
+    """Regularized energy of nodal values on a simplicial P1 mesh, from its definition.
+
+        E(u) = (1/p) sum_T |T| (|grad u_T|^2 + eps_g^2)^{p/2}
+               - sum_k (1/r_k) sum_{i in free} w_k(i) M_i (u_i^2 + eps_s^2)^{r_k/2}
+               - sum_{i in free} M_i f_i u_i,
+
+    where grad u_T solves E_T grad u_T = (u_j - u_0)_j for the edge vectors
+    E_T of cell T from its first vertex, |T| = |det E_T| / d!, and M_i, the
+    lumped mass, is |T| / (d + 1) summed over the cells at vertex i.  terms
+    holds (w_k, r_k) with w_k one weight value per vertex (a spectral or
+    perturbation parameter already multiplied in).
+    """
+    vertices = np.asarray(vertices, float)
+    d = vertices.shape[1]
+    corners = vertices[cells]  # (n_cells, d + 1, d)
+    edges = corners[:, 1:, :] - corners[:, :1, :]
+    rises = values[cells[:, 1:]] - values[cells[:, :1]]
+    grads = np.linalg.solve(edges, rises[:, :, None])[:, :, 0]
+    volumes = np.abs(np.linalg.det(edges)) / math.factorial(d)
+    mass = np.zeros(len(vertices))
+    for k in range(d + 1):
+        np.add.at(mass, cells[:, k], volumes / (d + 1))
+    energy = np.sum(volumes * (np.sum(grads * grads, axis=1) + eps_g**2) ** (p / 2)) / p
+    u = values[free]
+    for weight, r in terms:
+        energy -= np.sum(weight[free] * mass[free] * (u * u + eps_s**2) ** (r / 2)) / r
+    return float(energy - np.sum(mass[free] * f_values[free] * u))

@@ -283,24 +283,41 @@ def test_solver_matches_linear_oracle(interval_512, pair_p2_512):
     assert out.sign_class == "positive"
 
 
-# Per start at lam = 0.8 lam1, eta = 0 (p=3, q=1.5, m=a=f=1, n=256, n_random=0):
-# (sign class, sup norm, Newton iterations) of each converged start.
+# Per start at eta = 0 (p=3, q=1.5, m=a=f=1, n=256, n_random=0): (sign class,
+# sup norm, Newton iterations) of each converged start.  At 0.8 lam1 an energy
+# step frees neg_phi1_t2 and neg_phi1_t4 from the stall near u = 0, which
+# failed them before the rescue; 1.9 lam1 lies above lam1, where the rescue is
+# off and every start ends as before it.
 STALL_CELL_CONVERGED = {
-    "zero": ("positive", 0.543517094, 9),
-    "pos_phi1_t0.5": ("positive", 0.543517094, 5),
-    "neg_phi1_t0.5": ("positive", 0.543517094, 9),
-    "pos_phi1_t1": ("positive", 0.543517094, 6),
-    "neg_phi1_t1": ("positive", 0.543517094, 8),
-    "pos_phi1_t2": ("positive", 0.543517094, 7),
-    "pos_phi1_t4": ("positive", 0.543517094, 8),
-    "pos_phi1_t8": ("positive", 0.543517094, 9),
+    0.8: {
+        "zero": ("positive", 0.543517094, 9),
+        "pos_phi1_t0.5": ("positive", 0.543517094, 5),
+        "neg_phi1_t0.5": ("positive", 0.543517094, 9),
+        "pos_phi1_t1": ("positive", 0.543517094, 6),
+        "neg_phi1_t1": ("positive", 0.543517094, 8),
+        "pos_phi1_t2": ("positive", 0.543517094, 7),
+        "neg_phi1_t2": ("positive", 0.543517094, 26),
+        "pos_phi1_t4": ("positive", 0.543517094, 8),
+        "neg_phi1_t4": ("positive", 0.543517094, 33),
+        "pos_phi1_t8": ("positive", 0.543517094, 9),
+    },
+    1.9: {
+        "zero": ("negative", 0.268247332, 9),
+        "pos_phi1_t0.5": ("negative", 0.268247332, 16),
+        "neg_phi1_t0.5": ("negative", 0.268247332, 6),
+        "neg_phi1_t1": ("negative", 0.268247332, 7),
+        "neg_phi1_t2": ("negative", 0.268247332, 8),
+        "neg_phi1_t4": ("negative", 0.268247332, 9),
+        "neg_phi1_t8": ("negative", 0.268247332, 10),
+    },
 }
-# residual evaluations of the cell's three failed starts when a rung could only
-# end by exhausting its line search (t <= 1e-10) or max_newton
-STALL_CELL_FAILED_EVALS_BEFORE = 7647
+# residual evaluations of the cell's failed starts when a rung could only end
+# by exhausting its line search (t <= 1e-10) or max_newton: the three failed
+# starts at 0.8 lam1 and the four at 1.9 lam1
+STALL_CELL_FAILED_EVALS_BEFORE = {0.8: 7647, 1.9: 11407}
 
 
-def test_stalled_starts_fail_cheaply(interval_256, pair_p3_256, monkeypatch):
+def _check_stall_cell(lam_frac, interval_256, pair_p3_256, monkeypatch):
     import plap.bvp as bvp
     import plap.fem as fem
 
@@ -323,7 +340,7 @@ def test_stalled_starts_fail_cheaply(interval_256, pair_p3_256, monkeypatch):
 
     monkeypatch.setattr(fem, "p_flux", counting_p_flux)
     monkeypatch.setattr(bvp, "solve", counting_solve)
-    spec = make_spec(interval_256, p=3.0, lam=0.8 * pair_p3_256.lam)
+    spec = make_spec(interval_256, p=3.0, lam=lam_frac * pair_p3_256.lam)
     ms = multi_start_solve(spec, SolveOptions(n_random=0, lam1=pair_p3_256.lam))
 
     converged = {
@@ -331,10 +348,32 @@ def test_stalled_starts_fail_cheaply(interval_256, pair_p3_256, monkeypatch):
         for label, out, _ in ms.per_start
         if out is not None
     }
-    assert converged == STALL_CELL_CONVERGED
-    assert len(failed_evals) == 3
-    assert sum(failed_evals) <= STALL_CELL_FAILED_EVALS_BEFORE / 3
-    assert all("Newton stalled" in err for _, err in ms.failures)
+    assert converged == STALL_CELL_CONVERGED[lam_frac]
+    assert len(failed_evals) == len(ms.per_start) - len(converged) == {0.8: 1, 1.9: 4}[lam_frac]
+    assert sum(failed_evals) <= STALL_CELL_FAILED_EVALS_BEFORE[lam_frac] / 3
+    assert all(err.startswith("NonConvergence: Newton stalled: residual") for _, err in ms.failures)
+
+
+def test_stalled_starts_fail_cheaply(interval_256, pair_p3_256, monkeypatch):
+    _check_stall_cell(0.8, interval_256, pair_p3_256, monkeypatch)
+
+
+def test_stalled_starts_fail_cheaply_above_lam1(interval_256, pair_p3_256, monkeypatch):
+    _check_stall_cell(1.9, interval_256, pair_p3_256, monkeypatch)
+
+
+def test_failed_start_names_its_energy_steps(interval_256, pair_p3_256):
+    # on the bump grid at 0.8 lam1 the final rung of -phi1 takes an energy step,
+    # then runs out of its 20 iterations
+    spec = make_spec(interval_256, p=3.0, lam=0.8 * pair_p3_256.lam)
+    spec = spec.replace(f=Weight.expression("bump(0.9, 0.05)"))
+    opts = SolveOptions(n_random=0, lam1=pair_p3_256.lam, max_newton=20)
+    ms = multi_start_solve(spec, opts)
+    errors = dict(ms.failures)
+    assert errors["neg_phi1_t1"].startswith("NonConvergence: Newton max_newton after 1 energy step: residual")
+    with pytest.raises(NonConvergence, match="Newton stalled: residual"):
+        # the same start without lam1 takes no energy step
+        solve(spec, -pair_p3_256.phi.values, SolveOptions(max_newton=20))
 
 
 def test_failed_start_names_max_newton(interval_256, pair_p3_256):

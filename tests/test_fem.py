@@ -289,6 +289,38 @@ def test_eigen_residual_closure_on_a_stack_equals_its_rows(mesh, shift, rng, mon
     _assert_rows(closures[0], *_closure_stack(mesh, rng))
 
 
+@pytest.mark.parametrize("with_q", [False, True], ids=["p_term", "p_and_q_terms"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize(
+    "mesh", [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 5, 4)], ids=["n12", "5x4"]
+)
+def test_weak_form_energy_is_the_oracle_and_res_is_its_gradient(mesh, p, with_q, rng):
+    free = mesh.interior_vertices
+    x = mesh.vertices[:, 0]
+    f = np.cos(3.0 * x)
+    # (parameter * weight, exponent) per zeroth-order term, the weight as nodal values
+    weights = [(2.7 * (1.0 + 0.5 * x), p)] + ([(0.6 * (x - 0.3), 0.5 * (1.0 + p))] if with_q else [])
+    eps_g, eps_s = 1e-2, 1e-3
+    terms = [(w * mesh.lumped_volumes, r) for w, r in weights]
+    load = (mesh.lumped_volumes * f)[free]
+    res, _, energy = fem.weak_form(mesh, fem.operator(mesh, free), p, eps_g, eps_s, terms, load)
+    values = np.zeros(mesh.n_vertices)
+    values[free] = rng.standard_normal(len(free))
+
+    want = oracles.regularized_energy(mesh.vertices, mesh.cells, free, values, p, eps_g, eps_s, weights, f)
+    assert energy(values, values[free]) == pytest.approx(want, rel=1e-12)
+
+    fd = np.empty(len(free))
+    for k, vertex in enumerate(free):
+        h = 1e-5 * (1.0 + abs(values[vertex]))
+        up, down = values.copy(), values.copy()
+        up[vertex] += h
+        down[vertex] -= h
+        fd[k] = (energy(up, up[free]) - energy(down, down[free])) / (2.0 * h)
+    r = res(values, values[free])
+    assert np.max(np.abs(r - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-7
+
+
 def test_stack_index_holds_only_arrays_and_dies_with_its_mesh(rng):
     mesh = build_rectangle(0.0, 1.0, 0.0, 1.0, 4, 4)
     kernel = fem.gradients(mesh)
