@@ -88,7 +88,6 @@ stay bit-identical; the first cell of a row pays for the shared rungs.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,7 +95,7 @@ import numpy as np
 from . import fem
 from .eigen import _principal
 from .errors import InvalidConfig, NonConvergence, PlapError, ResonantParameter, SingularJacobian
-from .functions import DiscreteFunction, Weight, grad_energy, sup_norm, weight_values, weighted_power_integral
+from .functions import DiscreteFunction, Weight, _nodal, grad_energy, sup_norm, weight_values, weighted_power_integral
 
 __all__ = [
     "EPS_GRAD_FLOOR",
@@ -248,30 +247,26 @@ def classify_sign(u, margin=0.0):
     return "sign_changing"
 
 
-_NEAREST_INTERIOR = weakref.WeakKeyDictionary()
-
-
 def _nearest_interior(mesh):
     """Position in mesh.interior_vertices of each boundary vertex's nearest interior vertex.
 
-    Computed once per mesh (cached with the mesh as a weak key, like
-    fem.gradients) by brute force over blocks of about 2^18 distances.
+    Computed once per mesh and kept in mesh.derived, like fem.gradients, by
+    brute force over blocks of about 2^18 distances.
     """
-    try:
-        return _NEAREST_INTERIOR[mesh]
-    except KeyError:
-        pass
-    inner = mesh.vertices[mesh.interior_vertices]
-    outer = mesh.vertices[mesh.boundary_vertices]
-    nearest = np.empty(len(outer), dtype=np.int64)
-    block = max(1, 2**18 // len(inner))
-    for lo in range(0, len(outer), block):
-        pts = outer[lo : lo + block]
-        d2 = sum((pts[:, k, None] - inner[None, :, k]) ** 2 for k in range(mesh.dimension))
-        nearest[lo : lo + block] = np.argmin(d2, axis=1)
-    nearest.setflags(write=False)
-    _NEAREST_INTERIOR[mesh] = nearest
-    return nearest
+
+    def build():
+        inner = mesh.vertices[mesh.interior_vertices]
+        outer = mesh.vertices[mesh.boundary_vertices]
+        nearest = np.empty(len(outer), dtype=np.int64)
+        block = max(1, 2**18 // len(inner))
+        for lo in range(0, len(outer), block):
+            pts = outer[lo : lo + block]
+            d2 = sum((pts[:, k, None] - inner[None, :, k]) ** 2 for k in range(mesh.dimension))
+            nearest[lo : lo + block] = np.argmin(d2, axis=1)
+        nearest.setflags(write=False)
+        return nearest
+
+    return mesh.derived(_nearest_interior, build)
 
 
 def _boundary_flux_sign(u):
@@ -420,7 +415,7 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
     if isinstance(init, DiscreteFunction):
         values = init.values.copy()
     elif isinstance(init, np.ndarray):
-        values = init.astype(float).copy()
+        values = _nodal(init.astype(float), mesh, "init")
     elif init == "zero":
         values = np.zeros(mesh.n_vertices)
     else:

@@ -27,7 +27,6 @@ safeguard keeps the recorded Rayleigh quotients nonincreasing.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -254,26 +253,22 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
     )
 
 
-_PRINCIPAL = weakref.WeakKeyDictionary()
-
-
 def _principal(mesh, m, p):
     """principal_eigenpair(mesh, m, p) with default options, solved once per (mesh, nodal values of m, p).
 
     m is a Weight or nodal values.  A PlapError is kept as its type and
-    message and raised afresh; no other error is kept.  Entries hold phi's
-    values, never the mesh, so they die with their weak key.
+    message and raised afresh; no other error is kept.  The entries in
+    mesh.derived hold phi's values, never the mesh, so they die with it.
     """
-    per_mesh = _PRINCIPAL.setdefault(mesh, {})
-    key = (weight_values(m, mesh).tobytes(), p)
-    if key not in per_mesh:
+
+    def build():
         try:
             pair = principal_eigenpair(mesh, m, p)
         except PlapError as exc:
-            per_mesh[key] = (None, (type(exc), str(exc)))
-        else:
-            per_mesh[key] = (replace(pair, phi=None), pair.phi.values)
-    pair, phi = per_mesh[key]
+            return None, (type(exc), str(exc))
+        return replace(pair, phi=None), pair.phi.values
+
+    pair, phi = mesh.derived((weight_values(m, mesh).tobytes(), p), build)
     if pair is None:
         error, message = phi
         raise error(message)
@@ -296,22 +291,21 @@ def principal_eigenpair_negative(mesh, m, p, opts=None):
 def subdomain_eigenvalue(mask, m, p, opts=None):
     """Eigenpair on a vertex mask, zero values enforced outside it.
 
-    When the weight has no positive part on the mask the admissible set is
-    empty and the +infinity sentinel is returned instead of an error.
+    When the mask has no interior vertex or the weight has no positive part
+    on it, the admissible set is empty (principal_eigenpair's
+    EmptyAdmissibleSet) and the +infinity sentinel is returned instead.
     """
-    mesh = mask.mesh
-    free = _free_vertices(mesh, mask)
-    m_vals = weight_values(m, mesh)
-    if len(free) == 0 or not np.any(m_vals[free] > 0):
+    try:
+        return principal_eigenpair(mask, m, p, opts)
+    except EmptyAdmissibleSet:
         return EigenPair(
             lam=math.inf,
-            phi=DiscreteFunction.zeros(mesh),
+            phi=DiscreteFunction.zeros(mask.mesh),
             domain_mask=mask,
             iterations=0,
             rq_history=[],
             residual_norm=0.0,
         )
-    return principal_eigenpair(mask, m, p, opts)
 
 
 def second_eigenvalue_1d(x0, x1, p):

@@ -101,7 +101,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 
 import numpy as np
 import scipy.linalg
@@ -173,7 +172,7 @@ class Gradients:
 
     Sums run over the local vertex (or the axis) in increasing order, the
     order numpy's einsum uses for the same contractions.  Only arrays are
-    kept, never the mesh.
+    kept, never the mesh, as mesh.derived requires of the values it keeps.
     """
 
     def __init__(self, mesh):
@@ -245,17 +244,9 @@ class Gradients:
         return sums.reshape(rows, self.n_vertices)
 
 
-# mesh -> Gradients; weak keys, so entries die with their mesh
-_GRADIENTS = weakref.WeakKeyDictionary()
-
-
 def gradients(mesh):
-    """The Gradients kernel of mesh, built on first use and cached per mesh."""
-    try:
-        return _GRADIENTS[mesh]
-    except KeyError:
-        kernel = _GRADIENTS[mesh] = Gradients(mesh)
-        return kernel
+    """The Gradients kernel of mesh, built on first use and kept in mesh.derived."""
+    return mesh.derived(Gradients, lambda: Gradients(mesh))
 
 
 def _cell_terms(kernel, values, eps):
@@ -306,8 +297,8 @@ class Operator:
         diagonal: (len(free),) position of each diagonal entry in the data.
         gram: (n_cells, d+1, d+1) blocks vol * G G^T, exactly symmetric.
 
-    Only arrays are kept, never the mesh, so an Operator cached under a mesh
-    does not keep that mesh alive.
+    Only arrays are kept, never the mesh, so an Operator kept in
+    mesh.derived does not keep that mesh alive.
     """
 
     def __init__(self, mesh, free):
@@ -427,18 +418,10 @@ def _finite(sol):
     return sol
 
 
-# mesh -> {free vertex bytes: Operator}; weak keys, so entries die with their mesh
-_OPERATORS = weakref.WeakKeyDictionary()
-
-
 def operator(mesh, free):
-    """The Operator of (mesh, free), built on first use and cached per mesh."""
+    """The Operator of (mesh, free), built on first use and kept in mesh.derived."""
     free = np.asarray(free, dtype=np.int64)
-    per_mesh = _OPERATORS.setdefault(mesh, {})
-    key = free.tobytes()
-    if key not in per_mesh:
-        per_mesh[key] = Operator(mesh, free)
-    return per_mesh[key]
+    return mesh.derived((Operator, free.tobytes()), lambda: Operator(mesh, free))
 
 
 def p_flux_jacobian(op, values, p, eps, diag=None):

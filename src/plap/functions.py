@@ -102,11 +102,7 @@ class Weight:
             if self.kind == "constant":
                 vals = np.full(mesh.n_vertices, self.payload)
             elif self.kind == "nodal":
-                vals = np.asarray(self.payload, dtype=float)
-                if vals.shape != (mesh.n_vertices,):
-                    raise InvalidConfig(
-                        f"nodal weight has {vals.shape[0]} values, mesh has {mesh.n_vertices} vertices"
-                    )
+                vals = _nodal(np.asarray(self.payload, dtype=float), mesh)
             else:
                 y = mesh.vertices[:, 1] if mesh.dimension == 2 else None
                 vals = eval_expr_array(self.payload, mesh.vertices[:, 0], y)
@@ -130,8 +126,15 @@ class Weight:
 
 
 def weight_values(w, mesh):
-    """Nodal values of w on mesh: a Weight's cached samples, or w as a float array."""
-    return w.values(mesh) if isinstance(w, Weight) else np.asarray(w, dtype=float)
+    """Nodal values of w on mesh: a Weight's cached samples, or w as a float array of one value per vertex."""
+    return w.values(mesh) if isinstance(w, Weight) else _nodal(np.asarray(w, dtype=float), mesh)
+
+
+def _nodal(vals, mesh, what="nodal weight"):
+    """vals, after checking that it holds one value per vertex of mesh; raises InvalidConfig otherwise."""
+    if vals.shape != (mesh.n_vertices,):
+        raise InvalidConfig(f"{what} has {vals.size} values, mesh has {mesh.n_vertices} vertices")
+    return vals
 
 
 def grad_energy(u, p):

@@ -1,8 +1,10 @@
 """Simplicial meshes of intervals and axis-aligned rectangles.
 
 Only these two geometries are supported: they admit exact distance-to-boundary
-formulas (needed for boundary strips) and closed-form oracles.  Meshes are
-immutable after construction and safe to share between parallel workers.
+formulas (needed for boundary strips) and closed-form oracles.  A mesh's
+geometry is immutable after construction; what other modules derive from it
+(gradient kernels, operators, eigenpairs) is built on first use and kept in
+the mesh's memo, Mesh.derived.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ class Mesh:
             volumes divided by dimension+1).
         cell_gradients: (nc, dimension+1, dimension) gradients of the local
             hat functions, constant per cell.
+
+    The attributes above never change after construction.  Data that other
+    modules derive from them lives in one memo (derived), so it lasts as long
+    as the mesh and no longer.
     """
 
     def __init__(self, dimension, vertices, cells, boundary_vertices, bounds, grid=None):
@@ -59,6 +65,21 @@ class Mesh:
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
         self.lumped_volumes.setflags(write=False)
+        self._derived = {}
+
+    def derived(self, key, build):
+        """The value memoized under key, from build() on the first call with that key.
+
+        A key names the kind of value and what it depends on besides the
+        mesh, such as (fem.Operator, free vertex bytes).  A value must not
+        refer to the mesh: the memo would then keep the mesh alive in a
+        reference cycle, which only the garbage collector frees.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def _geometry(self):
         pts = self.vertices[self.cells]  # (nc, d+1, d)

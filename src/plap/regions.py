@@ -385,6 +385,19 @@ def _all_in(classes, claim):
     return len(classes) > 0 and all(c in claim for c in classes)
 
 
+def _last_of_run(items, holds):
+    """The last item of the leading run of items for which holds(item) is true, None when the first fails.
+
+    Stops at the first item that fails: holds is not called past it.
+    """
+    last = None
+    for item in items:
+        if not holds(item):
+            break
+        last = item
+    return last
+
+
 def sweep(template, lam_grid, eta_grid, opts=None):
     """Run multi-start solves over the grid and join them with predictions.
 
@@ -425,7 +438,7 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     if opts.predictions:
         thr_pos, thr_neg = _eta_threshold_closures(template, lam1)
         predictions = check_hypotheses(template, lam1, phi1, thr_pos, thr_neg)
-    binding = [pr for pr in predictions if pr.region is not None and pr.applicable]
+    binding = [pr for pr in predictions if pr.region is not None]
 
     cells = {}
     counterexamples = []
@@ -499,21 +512,11 @@ def _measure(region_map):
         return _all_in(classes, claim)
 
     below = [i for i, lam in enumerate(lams) if lam < lam1 * (1.0 - _LAM1_MARGIN)]
-    run_start = None
-    for i in reversed(below):
-        if cell_all(i, j0, _POSITIVE):
-            run_start = i
-        else:
-            break
+    run_start = _last_of_run(reversed(below), lambda i: cell_all(i, j0, _POSITIVE))
     region_map.delta_hat_mp = lam1 - lams[run_start] if run_start is not None else 0.0
 
     above = [i for i, lam in enumerate(lams) if lam > lam1 * (1.0 + _LAM1_MARGIN)]
-    run_end = None
-    for i in above:
-        if cell_all(i, j0, _NEGATIVE):
-            run_end = i
-        else:
-            break
+    run_end = _last_of_run(above, lambda i: cell_all(i, j0, _NEGATIVE))
     region_map.delta_hat_amp = lams[run_end] - lam1 if run_end is not None else 0.0
 
     for i, lam in enumerate(lams):
@@ -526,18 +529,10 @@ def _measure(region_map):
         if not cell_all(i, j0, claim):
             region_map.eta_bounds[lam] = 0.0
             continue
-        reach_pos = 0.0
-        for j in range(j0 + 1, len(etas)):
-            if cell_all(i, j, claim):
-                reach_pos = etas[j]
-            else:
-                break
-        reach_neg = 0.0
-        for j in range(j0 - 1, -1, -1):
-            if cell_all(i, j, claim):
-                reach_neg = -etas[j]
-            else:
-                break
+        j_pos = _last_of_run(range(j0 + 1, len(etas)), lambda j: cell_all(i, j, claim))
+        j_neg = _last_of_run(range(j0 - 1, -1, -1), lambda j: cell_all(i, j, claim))
+        reach_pos = etas[j_pos] if j_pos is not None else 0.0
+        reach_neg = -etas[j_neg] if j_neg is not None else 0.0
         region_map.eta_bounds[lam] = min(reach_pos, reach_neg)
 
 
@@ -582,15 +577,12 @@ def nonuniformity_experiment(
             ms = multi_start_solve(spec, solve_opts, _prefix=prefix)
             entry[key] = sorted({o.sign_class for o in ms.outcomes})
             entry.setdefault("failures", {})[key] = len(ms.failures)
-        delta_hat = 0.0
-        for lam in lam_scan:
-            spec = ProblemSpec(mesh, p, q, float(lam), 0.0, m, a, f)
-            ms = multi_start_solve(spec, solve_opts)
-            classes = {o.sign_class for o in ms.outcomes}
-            if classes and classes <= {"negative"}:
-                delta_hat = float(lam) - lam1
-            else:
-                break
-        entry["delta_hat"] = delta_hat
+
+        def all_negative(lam):
+            ms = multi_start_solve(ProblemSpec(mesh, p, q, lam, 0.0, m, a, f), solve_opts)
+            return _all_in({o.sign_class for o in ms.outcomes}, _NEGATIVE)
+
+        reach = _last_of_run(map(float, lam_scan), all_negative)
+        entry["delta_hat"] = reach - lam1 if reach is not None else 0.0
         members.append(entry)
     return NonuniformityReport(lam1=lam1, lam_probe=lam_probe, members=members)

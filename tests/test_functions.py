@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from plap import (
     DiscreteFunction,
     InvalidConfig,
+    ProblemSpec,
     Weight,
     build_interval,
+    eta_star,
     grad_energy,
     negative_part,
     positive_part,
+    principal_eigenpair,
+    solve,
     sup_norm,
     weighted_power_integral,
 )
@@ -164,3 +168,18 @@ def test_weighted_integral_rejects_small_r():
     mesh = build_interval(0, 1, 4)
     with pytest.raises(InvalidConfig):
         weighted_power_integral(Weight.constant(1.0), DiscreteFunction.zeros(mesh), 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mesh: principal_eigenpair(mesh, np.ones(3), 2.0),
+        lambda mesh: solve(ProblemSpec(mesh, 3.0, 1.5, 1.0, 0.0, np.ones(3), np.ones(9), np.ones(9))),
+        lambda mesh: solve(ProblemSpec(mesh, 3.0, 1.5, 1.0, 0.0, np.ones(9), np.ones(9), np.ones(9)), np.ones(3)),
+        lambda mesh: eta_star(mesh, np.ones(3), np.ones(9), np.ones(9), 3.0, 1.5, 1.0),
+    ],
+    ids=["eigenpair-m", "solve-m", "solve-init", "eta-star-m"],
+)
+def test_nodal_arrays_of_the_wrong_length_are_rejected(call):
+    with pytest.raises(InvalidConfig, match="has 3 values, mesh has 9 vertices"):
+        call(build_interval(0.0, 1.0, 8))

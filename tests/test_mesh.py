@@ -149,3 +149,61 @@ def test_rectangle_2x2_layout():
     ]
     assert mesh.boundary_vertices.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
     assert mesh.interior_vertices.tolist() == [4]
+
+
+def test_every_derived_value_is_built_once_and_dies_with_its_mesh(monkeypatch):
+    # the memo's values must not refer to the mesh: with the collector off, a
+    # reference cycle through one would keep the mesh alive
+    import gc
+    import weakref
+
+    from plap import EmptyAdmissibleSet, Weight, eigen, fem
+    from plap.bvp import _nearest_interior
+
+    solve, solves = eigen.principal_eigenpair, []
+    monkeypatch.setattr(eigen, "principal_eigenpair", lambda *args: solves.append(args[1:]) or solve(*args))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        mesh = build_interval(0.0, 1.0, 64)
+        kernel, op, nearest = fem.gradients(mesh), fem.operator(mesh, mesh.interior_vertices), _nearest_interior(mesh)
+        assert fem.gradients(mesh) is kernel
+        assert fem.operator(mesh, mesh.interior_vertices.copy()) is op
+        assert _nearest_interior(mesh) is nearest
+        pair = eigen._principal(mesh, Weight.constant(1.0), 3.0)
+        assert pair.phi.values.tobytes() == solve(mesh, Weight.constant(1.0), 3.0).phi.values.tobytes()
+        assert eigen._principal(mesh, Weight.nodal(np.ones(65)), 3.0).lam == pair.lam  # keyed by nodal values
+        messages = []
+        for _ in range(2):
+            try:
+                eigen._principal(mesh, np.full(65, -1.0), 3.0)  # no positive part: a memoized PlapError
+            except EmptyAdmissibleSet as exc:
+                messages.append(str(exc))
+        assert messages == ["weight has no positive part on the active vertex set"] * 2
+        assert len(solves) == 2  # one per key
+        refs = [weakref.ref(value) for value in (mesh, kernel, op, nearest)]
+        del mesh, kernel, op, nearest, pair
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_no_module_keeps_a_weak_keyed_cache():
+    # data derived from a mesh goes in Mesh.derived, not in a module-level weak dictionary
+    import ast
+    from pathlib import Path
+
+    import plap
+
+    found = []
+    for path in sorted(Path(plap.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(stmt):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("WeakKeyDictionary", "WeakValueDictionary"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
