@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -332,6 +335,17 @@ def test_stack_index_holds_only_arrays(rng):
         return isinstance(value, (np.ndarray, int))
 
     assert all(arrays(value) for value in vars(kernel).values())
+
+
+def test_cached_operator_dies_with_its_mesh():
+    mesh = build_rectangle(0.0, 1.0, 0.0, 1.0, 4, 4)
+    op = fem.operator(mesh, mesh.interior_vertices)
+    assert fem.operator(mesh, mesh.interior_vertices.copy()) is op
+    mesh_ref, op_ref = weakref.ref(mesh), weakref.ref(op)
+    del mesh, op
+    gc.collect()
+    assert mesh_ref() is None
+    assert op_ref() is None
 
 
 def test_matrix_shares_no_array_with_operator(rng):

@@ -379,6 +379,22 @@ def test_eigenpair_memo_keeps_a_failure_as_a_fresh_error(monkeypatch):
     assert errors[0] is not errors[1]
 
 
+def test_eigenpair_memo_forgets_its_mesh():
+    import gc
+    import weakref
+
+    from plap import eigen
+
+    mesh = build_interval(0.0, 1.0, 64)
+    pair = eigen._principal(mesh, Weight.constant(1.0), 3.0)
+    assert pair.phi.values.tobytes() == principal_eigenpair(mesh, Weight.constant(1.0), 3.0).phi.values.tobytes()
+    assert eigen._principal(mesh, Weight.nodal(np.ones(65)), 3.0).lam == pair.lam  # keyed by nodal values
+    alive = weakref.ref(mesh)
+    del mesh, pair
+    gc.collect()
+    assert alive() is None
+
+
 @pytest.mark.parametrize(
     "m, c",
     [
