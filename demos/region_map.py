@@ -8,7 +8,7 @@ same data goes to sweep.csv in the working directory.
 
 import numpy as np
 
-from plap import ProblemSpec, SolveOptions, SweepOptions, Weight, build_interval, principal_eigenpair, sweep
+from plap import ProblemSpec, SolveOptions, Weight, build_interval, principal_eigenpair, sweep
 from plap.report import write_csv
 
 mesh = build_interval(0.0, 1.0, 128)
@@ -19,9 +19,7 @@ pair = principal_eigenpair(mesh, one, p)
 lam_grid = np.linspace(0.15 * pair.lam, 1.9 * pair.lam, 13)
 eta_grid = np.linspace(-1.2, 1.2, 7)
 template = ProblemSpec(mesh, p, q, 0.0, 0.0, one, one, one)
-region_map = sweep(
-    template, lam_grid, eta_grid, SweepOptions(solve_opts=SolveOptions(t_grid=(1.0, 4.0), n_random=1))
-)
+region_map = sweep(template, lam_grid, eta_grid, SolveOptions(t_grid=(1.0, 4.0), n_random=1))
 
 GLYPH = {
     "positive": "+",

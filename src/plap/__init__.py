@@ -64,7 +64,6 @@ from .mesh import Mesh, SubdomainMask, boundary_strip, build_interval, build_rec
 from .regions import (
     NonuniformityReport,
     RegionMap,
-    SweepOptions,
     TheoremPrediction,
     check_hypotheses,
     nonuniformity_experiment,

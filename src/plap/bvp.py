@@ -13,12 +13,12 @@ eigenvalue when the target sits below it), then the sublinear strength eta,
 then the regularizations downward to their floors.  Each rung solves
 fem.weak_form, the regularized weak residual the eigensolver's inner solve
 shares, with the terms (lam lump m, p) and, when eta != 0, (eta lump a, q).
-Its two smoothings are:
+Its two smoothings, marched down fem.EPS_LADDER, are:
 
-  * gradient kernel (|grad u|^2 + eps_g^2)^{(p-2)/2}, marched 1e-2 down to
+  * gradient kernel (|grad u|^2 + eps_g^2)^{(p-2)/2}, from 1e-2 down to
     fem.EPS_GRAD_FLOOR = 1e-8; the raw kernel is the zero matrix at
     grad u = 0 for p > 2 and unbounded for p < 2;
-  * zeroth-order odd powers (u^2 + eps_s^2)^{(r-2)/2} u, marched 1e-3 down to
+  * zeroth-order odd powers (u^2 + eps_s^2)^{(r-2)/2} u, from 1e-3 down to
     fem.EPS_ZERO_FLOOR = 1e-9; for q < 2 the raw power has unbounded slope
     at u = 0 (dead cores).
 
@@ -95,7 +95,9 @@ import numpy as np
 from . import fem
 from .eigen import _principal
 from .errors import InvalidConfig, NonConvergence, PlapError, ResonantParameter, SingularJacobian
-from .functions import DiscreteFunction, Weight, _nodal, grad_energy, sup_norm, weight_values, weighted_power_integral
+from .functions import (
+    DiscreteFunction, Weight, _nodal, check_exponents, grad_energy, sup_norm, weight_values, weighted_power_integral
+)
 
 __all__ = [
     "EPS_GRAD_FLOOR",
@@ -118,7 +120,6 @@ EPS_ZERO_FLOOR = fem.EPS_ZERO_FLOOR
 STALL_DECREASE = 1e-5  # relative drop of ||r||^2 below which a rung has stalled; see above
 _LAM_RUNGS = 4  # lam values, the target included, on the approach from 0.9 lam1
 _ETA_RUNGS = 3  # eta values, the target included, on the way up from eta = 0
-_EPS_LADDER = ((1e-2, 1e-3), (1e-4, 1e-5), (1e-6, 1e-7), (EPS_GRAD_FLOOR, EPS_ZERO_FLOOR))
 
 @dataclass
 class ProblemSpec:
@@ -134,8 +135,7 @@ class ProblemSpec:
     f: Weight
 
     def __post_init__(self):
-        if not 1.0 < self.q < self.p:
-            raise InvalidConfig(f"exponents must satisfy 1 < q < p, got q={self.q}, p={self.p}")
+        check_exponents(self.p, self.q)
 
     def replace(self, **kw):
         return replace(self, **kw)
@@ -367,7 +367,7 @@ def _continuation_stages(spec, lam1):
     if spec.p == 2.0 and eta_t == 0.0:
         # linear problem: the smoothings are no-ops and Newton is exact
         return [(lam_t, 0.0, EPS_GRAD_FLOOR, EPS_ZERO_FLOOR, True)]
-    eps0 = _EPS_LADDER[0]
+    eps0 = fem.EPS_LADDER[0]
     stages = []
     if lam1 is not None and math.isfinite(lam1) and 0.9 * lam1 < lam_t <= lam1:
         # approach a just-below-resonance target from a safe value
@@ -378,7 +378,7 @@ def _continuation_stages(spec, lam1):
     if eta_t != 0.0:
         for k in range(1, _ETA_RUNGS + 1):
             stages.append((lam_t, eta_t * k / _ETA_RUNGS, *eps0, False))
-    for eps_g, eps_s in _EPS_LADDER[1:]:
+    for eps_g, eps_s in fem.EPS_LADDER[1:]:
         stages.append((lam_t, eta_t, eps_g, eps_s, False))
     # re-flag the last stage as final
     lam, eta, eg, es, _ = stages[-1]
@@ -389,7 +389,7 @@ def _continuation_stages(spec, lam1):
 def _eta_free(stage):
     """True for the rungs every eta of one lam runs alike: eta = 0 at the first smoothing."""
     _, eta, eps_g, eps_s, is_final = stage
-    return eta == 0.0 and (eps_g, eps_s) == _EPS_LADDER[0] and not is_final
+    return eta == 0.0 and (eps_g, eps_s) == fem.EPS_LADDER[0] and not is_final
 
 
 def solve(spec, init="zero", opts=None, *, _prefix=None):

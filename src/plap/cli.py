@@ -33,7 +33,7 @@ from .errors import (
 )
 from .functions import DiscreteFunction, Weight
 from .mesh import boundary_strip
-from .regions import RegionMap, SweepOptions, nonuniformity_experiment, sweep
+from .regions import RegionMap, nonuniformity_experiment, sweep
 from .report import write_csv, write_report
 
 __all__ = ["main"]
@@ -84,8 +84,7 @@ def _run_sweep(cfg, mesh, seed, out_dir):
             )
             eta_bar = est.value if math.isfinite(est.value) else 1.0
             eta_grid = np.linspace(-eta_bar, eta_bar, mp["n_eta"]).tolist()
-    sweep_opts = SweepOptions(solve_opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}))
-    region_map = sweep(template, lam_grid, eta_grid, sweep_opts)
+    region_map = sweep(template, lam_grid, eta_grid, SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}))
     write_csv(region_map, os.path.join(out_dir, cfg.output["csv"]))
     return region_map
 

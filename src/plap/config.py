@@ -367,7 +367,7 @@ def parse_config(text, base_dir="."):
 def build_mesh(config):
     """Construct the Mesh named by a RunConfig's domain block.
 
-    Every weight is evaluated on it here (Weight.values caches the result), so
+    Every weight is evaluated on it here (Weight.values memoizes the result in mesh.derived), so
     a weight that fails on this mesh is an InvalidConfig naming weights.<name>.
     """
     dom = config.domain

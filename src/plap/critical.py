@@ -61,7 +61,7 @@ import numpy as np
 from . import fem
 from .eigen import _principal
 from .errors import InvalidConfig
-from .functions import DiscreteFunction, grad_energy, weight_values, weighted_power_integral
+from .functions import DiscreteFunction, check_exponents, grad_energy, weight_values, weighted_power_integral
 
 __all__ = [
     "EtaStarOptions",
@@ -71,6 +71,7 @@ __all__ = [
     "picone_constant",
     "eta_star_objective",
     "eta_star",
+    "eta_star_bound",
     "eta_star_lower_bound",
     "power_weight_lam1",
     "picone_polynomial",
@@ -279,11 +280,10 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     margin); lambda_1(m) and phi1, the first start, come from eigen._principal.
     Returns the +infinity sentinel when no start attains a positive
     denominator (empty admissible cone).  The lower_bound field carries the
-    closed-form bound when min f > 0 and the power-weight eigenvalue exists.
+    closed-form bound (eta_star_bound) when it applies and is finite.
     """
     opts = opts or EtaStarOptions()
-    if not 1.0 < q < p:
-        raise InvalidConfig(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
+    check_exponents(p, q)
     m_vals = weight_values(m, mesh)
     a_vals = weight_values(a, mesh)
     f_vals = weight_values(f, mesh)
@@ -296,12 +296,8 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
         raise InvalidConfig(f"lam must lie in [0, lambda_1 ~ {lam1:.6g}], got {lam}")
 
     free = mesh.interior_vertices
-    lower = None
-    c_f = float(np.min(f_vals))
-    if c_f > 0 and lam < lam1:
-        lam1_aplus = power_weight_lam1(mesh, np.maximum(a_vals, 0.0), p, q)
-        if math.isfinite(lam1_aplus):
-            lower = eta_star_lower_bound(c_f, p, q, lam, lam1, lam1_aplus)
+    bound = eta_star_bound(mesh, f_vals, np.maximum(a_vals, 0.0), p, q, lam1) if lam < lam1 else None
+    lower = bound(lam) if bound and bound(lam) < math.inf else None  # inf: empty cone, none reported
 
     if not np.any(a_vals[free] > 0):
         return EtaStarResult(math.inf, None, lower, 0, [], lam1)
@@ -342,6 +338,22 @@ def power_weight_lam1(mesh, clamped, p, q):
     if not np.any(power[mesh.interior_vertices] > 0):
         return math.inf
     return _principal(mesh, power, p).lam
+
+
+def eta_star_bound(mesh, f_vals, clamped, p, q, lam1):
+    """lam -> eta_star_lower_bound with a_+ = clamped, or None unless min f > 0 and lam1 is finite.
+
+    clamped holds nodal values (a_- for eta < 0).  The bound is +inf when
+    its power weight vanishes on the interior (empty admissible cone), 0
+    from lam1 = lambda_1(m) up, and below lam = 0 the bound at 0.
+    """
+    c_f = float(np.min(f_vals))
+    if c_f <= 0 or not math.isfinite(lam1):
+        return None
+    lam1_w = power_weight_lam1(mesh, clamped, p, q)
+    if math.isinf(lam1_w):
+        return lambda lam: math.inf
+    return lambda lam: eta_star_lower_bound(c_f, p, q, max(lam, 0.0), lam1, lam1_w) if lam < lam1 else 0.0
 
 
 def eta_star_lower_bound(c_f, p, q, lam, lam1_m, lam1_aplus):
@@ -390,8 +402,7 @@ def picone_polynomial_check(p, q):
     """
     import scipy.optimize  # deferred: only the Picone checks need it
 
-    if not 1.0 < q < p:
-        raise InvalidConfig(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
+    check_exponents(p, q)
     try:
         s_max = math.pow(p / (q - 1.0), 2.0 / (p - q))
     except OverflowError:

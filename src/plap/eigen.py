@@ -33,7 +33,7 @@ import numpy as np
 
 from . import fem
 from .errors import EmptyAdmissibleSet, InvalidConfig, NonConvergence, PlapError
-from .functions import DiscreteFunction, Weight, grad_energy, weight_values
+from .functions import DiscreteFunction, Weight, check_exponents, grad_energy, weight_values
 from .mesh import SubdomainMask
 
 __all__ = [
@@ -116,7 +116,8 @@ def _inner_solve(mesh, op, p, shift, load, v_init, goal):
     down to the norm goal.  The functional is strictly convex and its
     Jacobian SPD, so ||r||^2 has no minimum other than the root and the
     progress test is off (stall = 0).  A failed solve restarts cold from
-    v_init through an eps ladder, warm-starting each stage.
+    v_init down the eps_g values of fem.EPS_LADDER, warm-starting each
+    stage.
     """
     terms = [(-shift * mesh.lumped_volumes, p)] if shift else []
 
@@ -124,13 +125,14 @@ def _inner_solve(mesh, op, p, shift, load, v_init, goal):
         res, jac, _ = fem.weak_form(mesh, op, p, eps, fem.EPS_ZERO_FLOOR, terms, load)
         return fem.newton(values, op.free, res, jac, op, lambda s: goal, _MAX_INNER, 0.0)[0] == "converged"
 
-    v = v_init.copy()
-    if not converged(v, fem.EPS_GRAD_FLOOR):
+    with np.errstate(over="ignore", invalid="ignore"):  # trials that overflow at large p fail in fem.newton
         v = v_init.copy()
-        for eps in (1e-2, 1e-4, 1e-6):
-            converged(v, eps)
         if not converged(v, fem.EPS_GRAD_FLOOR):
-            raise NonConvergence("inner p-Laplacian solve did not converge")
+            v = v_init.copy()
+            for eps, _ in fem.EPS_LADDER[:-1]:
+                converged(v, eps)
+            if not converged(v, fem.EPS_GRAD_FLOOR):
+                raise NonConvergence("inner p-Laplacian solve did not converge")
     return v
 
 
@@ -143,8 +145,7 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
     below opts.tol; raises NonConvergence after opts.max_outer iterations.
     """
     opts = opts or EigenOptions()
-    if p <= 1:
-        raise InvalidConfig(f"exponent p must exceed 1, got {p}")
+    check_exponents(p)
     if isinstance(mesh_or_mask, SubdomainMask):
         mask, mesh = mesh_or_mask, mesh_or_mask.mesh
     else:
@@ -319,7 +320,6 @@ def second_eigenvalue_1d(x0, x1, p):
     """
     if not x1 > x0:
         raise InvalidConfig("interval bounds must satisfy x1 > x0")
-    if p <= 1:
-        raise InvalidConfig(f"exponent p must exceed 1, got {p}")
+    check_exponents(p)
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
     return (p - 1.0) * (2.0 * pi_p / (x1 - x0)) ** p

@@ -17,7 +17,7 @@ a symmetric positive definite matrix for p > 1.  Zeroth-order odd powers
 |s|^{r-2} s are smoothed as (s^2 + eps_s^2)^{(r-2)/2} s, which for q < 2
 removes the unbounded derivative at s = 0.  The floors of the two
 smoothings, EPS_GRAD_FLOOR and EPS_ZERO_FLOOR, are the ones every solve
-ends on.
+ends on, at the foot of the one ladder of smoothings, EPS_LADDER.
 
 Linearized systems live on an Operator: the Jacobian restricted to one set of
 free vertices, with its storage pattern, the scatter map from each cell's
@@ -112,6 +112,7 @@ from .errors import SingularJacobian
 __all__ = [
     "EPS_GRAD_FLOOR",
     "EPS_ZERO_FLOOR",
+    "EPS_LADDER",
     "odd_power",
     "odd_powers",
     "smoothed_odd_power_deriv",
@@ -133,6 +134,8 @@ __all__ = [
 # zeroth-order powers' eps_s at the end of every solve
 EPS_GRAD_FLOOR = 1e-8
 EPS_ZERO_FLOOR = 1e-9
+# (eps_g, eps_s) down to the floors: the BVP rungs march it, the eigensolver's cold restart its eps_g
+EPS_LADDER = ((1e-2, 1e-3), (1e-4, 1e-5), (1e-6, 1e-7), (EPS_GRAD_FLOOR, EPS_ZERO_FLOOR))
 
 
 def odd_power(s, r):
@@ -592,8 +595,9 @@ def newton(values, free, res, jac, op, goal, max_iter, stall, energy=None, width
       * singular: the Jacobian could not be factored.
 
     Each iteration halves t from 1 until the trial passes Armijo,
-    ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2.  Unless the loop converged,
-    values hold the last accepted iterate.
+    ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2; a trial whose ||r_trial||^2 is
+    not finite fails.  Unless the loop converged, values hold the last
+    accepted iterate.
 
     energy, when given, is E(values, values[free]) with gradient res, and
     rescues a search that would end the loop as stalled or line_search: if
@@ -643,7 +647,7 @@ def newton(values, free, res, jac, op, goal, max_iter, stall, energy=None, width
         ended = "line_search"
         for tried, (t, s_trial, r_trial) in enumerate(_trials(trial, free, res, s, step, width), 1):
             merit = float(np.dot(r_trial, r_trial))
-            if merit <= (1.0 - 2e-4 * t) * merit0:
+            if math.isfinite(merit) and merit <= (1.0 - 2e-4 * t) * merit0:
                 ended = "stalled" if merit > (1.0 - stall) * merit0 else None
                 break
         width = tried

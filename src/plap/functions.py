@@ -12,13 +12,11 @@ discontinuous weight must be supplied as nodal data aligned with the mesh.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from . import fem
 from .errors import InvalidConfig
-from .expr import eval_expr_array, parse_expr
+from .expr import eval_expr_array, format_expr, parse_expr
 
 __all__ = [
     "DiscreteFunction",
@@ -80,8 +78,9 @@ class Weight:
             raise InvalidConfig(f"unknown weight kind {kind!r}")
         self.kind = kind
         self.payload = payload
-        # keyed by the mesh object itself; entries die with their mesh
-        self._cache = weakref.WeakKeyDictionary()
+        # the samples' key in Mesh.derived; raw bytes keep -0.0 apart from 0.0
+        data = format_expr(payload) if kind == "expression" else np.asarray(payload, dtype=float).tobytes()
+        self._key = (Weight, kind, data)
 
     @classmethod
     def constant(cls, value):
@@ -96,19 +95,19 @@ class Weight:
         return cls("nodal", np.array(values, dtype=float))  # a copy: values() makes it read-only
 
     def values(self, mesh):
-        """Nodal samples of the weight on the mesh (cached per mesh)."""
-        key = mesh
-        if key not in self._cache:
-            if self.kind == "constant":
-                vals = np.full(mesh.n_vertices, self.payload)
-            elif self.kind == "nodal":
-                vals = _nodal(np.asarray(self.payload, dtype=float), mesh)
-            else:
-                y = mesh.vertices[:, 1] if mesh.dimension == 2 else None
-                vals = eval_expr_array(self.payload, mesh.vertices[:, 0], y)
-            vals.setflags(write=False)
-            self._cache[key] = vals
-        return self._cache[key]
+        """Nodal samples of the weight on the mesh, read-only, memoized in mesh.derived."""
+        return mesh.derived(self._key, lambda: self._sample(mesh))
+
+    def _sample(self, mesh):
+        if self.kind == "constant":
+            vals = np.full(mesh.n_vertices, self.payload)
+        elif self.kind == "nodal":
+            vals = _nodal(np.asarray(self.payload, dtype=float), mesh)
+        else:
+            y = mesh.vertices[:, 1] if mesh.dimension == 2 else None
+            vals = eval_expr_array(self.payload, mesh.vertices[:, 0], y)
+        vals.setflags(write=False)
+        return vals
 
     def sign_summary(self, mesh):
         """One of 'zero', 'nonnegative', 'nonpositive', 'indefinite' from the nodal values."""
@@ -126,7 +125,7 @@ class Weight:
 
 
 def weight_values(w, mesh):
-    """Nodal values of w on mesh: a Weight's cached samples, or w as a float array of one value per vertex."""
+    """Nodal values of w on mesh: a Weight's memoized samples, or w as a float array of one value per vertex."""
     return w.values(mesh) if isinstance(w, Weight) else _nodal(np.asarray(w, dtype=float), mesh)
 
 
@@ -137,14 +136,21 @@ def _nodal(vals, mesh, what="nodal weight"):
     return vals
 
 
+def check_exponents(p, q=None):
+    """Raise InvalidConfig unless p > 1 and, when q is given, 1 < q < p."""
+    if q is None and p <= 1:
+        raise InvalidConfig(f"exponent p must exceed 1, got {p}")
+    if q is not None and not 1.0 < q < p:
+        raise InvalidConfig(f"exponents must satisfy 1 < q < p, got q={q}, p={p}")
+
+
 def grad_energy(u, p):
     """Integral of |grad u|^p, exact for the P1 interpolant.
 
     Requires p > 1.  The caller is responsible for zero boundary values when
     the integral is meant over the zero-trace space.
     """
-    if p <= 1:
-        raise InvalidConfig(f"exponent p must exceed 1, got {p}")
+    check_exponents(p)
     kernel = fem.gradients(u.mesh)
     g = kernel.gradient(u.values)
     mag = np.sqrt(kernel.dot(g, g))

@@ -3,8 +3,8 @@
 Only these two geometries are supported: they admit exact distance-to-boundary
 formulas (needed for boundary strips) and closed-form oracles.  A mesh's
 geometry is immutable after construction; what other modules derive from it
-(gradient kernels, operators, eigenpairs) is built on first use and kept in
-the mesh's memo, Mesh.derived.
+(gradient kernels, operators, weight samples, eigenpairs) is built on first
+use and kept in the mesh's memo, Mesh.derived.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bvp import ProblemSpec, SolveOptions, classify_sign, multi_start_solve
-from .critical import eta_star_lower_bound, picone_polynomial_check, power_weight_lam1
+from .critical import eta_star_bound, picone_polynomial_check
 from .eigen import _principal, second_eigenvalue_1d
 from .errors import InvalidConfig, PlapError
 from .functions import weight_values, weighted_power_integral
@@ -32,7 +32,6 @@ __all__ = [
     "RowRecord",
     "CellRecord",
     "RegionMap",
-    "SweepOptions",
     "check_hypotheses",
     "sweep",
     "nonuniformity_experiment",
@@ -134,12 +133,6 @@ class RegionMap:
                 for pr in self.predictions
             ],
         }
-
-
-@dataclass
-class SweepOptions:
-    solve_opts: SolveOptions = field(default_factory=SolveOptions)
-    predictions: bool = True
 
 
 def _vanishing_strip_width(mesh, vals):
@@ -354,31 +347,17 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
 def _eta_threshold_closures(template, lam1):
     """Certified per-lam lower bounds for the critical value on each eta side.
 
-    Uses the closed-form bound, which needs min f > 0 and a nontrivial clamped
-    weight; returns (pos, neg) callables or None where unavailable.  A power
-    weight with m's nodal values (m = a = 1, say) shares m's eigensolve
-    (power_weight_lam1).
+    (pos, neg): critical.eta_star_bound of a_+ and of a_-, each None where
+    the bound does not apply.  A power weight with m's nodal values
+    (m = a = 1, say) shares m's eigensolve (power_weight_lam1).
     """
     mesh = template.mesh
     f_vals = weight_values(template.f, mesh)
     a_vals = weight_values(template.a, mesh)
-    c_f = float(np.min(f_vals))
-    if c_f <= 0 or not math.isfinite(lam1):
-        return None, None
-
-    def side(clamped):
-        lam1_w = power_weight_lam1(mesh, clamped, template.p, template.q)
-        if math.isinf(lam1_w):
-            return lambda lam: math.inf  # empty admissible cone: critical value infinite
-
-        def bound(lam):
-            if lam >= lam1:
-                return 0.0
-            return eta_star_lower_bound(c_f, template.p, template.q, max(lam, 0.0), lam1, lam1_w)
-
-        return bound
-
-    return side(np.maximum(a_vals, 0.0)), side(np.maximum(-a_vals, 0.0))
+    return tuple(
+        eta_star_bound(mesh, f_vals, clamped, template.p, template.q, lam1)
+        for clamped in (np.maximum(a_vals, 0.0), np.maximum(-a_vals, 0.0))
+    )
 
 
 def _all_in(classes, claim):
@@ -403,10 +382,11 @@ def sweep(template, lam_grid, eta_grid, opts=None):
 
     template is a ProblemSpec whose lam/eta fields are ignored.  Cell solves
     that fail are recorded as rows with sign_class "failed", never fatal.
-    Returns the RegionMap with measured MP/AMP half-widths.  (lam1, phi1)
-    come from eigen._principal (lam1 = inf when it fails), as in every
-    cell.  A set opts.solve_opts.lam1 stands in for lam1 in the predictions
-    as in the solves.
+    opts is the SolveOptions of every cell's multi_start_solve.  Returns the
+    RegionMap with the predictions and measured MP/AMP half-widths.
+    (lam1, phi1) come from eigen._principal (lam1 = inf when it fails), as
+    in every cell.  A set opts.lam1 stands in for lam1 in the predictions as
+    in the solves.
 
     The cells of one lam row share a rung store (bvp.solve's _prefix): each
     start runs the eta-free rungs of its ladder once per row, and every cell
@@ -415,7 +395,7 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     the row's first cell pays for the shared rungs, so per-cell work is
     front-loaded.  The store is dropped after its row.
     """
-    opts = opts or SweepOptions()
+    opts = opts or SolveOptions()
     mesh = template.mesh
     lam_grid = [float(v) for v in lam_grid]
     eta_grid = [float(v) for v in eta_grid]
@@ -426,18 +406,16 @@ def sweep(template, lam_grid, eta_grid, opts=None):
         phi1, lam1 = pair.phi, pair.lam
     except PlapError:
         pass
-    if opts.solve_opts.lam1 is not None:
-        lam1 = opts.solve_opts.lam1
+    if opts.lam1 is not None:
+        lam1 = opts.lam1
 
     m_vals = weight_values(template.m, mesh)
     lam2_bound = math.inf
     if mesh.dimension == 1 and m_vals[0] > 0 and np.all(m_vals == m_vals[0]):
         lam2_bound = second_eigenvalue_1d(mesh.bounds[0], mesh.bounds[1], template.p) / float(m_vals[0])
 
-    predictions = []
-    if opts.predictions:
-        thr_pos, thr_neg = _eta_threshold_closures(template, lam1)
-        predictions = check_hypotheses(template, lam1, phi1, thr_pos, thr_neg)
+    thr_pos, thr_neg = _eta_threshold_closures(template, lam1)
+    predictions = check_hypotheses(template, lam1, phi1, thr_pos, thr_neg)
     binding = [pr for pr in predictions if pr.region is not None]
 
     cells = {}
@@ -446,7 +424,7 @@ def sweep(template, lam_grid, eta_grid, opts=None):
         prefix = {}  # the row's eta-free rungs, run once per start (bvp.solve)
         for j, eta in enumerate(eta_grid):
             spec = template.replace(lam=lam, eta=eta)
-            ms = multi_start_solve(spec, opts.solve_opts, _prefix=prefix)
+            ms = multi_start_solve(spec, opts, _prefix=prefix)
             rows = []
             for strategy, out, err in ms.per_start:
                 if out is None:

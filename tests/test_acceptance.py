@@ -20,7 +20,6 @@ from plap import (
     ProblemSpec,
     SolveOptions,
     SubdomainMask,
-    SweepOptions,
     Weight,
     build_interval,
     discrete_picone_check,
@@ -98,7 +97,7 @@ def test_criterion_3_mp_region(p, interval_256):
             spec_for(interval_256, p),
             lam_grid,
             [-eta_small, 0.0, eta_small],
-            SweepOptions(solve_opts=SolveOptions()),
+            SolveOptions(),
         )
         for cell in region_map.cells.values():
             assert cell.classes == ["positive"], (cell.lam, cell.eta, cell.classes)
@@ -123,9 +122,7 @@ def test_criterion_4_amp_region_p3(interval_256, pair_p3_256):
     with criterion(4, "AMP region, p=3 measured half-width"):
         lam1 = pair_p3_256.lam
         lam_grid = [lam1 * (1 + f) for f in (0.01, 0.02, 0.04, 0.06, 0.08, 0.10)]
-        region_map = sweep(
-            spec_for(interval_256, 3.0), lam_grid, [0.0], SweepOptions(solve_opts=SolveOptions())
-        )
+        region_map = sweep(spec_for(interval_256, 3.0), lam_grid, [0.0], SolveOptions())
         assert region_map.delta_hat_amp > 0.0
         first = region_map.cells[(0, 0)]
         assert first.classes == ["negative"]
@@ -149,7 +146,7 @@ def test_criterion_5_nonnegativity_region(interval_256, pair_p2_256):
                 spec_for(interval_256, 2.0),
                 [lam],
                 eta_grid,
-                SweepOptions(solve_opts=SolveOptions(t_grid=(1.0, 2.0), n_random=1)),
+                SolveOptions(t_grid=(1.0, 2.0), n_random=1),
             )
             counterexamples += len(region_map.counterexamples)
             for cell in region_map.cells.values():

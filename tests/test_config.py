@@ -15,7 +15,6 @@ from plap import (
     ParseError,
     ProblemSpec,
     SolveOptions,
-    SweepOptions,
     Weight,
     sweep,
 )
@@ -311,7 +310,7 @@ def _tiny_map(seed):
     mesh = build_mesh(parse_config(cfg_text(domain={"kind": "interval", "bounds": [0, 1], "resolution": 32})))
     one = Weight.constant(1.0)
     tmpl = ProblemSpec(mesh, 2.0, 1.5, 0.0, 0.0, one, one, one)
-    opts = SweepOptions(solve_opts=SolveOptions(t_grid=(1.0,), n_random=2, seed=seed))
+    opts = SolveOptions(t_grid=(1.0,), n_random=2, seed=seed)
     return sweep(tmpl, [2.0], [0.0, 0.4], opts)
 
 
@@ -336,7 +335,7 @@ def test_empty_sweep_header_only(tmp_path):
     mesh = build_mesh(parse_config(cfg_text()))
     one = Weight.constant(1.0)
     tmpl = ProblemSpec(mesh, 2.0, 1.5, 0.0, 0.0, one, one, one)
-    region_map = sweep(tmpl, [], [], SweepOptions())
+    region_map = sweep(tmpl, [], [], SolveOptions())
     path = tmp_path / "empty.csv"
     write_csv(region_map, path)
     assert path.read_text() == "lam,eta,p,q,sign_class,residual_norm,sup_norm,energy,predicted_by,consistent\n"

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +197,49 @@ def test_p10_eigensolve_does_not_stall_on_the_inner_goal(one):
     assert pair.iterations <= 20
     pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
     assert pair.lam == pytest.approx((p - 1.0) * pi_p**p, rel=1e-2)  # coarse grid, large p
+
+
+def test_p10_overflowing_inner_trials_warn_nothing():
+    # inner line-search trials overflow here: fem.newton rejects a trial whose
+    # ||r||^2 is not finite, and the inner solve silences the warnings of such trials
+    from plap import NonConvergence
+
+    message = "eigensolver residual 1.986e+00 above tol 1.0e-06 after 500 iterations"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match=re.escape(message)):
+            principal_eigenpair(build_rectangle(0.0, 1.0, 0.0, 1.0, 24, 24), Weight.expression("cos(6*x)"), 10.0)
+
+
+def test_inner_solve_cold_restart_converges(monkeypatch):
+    # the first inner solve at the floor fails; the cold restart down the eps_g
+    # values of fem.EPS_LADDER converges at the floor, and so does the eigensolve
+    from plap import fem, weighted_power_integral
+
+    solves = []  # (eps_g, reason) of every inner fem.newton call
+    weak_form, newton = fem.weak_form, fem.newton
+
+    def spy_form(mesh, op, p, eps_g, *args):
+        solves.append(eps_g)
+        return weak_form(mesh, op, p, eps_g, *args)
+
+    def spy_newton(*args, **kw):
+        out = newton(*args, **kw)
+        solves[-1] = (solves[-1], out[0])
+        return out
+
+    monkeypatch.setattr(fem, "weak_form", spy_form)
+    monkeypatch.setattr(fem, "newton", spy_newton)
+    m = Weight.expression("bump(0.5, 0.3)")
+    pair = principal_eigenpair(build_interval(0.0, 1.0, 64), m, 4.0)
+    floor = fem.EPS_GRAD_FLOOR
+    assert [eps for eps, _ in solves[:5]] == [floor] + [eps for eps, _ in fem.EPS_LADDER]
+    assert solves[0][1] != "converged" and solves[4] == (floor, "converged")
+    assert pair.lam == pytest.approx(237.862, rel=1e-5) and pair.iterations == 7
+    assert np.all(pair.phi.values >= 0) and sup_norm(pair.phi) == 1.0
+    assert weighted_power_integral(m, pair.phi, 4.0) > 0 and pair.residual_norm <= 1e-6
+    hist = pair.rq_history
+    assert all(b <= a + 1e-9 * (1 + abs(a)) for a, b in zip(hist, hist[1:]))
 
 
 @pytest.mark.parametrize(

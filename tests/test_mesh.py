@@ -181,16 +181,21 @@ def test_every_derived_value_is_built_once_and_dies_with_its_mesh(monkeypatch):
                 messages.append(str(exc))
         assert messages == ["weight has no positive part on the active vertex set"] * 2
         assert len(solves) == 2  # one per key
-        refs = [weakref.ref(value) for value in (mesh, kernel, op, nearest)]
-        del mesh, kernel, op, nearest, pair
-        assert [ref() for ref in refs] == [None] * 4
+        samples = Weight.expression("1 + x").values(mesh)
+        assert Weight.expression("1+x").values(mesh) is samples and not samples.flags.writeable
+        zero, minus_zero = Weight.constant(0.0).values(mesh), Weight.constant(-0.0).values(mesh)
+        assert zero is not minus_zero and not np.signbit(zero).any() and np.signbit(minus_zero).all()
+        refs = [weakref.ref(value) for value in (mesh, kernel, op, nearest, samples, zero, minus_zero)]
+        del mesh, kernel, op, nearest, pair, samples, zero, minus_zero
+        assert [ref() for ref in refs] == [None] * 7
     finally:
         if collecting:
             gc.enable()
 
 
 def test_no_module_keeps_a_weak_keyed_cache():
-    # data derived from a mesh goes in Mesh.derived, not in a module-level weak dictionary
+    # data derived from a mesh goes in Mesh.derived, not in a weak dictionary
+    # built anywhere in plap, at module level or inside a function or class
     import ast
     from pathlib import Path
 
@@ -198,12 +203,9 @@ def test_no_module_keeps_a_weak_keyed_cache():
 
     found = []
     for path in sorted(Path(plap.__file__).parent.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            for node in ast.walk(stmt):
-                func = node.func if isinstance(node, ast.Call) else None
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("WeakKeyDictionary", "WeakValueDictionary"):
-                    found.append(f"{path.name}:{node.lineno}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("WeakKeyDictionary", "WeakValueDictionary"):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

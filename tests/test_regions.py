@@ -10,7 +10,6 @@ from plap import (
     InvalidConfig,
     ProblemSpec,
     SolveOptions,
-    SweepOptions,
     Weight,
     build_interval,
     build_rectangle,
@@ -86,7 +85,7 @@ def test_sweep_mp_amp_and_measurements(interval_256, pair_p2_256):
     lam1 = pair_p2_256.lam
     lam_grid = [0.3 * lam1, 0.6 * lam1, 0.9 * lam1, 1.2 * lam1, 1.8 * lam1]
     eta_grid = [-0.3, 0.0, 0.3]
-    opts = SweepOptions(solve_opts=SolveOptions(t_grid=(1.0,), n_random=1))
+    opts = SolveOptions(t_grid=(1.0,), n_random=1)
     region_map = sweep(template(interval_256), lam_grid, eta_grid, opts)
     assert region_map.counterexamples == []
     assert region_map.lam1 == pytest.approx(lam1, rel=1e-9)
@@ -110,7 +109,7 @@ def test_sweep_mp_amp_and_measurements(interval_256, pair_p2_256):
 def test_sweep_counterexample_machinery(interval_256):
     # a deliberately false eigenvalue override makes the no-nonnegative-solution
     # region swallow genuinely positive cells, which must surface as records
-    opts = SweepOptions(solve_opts=SolveOptions(lam1=1.0, t_grid=(1.0,), n_random=0))
+    opts = SolveOptions(lam1=1.0, t_grid=(1.0,), n_random=0)
     region_map = sweep(template(interval_256), [3.0], [0.0], opts)
     assert len(region_map.counterexamples) == 1
     record = region_map.counterexamples[0]
@@ -120,14 +119,14 @@ def test_sweep_counterexample_machinery(interval_256):
 
 
 def test_sweep_handles_empty_grid(interval_256):
-    region_map = sweep(template(interval_256), [], [], SweepOptions())
+    region_map = sweep(template(interval_256), [], [], SolveOptions())
     assert region_map.cells == {}
 
 
 def test_sweep_amp_interval_matches_linear_oracle(interval_512, pair_p2_512):
     lam1 = pair_p2_512.lam
     lam_grid = np.linspace(1.1 * lam1, 3.6 * math.pi**2, 5)
-    opts = SweepOptions(solve_opts=SolveOptions(t_grid=(1.0,), n_random=1))
+    opts = SolveOptions(t_grid=(1.0,), n_random=1)
     region_map = sweep(template(interval_512), lam_grid, [0.0], opts)
     for i, lam in enumerate(lam_grid):
         assert region_map.cells[(i, 0)].classes == ["negative"]
@@ -250,7 +249,7 @@ def test_sweep_rows_match_independent_cells(mesh, p, lam_fracs, monkeypatch):
     # come out as if it were solved alone (0.95 lam1 puts lam rungs in the prefix)
     lam1 = principal_eigenpair(mesh, Weight.constant(1.0), p).lam
     calls = _spy_cells(monkeypatch)
-    opts = SweepOptions(solve_opts=SolveOptions(t_grid=(0.5, 2.0), n_random=2), predictions=False)
+    opts = SolveOptions(t_grid=(0.5, 2.0), n_random=2)
     sweep(template(mesh, p=p), [f * lam1 for f in lam_fracs], [-0.3, 0.0, 0.3], opts)
     assert len(calls) == 3 * len(lam_fracs)
     for spec, solve_opts, ms in calls:
@@ -282,10 +281,9 @@ def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
     lam = 0.95 * pair_p3_256.lam
     etas = [-0.3, 0.0, 0.3]
     solve_opts = SolveOptions(t_grid=(0.5, 2.0), n_random=0)
-    opts = SweepOptions(solve_opts=solve_opts, predictions=False)
-    sweep(template(interval_256, p=3.0), [lam], etas, opts)
+    sweep(template(interval_256, p=3.0), [lam], etas, solve_opts)
     in_row, cell_cost[:] = cell_cost[:], []
-    sweep(template(interval_256, p=3.0), [lam], etas, opts)
+    sweep(template(interval_256, p=3.0), [lam], etas, solve_opts)
     assert cell_cost == in_row  # nothing carries from one sweep call to the next
     alone = []
     for eta in etas:
@@ -336,7 +334,7 @@ def test_sweep_reuses_its_eigenpair_for_the_threshold(a, eigensolves, monkeypatc
     mesh = build_interval(0.0, 1.0, 256)  # fresh, so the memo holds nothing for it yet
     solves = _count_eigensolves(monkeypatch)
     tmpl = template(mesh, p=3.0, a=a)
-    region_map = sweep(tmpl, [], [], SweepOptions())
+    region_map = sweep(tmpl, [], [], SolveOptions())
     assert len(solves) == eigensolves
     lam1 = region_map.lam1
     shared = _eta_threshold_closures(tmpl, lam1)[0]
@@ -356,7 +354,7 @@ def test_sweep_reuses_its_eigenpair_for_the_threshold(a, eigensolves, monkeypatc
 )
 def test_failed_eigensolve_runs_once_per_sweep(build, m, monkeypatch):
     solves = _count_eigensolves(monkeypatch)
-    opts = SweepOptions(solve_opts=SolveOptions(n_random=1))
+    opts = SolveOptions(n_random=1)
     region_map = sweep(template(build(), m=m), [1.0, 2.0, 3.0], [0.0, 0.1], opts)
     assert len(region_map.cells) == 6
     assert len(solves) == 1
@@ -409,5 +407,5 @@ def test_sweep_lam2_bound_of_a_constant_weight(interval_256, m, c):
     # lam2 of a constant weight c > 0 is lam2(1) / c; no bound is known for other weights
     from plap import second_eigenvalue_1d
 
-    region_map = sweep(template(interval_256, m=m), [], [], SweepOptions(predictions=False))
+    region_map = sweep(template(interval_256, m=m), [], [], SolveOptions())
     assert region_map.lam2_bound == (second_eigenvalue_1d(0.0, 1.0, 2.0) / c if c else math.inf)
