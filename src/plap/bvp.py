@@ -96,7 +96,8 @@ from . import fem
 from .eigen import _principal
 from .errors import InvalidConfig, NonConvergence, PlapError, ResonantParameter, SingularJacobian
 from .functions import (
-    DiscreteFunction, Weight, _nodal, check_exponents, grad_energy, sup_norm, weight_values, weighted_power_integral
+    DiscreteFunction, Weight, check_exponents, grad_energy, nodal_values, sup_norm, weight_values,
+    weighted_power_integral,
 )
 
 __all__ = [
@@ -362,34 +363,31 @@ class _NewtonDriver:
 
 
 def _continuation_stages(spec, lam1):
-    """(lam, eta, eps_g, eps_s, is_final) ladder per the continuation order."""
+    """(lam, eta, eps_g, eps_s) ladder per the continuation order; the last stage is the final one."""
     lam_t, eta_t = spec.lam, spec.eta
     if spec.p == 2.0 and eta_t == 0.0:
         # linear problem: the smoothings are no-ops and Newton is exact
-        return [(lam_t, 0.0, EPS_GRAD_FLOOR, EPS_ZERO_FLOOR, True)]
+        return [(lam_t, 0.0, EPS_GRAD_FLOOR, EPS_ZERO_FLOOR)]
     eps0 = fem.EPS_LADDER[0]
     stages = []
     if lam1 is not None and math.isfinite(lam1) and 0.9 * lam1 < lam_t <= lam1:
         # approach a just-below-resonance target from a safe value
         for lam in np.linspace(0.9 * lam1, lam_t, _LAM_RUNGS)[:-1]:
             if abs(lam - lam1) >= 0.05 * abs(lam1):
-                stages.append((float(lam), 0.0, *eps0, False))
-    stages.append((lam_t, 0.0, *eps0, False))
+                stages.append((float(lam), 0.0, *eps0))
+    stages.append((lam_t, 0.0, *eps0))
     if eta_t != 0.0:
         for k in range(1, _ETA_RUNGS + 1):
-            stages.append((lam_t, eta_t * k / _ETA_RUNGS, *eps0, False))
+            stages.append((lam_t, eta_t * k / _ETA_RUNGS, *eps0))
     for eps_g, eps_s in fem.EPS_LADDER[1:]:
-        stages.append((lam_t, eta_t, eps_g, eps_s, False))
-    # re-flag the last stage as final
-    lam, eta, eg, es, _ = stages[-1]
-    stages[-1] = (lam, eta, eg, es, True)
+        stages.append((lam_t, eta_t, eps_g, eps_s))
     return stages
 
 
 def _eta_free(stage):
-    """True for the rungs every eta of one lam runs alike: eta = 0 at the first smoothing."""
-    _, eta, eps_g, eps_s, is_final = stage
-    return eta == 0.0 and (eps_g, eps_s) == fem.EPS_LADDER[0] and not is_final
+    """True for the rungs every eta of one lam runs alike: eta = 0 at the first smoothing, so never the final stage."""
+    _, eta, eps_g, eps_s = stage
+    return eta == 0.0 and (eps_g, eps_s) == fem.EPS_LADDER[0]
 
 
 def solve(spec, init="zero", opts=None, *, _prefix=None):
@@ -412,10 +410,8 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
-    if isinstance(init, DiscreteFunction):
-        values = init.values.copy()
-    elif isinstance(init, np.ndarray):
-        values = _nodal(init.astype(float), mesh, "init")
+    if not isinstance(init, str):
+        values = nodal_values(init, mesh, "init").copy()
     elif init == "zero":
         values = np.zeros(mesh.n_vertices)
     else:
@@ -428,7 +424,8 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
     total_iters = 0
     rn = math.inf
     resonant_seen = False
-    for k, (lam, eta, eps_g, eps_s, is_final) in enumerate(stages):
+    for k, (lam, eta, eps_g, eps_s) in enumerate(stages):
+        is_final = k == len(stages) - 1
         tol = opts.newton_tol if is_final else max(1e-6, opts.newton_tol)
         key = (init_key, *stages[: k + 1]) if init_key is not None and _eta_free(stages[k]) else None
         if key is not None and key in _prefix:

@@ -61,7 +61,9 @@ import numpy as np
 from . import fem
 from .eigen import _principal
 from .errors import InvalidConfig
-from .functions import DiscreteFunction, check_exponents, grad_energy, weight_values, weighted_power_integral
+from .functions import (
+    DiscreteFunction, check_exponents, grad_energy, nodal_values, weight_values, weighted_power_integral
+)
 
 __all__ = [
     "EtaStarOptions",
@@ -73,7 +75,6 @@ __all__ = [
     "eta_star",
     "eta_star_bound",
     "eta_star_lower_bound",
-    "power_weight_lam1",
     "picone_polynomial",
     "picone_polynomial_check",
     "discrete_picone_check",
@@ -306,7 +307,7 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     # phi1, a bump on the support of a, and a_+
     starts = [pair.phi.values, dist * (a_vals > 0), np.maximum(a_vals, 0.0)]
     for extra in opts.extra_starts:
-        starts.append(extra.values if isinstance(extra, DiscreteFunction) else np.asarray(extra, float))
+        starts.append(nodal_values(extra, mesh, "extra start"))
     rng = np.random.default_rng(opts.seed)
     while len(starts) < opts.n_starts:
         starts.append(rng.random(mesh.n_vertices) * dist)
@@ -327,32 +328,23 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     )
 
 
-def power_weight_lam1(mesh, clamped, p, q):
-    """lambda_1 of the power weight clamped^{(p-1)/(q-1)}, clamped = a_+ or a_- as nodal values.
-
-    +inf when the power weight vanishes on every interior vertex (the
-    admissible cone is empty).  Solved once per (mesh, nodal values, p)
-    (eigen._principal): a power weight with m's values shares m's solve.
-    """
-    power = clamped ** ((p - 1.0) / (q - 1.0))
-    if not np.any(power[mesh.interior_vertices] > 0):
-        return math.inf
-    return _principal(mesh, power, p).lam
-
-
 def eta_star_bound(mesh, f_vals, clamped, p, q, lam1):
     """lam -> eta_star_lower_bound with a_+ = clamped, or None unless min f > 0 and lam1 is finite.
 
-    clamped holds nodal values (a_- for eta < 0).  The bound is +inf when
-    its power weight vanishes on the interior (empty admissible cone), 0
-    from lam1 = lambda_1(m) up, and below lam = 0 the bound at 0.
+    clamped holds nodal values (a_- for eta < 0).  The bound's lambda_1 is
+    that of the power weight clamped^{(p-1)/(q-1)}, solved once per (mesh,
+    nodal values, p) by eigen._principal: a power weight with m's values
+    shares m's solve.  The bound is +inf when the power weight vanishes on
+    every interior vertex (empty admissible cone), 0 from lam1 = lambda_1(m)
+    up, and below lam = 0 the bound at 0.
     """
     c_f = float(np.min(f_vals))
     if c_f <= 0 or not math.isfinite(lam1):
         return None
-    lam1_w = power_weight_lam1(mesh, clamped, p, q)
-    if math.isinf(lam1_w):
+    power = clamped ** ((p - 1.0) / (q - 1.0))
+    if not np.any(power[mesh.interior_vertices] > 0):
         return lambda lam: math.inf
+    lam1_w = _principal(mesh, power, p).lam
     return lambda lam: eta_star_lower_bound(c_f, p, q, max(lam, 0.0), lam1, lam1_w) if lam < lam1 else 0.0
 
 
@@ -436,7 +428,8 @@ class PiconeCheckResult:
 def discrete_picone_check(u, phi, p, eps):
     """Discrete weak Picone inequality with nodally interpolated test function.
 
-    Forms w = |phi|^p / (u + eps)^{p-1} at the vertices, differentiates it as a
+    phi is a DiscreteFunction or nodal values on u's mesh.  Forms
+    w = |phi|^p / (u + eps)^{p-1} at the vertices, differentiates it as a
     P1 interpolant, and checks
 
         int |grad u|^{p-2} grad u . grad w  <=  int |grad phi|^p  +  slack.
@@ -450,14 +443,12 @@ def discrete_picone_check(u, phi, p, eps):
     if np.any(u.values < 0):
         raise InvalidConfig("u must be nonnegative at every vertex")
     mesh = u.mesh
+    phi = DiscreteFunction(mesh, nodal_values(phi, mesh, "phi"))
     w_vals = np.abs(phi.values) ** p / (u.values + eps) ** (p - 1.0)
     kernel = fem.gradients(mesh)
     gu = kernel.gradient(u.values)
     gw = kernel.gradient(w_vals)
-    g2 = kernel.dot(gu, gu)
-    kappa = np.zeros_like(g2)
-    nz = g2 > 0
-    kappa[nz] = g2[nz] ** (0.5 * (p - 2.0))
+    kappa = fem.kappa(kernel.dot(gu, gu), p, 0.0)
     lhs = float(np.dot(mesh.cell_volumes * kappa, kernel.dot(gu, gw)))
     rhs = grad_energy(phi, p)
     slack = (1e-8 + 0.5 * mesh.mesh_size()) * (1.0 + abs(rhs))

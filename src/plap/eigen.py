@@ -33,7 +33,7 @@ import numpy as np
 
 from . import fem
 from .errors import EmptyAdmissibleSet, InvalidConfig, NonConvergence, PlapError
-from .functions import DiscreteFunction, Weight, check_exponents, grad_energy, weight_values
+from .functions import DiscreteFunction, Weight, check_exponents, grad_energy, nodal_values, weight_values
 from .mesh import SubdomainMask
 
 __all__ = [
@@ -59,7 +59,8 @@ class EigenOptions:
     tol: residual tolerance on the sup-normalized eigenfunction; defaults to
         1e-8 for p = 2 and 1e-6 otherwise (degenerate diffusion slows Newton
         for p far from 2).
-    init: "distance_bump" (default), "random", or a DiscreteFunction.
+    init: "distance_bump" (default), "random", or nodal data (a
+        DiscreteFunction or an array of nodal values).
     """
 
     tol: float | None = None
@@ -159,13 +160,15 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
     tol = opts.resolved_tol(p)
 
     u = np.zeros(mesh.n_vertices)
-    if isinstance(opts.init, DiscreteFunction):
-        u[free] = np.maximum(opts.init.values[free], 0.0)
+    if not isinstance(opts.init, str):
+        u[free] = np.maximum(nodal_values(opts.init, mesh, "init")[free], 0.0)
     elif opts.init == "random":
         rng = np.random.default_rng(opts.seed)
         u[free] = rng.random(len(free)) * mesh.distance_to_boundary()[free]
-    else:
+    elif opts.init == "distance_bump":
         u[free] = mesh.distance_to_boundary()[free] * (m_vals[free] > 0)
+    else:
+        raise InvalidConfig(f"unknown init {opts.init!r}")
     if _weighted_mass(mesh, m_vals, u, p) <= 0:
         # fall back to a start supported strictly inside {m > 0}
         u[:] = 0.0

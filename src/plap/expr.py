@@ -9,10 +9,15 @@ Grammar (highest precedence first):
     atom    :=  NUMBER | 'x' | 'y' | func '(' expr {',' expr} ')' | '(' expr ')'
 
 so '-2^2' is -(2^2) and '2^3^2' is 2^(3^2).  Functions: sin, cos, exp, abs,
-step (Heaviside, 1 for arguments >= 0), min, max, and bump(center, radius),
-the smooth compactly supported profile exp(-1/(1-t^2)) with
-t = |x - center|/radius inside the support and 0 outside (it reads the
+step, min, max, bump.  step is the Heaviside step, 1 for arguments >= 0, and
+bump(center, radius) the smooth compactly supported profile exp(-1/(1-t^2))
+with t = |x - center|/radius inside the support and 0 outside (it reads the
 evaluation point's x coordinate).  No user-defined functions.
+
+Each operator and function is one row of a table, _OPERATORS or _FUNCTIONS,
+that holds its point form (eval_expr) and its array form (eval_expr_array);
+a function's row also holds the arity the parser checks.  _UNDEFINED marks,
+for the array form, the points where the point form raises EvalError.
 
 parse_expr raises ParseError, with the position, at a number literal that is
 not finite and where nesting passes MAX_DEPTH levels: each operator, function
@@ -22,6 +27,7 @@ call and pair of parentheses is one level.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -33,8 +39,6 @@ __all__ = ["parse_expr", "eval_expr", "eval_expr_array", "format_expr"]
 
 MAX_DEPTH = 100  # parsing takes about 400 Python frames at this depth, evaluating fewer
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}  # of the left-associative operators
-
-_FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "step": 1, "min": 2, "max": 2, "bump": 2}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -176,10 +180,9 @@ class _Parser:
                 while self.accept(","):
                     args.append(self.binary())
                 self.expect_op(")")
-                if len(args) != _FUNCTIONS[val]:
-                    raise ParseError(
-                        f"function {val!r} takes {_FUNCTIONS[val]} argument(s), got {len(args)}", pos
-                    )
+                arity = _FUNCTIONS[val][0]
+                if len(args) != arity:
+                    raise ParseError(f"function {val!r} takes {arity} argument(s), got {len(args)}", pos)
                 return Call(val, tuple(arg for arg, _ in args)), 1 + max(depth for _, depth in args)
             if val in ("x", "y"):
                 return Var(val), 1
@@ -198,12 +201,62 @@ def parse_expr(src):
     return _Parser(src).parse()
 
 
+def _divide(num, den):
+    if den == 0.0:
+        raise EvalError("division by zero")
+    return num / den
+
+
 def _power(base, expo):
     if base == 0.0 and expo < 0:
         raise EvalError("0 raised to a negative power")
     if base < 0.0 and expo != int(expo):
         raise EvalError(f"negative base {base} with non-integer exponent {expo}")
     return base**expo
+
+
+def _bump(x, center, radius):
+    if radius <= 0.0:
+        raise EvalError(f"bump radius must be positive, got {radius}")
+    t = abs(float(x) - center) / radius
+    if t >= 1.0:
+        return 0.0
+    return math.exp(-1.0 / (1.0 - t * t))
+
+
+def _bump_array(x, center, radius):
+    t = np.abs(x - center) / radius
+    return np.where(t >= 1.0, 0.0, np.exp(-1.0 / (1.0 - t * t)))
+
+
+# operator: (point form, array form) of (left, right)
+_OPERATORS = {
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "/": (_divide, np.divide),
+    "^": (_power, np.power),
+}
+
+# function: (arity, point form, array form); a form takes the point's x, then the arguments.
+# min(a, b) is a unless b < a, max(a, b) a unless b > a, in both forms.
+_FUNCTIONS = {
+    "sin": (1, lambda x, a: math.sin(a), lambda x, a: np.sin(a)),
+    "cos": (1, lambda x, a: math.cos(a), lambda x, a: np.cos(a)),
+    "exp": (1, lambda x, a: math.exp(a), lambda x, a: np.exp(a)),
+    "abs": (1, lambda x, a: abs(a), lambda x, a: np.abs(a)),
+    "step": (1, lambda x, a: 1.0 if a >= 0.0 else 0.0, lambda x, a: np.where(a >= 0.0, 1.0, 0.0)),
+    "min": (2, lambda x, a, b: min(a, b), lambda x, a, b: np.where(b < a, b, a)),
+    "max": (2, lambda x, a, b: max(a, b), lambda x, a, b: np.where(b > a, b, a)),
+    "bump": (2, _bump, _bump_array),
+}
+
+# operator or function: the points where its point form raises EvalError, from its array form's inputs
+_UNDEFINED = {
+    "/": lambda num, den: den == 0.0,
+    "^": lambda base, expo: ((base == 0.0) & (expo < 0)) | ((base < 0.0) & (expo != np.trunc(expo))),
+    "bump": lambda x, center, radius: radius <= 0.0,
+}
 
 
 def eval_expr(ast, x, y=None):
@@ -229,42 +282,11 @@ def _eval_node(ast, x, y):
     if isinstance(ast, Neg):
         return -eval_expr(ast.child, x, y)
     if isinstance(ast, Bin):
-        lhs = eval_expr(ast.left, x, y)
-        rhs = eval_expr(ast.right, x, y)
-        if ast.op == "+":
-            return lhs + rhs
-        if ast.op == "-":
-            return lhs - rhs
-        if ast.op == "*":
-            return lhs * rhs
-        if ast.op == "/":
-            if rhs == 0.0:
-                raise EvalError("division by zero")
-            return lhs / rhs
-        return _power(lhs, rhs)
-    name, args = ast.name, [eval_expr(a, x, y) for a in ast.args]
-    if name == "sin":
-        return math.sin(args[0])
-    if name == "cos":
-        return math.cos(args[0])
-    if name == "exp":
-        return math.exp(args[0])
-    if name == "abs":
-        return abs(args[0])
-    if name == "step":
-        return 1.0 if args[0] >= 0.0 else 0.0
-    if name == "min":
-        return min(args)
-    if name == "max":
-        return max(args)
-    # bump(center, radius): smooth, compactly supported, reads the x coordinate
-    center, radius = args
-    if radius <= 0.0:
-        raise EvalError(f"bump radius must be positive, got {radius}")
-    t = abs(float(x) - center) / radius
-    if t >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - t * t))
+        return _OPERATORS[ast.op][0](eval_expr(ast.left, x, y), eval_expr(ast.right, x, y))
+    args = [x]
+    for arg in ast.args:  # a loop, not a comprehension: no frame per call
+        args.append(eval_expr(arg, x, y))
+    return _FUNCTIONS[ast.name][1](*args)
 
 
 def eval_expr_array(ast, x, y=None):
@@ -301,43 +323,15 @@ def _eval_array(ast, x, y, suspect):
             out = y
     elif isinstance(ast, Neg):
         out = -_eval_array(ast.child, x, y, suspect)
-    elif isinstance(ast, Bin):
-        lhs = _eval_array(ast.left, x, y, suspect)
-        rhs = _eval_array(ast.right, x, y, suspect)
-        if ast.op == "+":
-            out = np.add(lhs, rhs)
-        elif ast.op == "-":
-            out = np.subtract(lhs, rhs)
-        elif ast.op == "*":
-            out = np.multiply(lhs, rhs)
-        elif ast.op == "/":
-            suspect |= rhs == 0.0
-            out = np.divide(lhs, rhs)
-        else:
-            suspect |= ((lhs == 0.0) & (rhs < 0)) | ((lhs < 0.0) & (rhs != np.trunc(rhs)))
-            out = np.power(lhs, rhs)
     else:
-        args = [_eval_array(a, x, y, suspect) for a in ast.args]
-        name = ast.name
-        if name == "sin":
-            out = np.sin(args[0])
-        elif name == "cos":
-            out = np.cos(args[0])
-        elif name == "exp":
-            out = np.exp(args[0])
-        elif name == "abs":
-            out = np.abs(args[0])
-        elif name == "step":
-            out = np.where(args[0] >= 0.0, 1.0, 0.0)
-        elif name == "min":  # min(a, b) is a unless b < a, as in eval_expr
-            out = np.where(args[1] < args[0], args[1], args[0])
-        elif name == "max":
-            out = np.where(args[1] > args[0], args[1], args[0])
+        if isinstance(ast, Bin):
+            name, args = ast.op, (_eval_array(ast.left, x, y, suspect), _eval_array(ast.right, x, y, suspect))
+            out = _OPERATORS[name][1](*args)
         else:
-            center, radius = args
-            suspect |= radius <= 0.0
-            t = np.abs(x - center) / radius
-            out = np.where(t >= 1.0, 0.0, np.exp(-1.0 / (1.0 - t * t)))
+            name, args = ast.name, (x, *[_eval_array(a, x, y, suspect) for a in ast.args])
+            out = _FUNCTIONS[name][2](*args)
+        if name in _UNDEFINED:
+            suspect |= _UNDEFINED[name](*args)
     suspect |= ~np.isfinite(out)
     return out
 

@@ -271,14 +271,18 @@ def p_flux(mesh, values, p, eps=0.0):
     """
     kernel = gradients(mesh)
     g, g2 = _cell_terms(kernel, values, eps)
+    return kernel.scatter(kernel.pairings(g, mesh.cell_volumes * kappa(g2, p, eps)))
+
+
+def kappa(g2, p, eps):
+    """The flux kernel (|z|^2 + eps^2)^{(p-2)/2} per cell, from g2 = |z|^2 + eps^2."""
     if eps == 0.0 and p < 2:
         # |z|^{p-2} z is continuous with value 0 at z = 0; force that limit.
-        kappa = np.zeros_like(g2)
+        out = np.zeros_like(g2)
         nz = g2 > 0
-        kappa[nz] = g2[nz] ** (0.5 * (p - 2))
-    else:
-        kappa = g2 ** (0.5 * (p - 2))
-    return kernel.scatter(kernel.pairings(g, mesh.cell_volumes * kappa))
+        out[nz] = g2[nz] ** (0.5 * (p - 2))
+        return out
+    return g2 ** (0.5 * (p - 2))
 
 
 # widest half-bandwidth kept in LAPACK band storage; see the module docstring

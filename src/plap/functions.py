@@ -34,13 +34,8 @@ class DiscreteFunction:
     """Nodal coefficient vector of a piecewise-linear function on a mesh."""
 
     def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.n_vertices,):
-            raise InvalidConfig(
-                f"values length {values.shape} does not match vertex count {mesh.n_vertices}"
-            )
         self.mesh = mesh
-        self.values = values.copy()
+        self.values = nodal_values(values, mesh, "function").copy()
         self.values.setflags(write=False)
 
     @classmethod
@@ -102,7 +97,7 @@ class Weight:
         if self.kind == "constant":
             vals = np.full(mesh.n_vertices, self.payload)
         elif self.kind == "nodal":
-            vals = _nodal(np.asarray(self.payload, dtype=float), mesh)
+            vals = nodal_values(self.payload, mesh)
         else:
             y = mesh.vertices[:, 1] if mesh.dimension == 2 else None
             vals = eval_expr_array(self.payload, mesh.vertices[:, 0], y)
@@ -125,12 +120,16 @@ class Weight:
 
 
 def weight_values(w, mesh):
-    """Nodal values of w on mesh: a Weight's memoized samples, or w as a float array of one value per vertex."""
-    return w.values(mesh) if isinstance(w, Weight) else _nodal(np.asarray(w, dtype=float), mesh)
+    """Nodal values of w on mesh: a Weight's memoized samples, or nodal_values(w, mesh)."""
+    return w.values(mesh) if isinstance(w, Weight) else nodal_values(w, mesh)
 
 
-def _nodal(vals, mesh, what="nodal weight"):
-    """vals, after checking that it holds one value per vertex of mesh; raises InvalidConfig otherwise."""
+def nodal_values(data, mesh, what="nodal weight"):
+    """The nodal values of data, a DiscreteFunction or an array, as floats (not copied).
+
+    Raises InvalidConfig, naming what, unless data holds one value per vertex of mesh.
+    """
+    vals = np.asarray(data.values if isinstance(data, DiscreteFunction) else data, dtype=float)
     if vals.shape != (mesh.n_vertices,):
         raise InvalidConfig(f"{what} has {vals.size} values, mesh has {mesh.n_vertices} vertices")
     return vals

@@ -109,7 +109,6 @@ class RegionMap:
     eta_bounds: dict = field(default_factory=dict)
     predictions: list = field(default_factory=list)
     counterexamples: list = field(default_factory=list)
-    config_echo: dict = field(default_factory=dict)
 
     def summary(self):
         return {
@@ -202,8 +201,8 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
     )
 
     # --- local AMP: negative solutions just above lam1 for small eta >= 0
-    if a_phi_positive:
-        pairing_entry = [("int a phi1^q > 0", True)]
+    if a_phi_positive or phi1 is None:
+        pairing_entry = [("int a phi1^q > 0", bool(a_phi_positive))]
         note = ""
     elif a_phi_zero:
         poly = picone_polynomial_check(template.p, q)
@@ -349,7 +348,7 @@ def _eta_threshold_closures(template, lam1):
 
     (pos, neg): critical.eta_star_bound of a_+ and of a_-, each None where
     the bound does not apply.  A power weight with m's nodal values
-    (m = a = 1, say) shares m's eigensolve (power_weight_lam1).
+    (m = a = 1, say) shares m's eigensolve.
     """
     mesh = template.mesh
     f_vals = weight_values(template.f, mesh)

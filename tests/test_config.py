@@ -277,6 +277,15 @@ def test_readme_quick_start_runs(capsys):
     assert printed == ["negative"]  # the antimaximum principle just right of lam1
 
 
+def test_grammar_docs_name_every_function():
+    from plap import expr
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (readme_names,) = re.findall(r"grammar \(`([a-z ]+)`\)", readme)
+    (doc_names,) = re.findall(r"Functions: ([a-z,\s]+)\.", expr.__doc__)
+    assert readme_names.split() == re.split(r",\s+", doc_names) == list(expr._FUNCTIONS)
+
+
 def test_missing_nodal_file(tmp_path):
     raw = json.loads(cfg_text())
     raw["weights"]["f"] = {"kind": "nodal", "path": "absent.json"}

@@ -131,6 +131,26 @@ def test_simplicity_random_starts(interval_256, one):
     assert np.max(np.abs(a.phi.values - b.phi.values)) < 1e-5
 
 
+def test_random_start_without_weighted_mass_falls_back_to_the_positive_part():
+    # seed 0's random start has weighted mass -1.8e-3 under m = x - 0.7, so
+    # the solve starts from max(m, 0) instead
+    mesh = build_interval(0, 1, 64)
+    m, p = Weight.expression("x - 0.7"), 3.0
+    free = mesh.interior_vertices
+    start = np.zeros(mesh.n_vertices)
+    start[free] = np.random.default_rng(0).random(len(free)) * mesh.distance_to_boundary()[free]
+    assert np.dot(mesh.lumped_volumes, m.values(mesh) * start**p) < 0
+    pair = principal_eigenpair(mesh, m, p, EigenOptions(init="random", seed=0))
+    default = principal_eigenpair(mesh, m, p)
+    tol = EigenOptions().resolved_tol(p)
+    assert np.all(pair.phi.values >= 0) and sup_norm(pair.phi) == 1.0
+    assert pair.residual_norm <= tol
+    hist = pair.rq_history
+    assert all(b <= a + 1e-9 * (1 + abs(a)) for a, b in zip(hist, hist[1:]))
+    assert pair.lam == pytest.approx(default.lam, rel=tol)
+    assert np.max(np.abs(pair.phi.values - default.phi.values)) < 10 * tol
+
+
 def test_refinement_cauchy_differences(one):
     lams = [principal_eigenpair(build_interval(0, 1, n), one, 2.0).lam for n in (64, 128, 256, 512)]
     diffs = [abs(a - b) for a, b in zip(lams, lams[1:])]

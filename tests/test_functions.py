@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from plap import (
     DiscreteFunction,
+    EigenOptions,
+    EtaStarOptions,
     InvalidConfig,
     ProblemSpec,
     Weight,
     build_interval,
+    discrete_picone_check,
     eta_star,
     grad_energy,
     negative_part,
@@ -170,16 +173,53 @@ def test_weighted_integral_rejects_small_r():
         weighted_power_integral(Weight.constant(1.0), DiscreteFunction.zeros(mesh), 0.5)
 
 
+_ONES = np.ones(9)
+_WRONG_LENGTH = "has 3 values, mesh has 9 vertices"
+
+
+def _on_two_cells():
+    return DiscreteFunction.zeros(build_interval(0.0, 1.0, 2))  # 3 values
+
+
+def _eigen(mesh, m=_ONES, init="distance_bump"):
+    return principal_eigenpair(mesh, m, 2.0, EigenOptions(init=init))
+
+
+def _solve(mesh, m=_ONES, init="zero"):
+    return solve(ProblemSpec(mesh, 3.0, 1.5, 1.0, 0.0, m, _ONES, _ONES), init)
+
+
+def _eta_star(mesh, m=_ONES, extra=()):
+    return eta_star(mesh, m, _ONES, _ONES, 3.0, 1.5, 1.0, EtaStarOptions(extra_starts=list(extra)))
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda mesh: principal_eigenpair(mesh, np.ones(3), 2.0),
-        lambda mesh: solve(ProblemSpec(mesh, 3.0, 1.5, 1.0, 0.0, np.ones(3), np.ones(9), np.ones(9))),
-        lambda mesh: solve(ProblemSpec(mesh, 3.0, 1.5, 1.0, 0.0, np.ones(9), np.ones(9), np.ones(9)), np.ones(3)),
-        lambda mesh: eta_star(mesh, np.ones(3), np.ones(9), np.ones(9), 3.0, 1.5, 1.0),
+        (lambda mesh: _eigen(mesh, m=np.ones(3)), _WRONG_LENGTH),
+        (lambda mesh: _solve(mesh, m=np.ones(3)), _WRONG_LENGTH),
+        (lambda mesh: _solve(mesh, init=np.ones(3)), _WRONG_LENGTH),
+        (lambda mesh: _eta_star(mesh, m=np.ones(3)), _WRONG_LENGTH),
+        (lambda mesh: _solve(mesh, init=_on_two_cells()), _WRONG_LENGTH),
+        (lambda mesh: _eta_star(mesh, extra=[np.ones(3)]), _WRONG_LENGTH),
+        (lambda mesh: _eta_star(mesh, extra=[_on_two_cells()]), _WRONG_LENGTH),
+        (lambda mesh: _eigen(mesh, init=_on_two_cells()), _WRONG_LENGTH),
+        (lambda mesh: _eigen(mesh, init="bump"), "unknown init 'bump'"),
+        (lambda mesh: discrete_picone_check(DiscreteFunction.zeros(mesh), _on_two_cells(), 3.0, 1e-3), _WRONG_LENGTH),
     ],
-    ids=["eigenpair-m", "solve-m", "solve-init", "eta-star-m"],
+    ids=[
+        "eigenpair-m",
+        "solve-m",
+        "solve-init",
+        "eta-star-m",
+        "solve-init-function",
+        "eta-star-extra-array",
+        "eta-star-extra-function",
+        "eigenpair-init-function",
+        "eigenpair-init-name",
+        "picone-phi",
+    ],
 )
-def test_nodal_arrays_of_the_wrong_length_are_rejected(call):
-    with pytest.raises(InvalidConfig, match="has 3 values, mesh has 9 vertices"):
+def test_nodal_arrays_of_the_wrong_length_are_rejected(call, message):
+    with pytest.raises(InvalidConfig, match=message):
         call(build_interval(0.0, 1.0, 8))

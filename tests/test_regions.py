@@ -51,6 +51,13 @@ def test_hypotheses_negative_pairing_reduced(interval_256, pair_p2_256):
     assert not by_id(preds, "thm0")  # its pairing hypothesis fails, so not emitted
 
 
+def test_hypotheses_without_an_eigenpair_emit_no_pairing_prediction():
+    # a sweep whose eigensolve fails has no phi1: the pairing is unknown, not negative
+    preds = check_hypotheses(template(build_interval(0, 1, 32), p=3.0), math.inf, None)
+    assert not by_id(preds, "thm0") and not by_id(preds, "thm1")
+    assert by_id(preds, "thm-1")
+
+
 def test_hypotheses_sign_changing_source_conditional(interval_256, pair_p2_256):
     f = Weight.expression("sin(3.141592653589793*x) - 0.2")  # pairing > 0 but f dips negative
     preds = check_hypotheses(template(interval_256, f=f), pair_p2_256.lam, pair_p2_256.phi)
