@@ -81,8 +81,25 @@ the row's solves one private store (solve's _prefix) and each start runs
 them once per row.  A later cell copies the stored iterate and replays the
 rung's reason, iterations, norm and the chunk width it ended on.  That is
 exact: Newton is deterministic, and the key, the start's initial nodal
-values and the stages run so far, fixes everything the rung reads.  Results
-stay bit-identical; the first cell of a row pays for the shared rungs.
+values and the stages run so far, fixes everything the rung reads.  The
+ladder's results stay bit-identical; the row's first cell pays for the
+shared rungs.
+
+A sweep row also continues in eta (natural continuation; Allgower & Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003).  It solves the
+row's anchor cell, the eta nearest 0, first, by the ladder alone.  Each
+start of every further cell that converged in the neighbouring cell toward
+the anchor first runs one rung at the final stage from that solution
+(solve's _warm), with the final rung's goal and at most _WARM_NEWTON = 10
+iterations.  A warm rung that converges gives a root of the same final
+residual to newton_tol, but not the ladder's bits, and it may be another
+root than the ladder reaches.  One that fails costs its iterations, and the
+start runs the ladder with the row store, bit-identical to a lone solve.  So
+the anchor column and every start that falls back are bit-identical to
+solving the cell alone; the starts that converge warm are not.  Why the
+cap, on the census rows of tests/test_census_sweep.py: the 122 of 212 warm
+rungs that converged took 3-9 iterations; on the bump rows none of 90
+converged, and without the cap 85 of them ran until max_newton.
 """
 
 from __future__ import annotations
@@ -121,6 +138,7 @@ EPS_ZERO_FLOOR = fem.EPS_ZERO_FLOOR
 STALL_DECREASE = 1e-5  # relative drop of ||r||^2 below which a rung has stalled; see above
 _LAM_RUNGS = 4  # lam values, the target included, on the approach from 0.9 lam1
 _ETA_RUNGS = 3  # eta values, the target included, on the way up from eta = 0
+_WARM_NEWTON = 10  # iteration cap of a warm rung from a neighbouring cell's solution; see above
 
 @dataclass
 class ProblemSpec:
@@ -390,7 +408,7 @@ def _eta_free(stage):
     return eta == 0.0 and (eps_g, eps_s) == fem.EPS_LADDER[0]
 
 
-def solve(spec, init="zero", opts=None, *, _prefix=None):
+def solve(spec, init="zero", opts=None, *, _prefix=None, _warm=None):
     """Solve the boundary value problem by damped Newton with continuation.
 
     init is a DiscreteFunction, an array of nodal values, or the name of a
@@ -407,6 +425,13 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
     the record: its iterations still count in newton_iters, a singular rung
     still sets resonant and a failed rung still only costs the warm start.
     Results are bit-identical to solves without a store.
+
+    _warm is a private warm start (a DiscreteFunction or nodal values), the
+    solution of this start in a neighbouring cell of a sweep row.  In place
+    of the ladder, one rung at the final stage runs from it, for at most
+    _WARM_NEWTON iterations; the outcome of a rung that converges carries
+    diagnostics["warm_start"] = True.  When the rung fails, the ladder runs
+    from init as without _warm, and the result is bit-identical to it.
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
@@ -418,8 +443,17 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
         raise InvalidConfig(f"unknown init {init!r}")
     values[mesh.boundary_vertices] = 0.0
 
-    driver = _NewtonDriver(spec, opts.lam1)
     stages = _continuation_stages(spec, opts.lam1)
+    if _warm is not None:
+        warm = nodal_values(_warm, mesh, "warm start").copy()
+        driver = _NewtonDriver(spec, opts.lam1)
+        reason, iters, rn = driver.newton(warm, *stages[-1], opts.newton_tol, _WARM_NEWTON)
+        if reason == "converged":
+            outcome = _outcome(spec, warm, rn, iters, 1, False)
+            outcome.diagnostics["warm_start"] = True
+            return outcome
+
+    driver = _NewtonDriver(spec, opts.lam1)
     init_key = values.tobytes() if _prefix is not None else None
     total_iters = 0
     rn = math.inf
@@ -449,30 +483,33 @@ def solve(spec, init="zero", opts=None, *, _prefix=None):
                     f"Newton {reason}{after}: residual {rn:.3e} above tolerance at lam={lam}, eta={eta}"
                 )
             # non-final rung failures only cost the warm start
+    return _outcome(spec, values, rn, total_iters, len(stages), resonant_seen)
 
-    u = DiscreteFunction(mesh, values)
+
+def _outcome(spec, values, rn, iters, steps, resonant):
+    """The SolveOutcome of converged nodal values, with its sign class and diagnostics."""
+    u = DiscreteFunction(spec.mesh, values)
     smax = sup_norm(u)
     grad = grad_energy(u, spec.p)
     h_lam, e = _h_lam_and_energy(spec, u, grad)
     r_norm = 2.0 * spec.p  # exponent for the sup-norm growth diagnostic
     u_r = weighted_power_integral(Weight.constant(1.0), u, r_norm) ** (1.0 / r_norm)
-    outcome = SolveOutcome(
+    return SolveOutcome(
         u=u,
         residual_norm=rn,
         energy=e,
-        newton_iters=total_iters,
-        continuation_steps=len(stages),
+        newton_iters=iters,
+        continuation_steps=steps,
         sign_class=classify_sign(u),
         boundary_flux_sign=_boundary_flux_sign(u),
         sup_norm=smax,
         sobolev_seminorm=grad ** (1.0 / spec.p),
-        resonant=resonant_seen,
+        resonant=resonant,
         diagnostics={
             "H_lam": h_lam,
             "sup_bound_ratio": smax / (1.0 + u_r),
         },
     )
-    return outcome
 
 
 def _random_smooth_starts(mesh, rng, count):
@@ -497,12 +534,16 @@ class MultiStartResult:
 
     Iterating yields the distinct outcomes (the deduplicated solution set);
     per_start has one (strategy, outcome_or_None, error_message) triple per
-    attempted start, preserving start order.
+    attempted start, preserving start order.  warm_starts and warm_fallbacks
+    count the starts that converged from a neighbouring cell's solution and
+    the ones that fell back to the ladder (multi_start_solve's _warm).
     """
 
-    def __init__(self, outcomes, per_start):
+    def __init__(self, outcomes, per_start, warm_starts=0, warm_fallbacks=0):
         self.outcomes = outcomes
         self.per_start = per_start
+        self.warm_starts = warm_starts
+        self.warm_fallbacks = warm_fallbacks
 
     @property
     def failures(self):
@@ -518,7 +559,7 @@ class MultiStartResult:
         return self.outcomes[i]
 
 
-def multi_start_solve(spec, opts=None, *, _prefix=None):
+def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     """Run solve() from the start family {zero, +-t*phi1, random} and deduplicate.
 
     Per-start failures are recorded, never raised.  Outcomes within
@@ -526,6 +567,12 @@ def multi_start_solve(spec, opts=None, *, _prefix=None):
     solution.  phi1, and lam1 for an unset opts.lam1, come from
     eigen._principal; when it fails (e.g. m <= 0) the +-t starts are
     dropped.  _prefix is passed to every solve() (see there).
+
+    _warm maps a start label to that start's outcome in a neighbouring cell
+    of a sweep row; a start found there runs solve() with the outcome's
+    solution as its _warm start.  The result counts the starts that
+    converged from it (warm_starts) and the ones that fell back to the
+    ladder (warm_fallbacks).
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
@@ -544,11 +591,13 @@ def multi_start_solve(spec, opts=None, *, _prefix=None):
     for k, vals in enumerate(_random_smooth_starts(mesh, rng, opts.n_random)):
         starts.append((f"random{k}", vals))
 
+    _warm = _warm or {}
     per_start = []
     outcomes = []
     for label, init in starts:
+        neighbour = _warm.get(label)
         try:
-            out = solve(spec, init, opts, _prefix=_prefix)
+            out = solve(spec, init, opts, _prefix=_prefix, _warm=None if neighbour is None else neighbour.u)
         except (NonConvergence, ResonantParameter, SingularJacobian) as exc:
             per_start.append((label, None, f"{type(exc).__name__}: {exc}"))
             continue
@@ -562,4 +611,6 @@ def multi_start_solve(spec, opts=None, *, _prefix=None):
                 break
         if not duplicate:
             outcomes.append(out)
-    return MultiStartResult(outcomes, per_start)
+    offered = sum(label in _warm for label, _ in starts)
+    warm_starts = sum(out is not None and "warm_start" in out.diagnostics for _, out, _ in per_start)
+    return MultiStartResult(outcomes, per_start, warm_starts, offered - warm_starts)

@@ -127,12 +127,22 @@ def weight_values(w, mesh):
 def nodal_values(data, mesh, what="nodal weight"):
     """The nodal values of data, a DiscreteFunction or an array, as floats (not copied).
 
-    Raises InvalidConfig, naming what, unless data holds one value per vertex of mesh.
+    Raises InvalidConfig, naming what, unless data holds one value per vertex
+    of mesh, and, for a DiscreteFunction, unless it lives on mesh or on a mesh
+    with equal vertices and cells.
     """
-    vals = np.asarray(data.values if isinstance(data, DiscreteFunction) else data, dtype=float)
+    function = isinstance(data, DiscreteFunction)
+    vals = np.asarray(data.values if function else data, dtype=float)
     if vals.shape != (mesh.n_vertices,):
         raise InvalidConfig(f"{what} has {vals.size} values, mesh has {mesh.n_vertices} vertices")
+    if function and not _same_mesh(data.mesh, mesh):
+        raise InvalidConfig(f"{what} lives on another mesh")
     return vals
+
+
+def _same_mesh(a, b):
+    """True when a is b or the two meshes have equal vertices and cells."""
+    return a is b or (np.array_equal(a.vertices, b.vertices) and np.array_equal(a.cells, b.cells))
 
 
 def check_exponents(p, q=None):

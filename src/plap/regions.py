@@ -93,6 +93,10 @@ class CellRecord:
     # interior-only classification (boundary margin dropped); used by the
     # MP/AMP measurements on 2D meshes where corner behavior is not certified
     margin_classes: list | None = None
+    # starts that converged from the neighbouring cell's solution, and starts
+    # that fell back to the ladder (sweep)
+    warm_starts: int = 0
+    warm_fallbacks: int = 0
 
 
 @dataclass
@@ -118,6 +122,8 @@ class RegionMap:
             "delta_hat_amp": self.delta_hat_amp,
             "eta_bounds": {f"{lam:.17g}": h for lam, h in self.eta_bounds.items()},
             "counterexample_count": len(self.counterexamples),
+            "warm_starts": sum(cell.warm_starts for cell in self.cells.values()),
+            "warm_fallbacks": sum(cell.warm_fallbacks for cell in self.cells.values()),
             "counterexamples": self.counterexamples,
             "predictions": [
                 {
@@ -387,12 +393,20 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     in every cell.  A set opts.lam1 stands in for lam1 in the predictions as
     in the solves.
 
-    The cells of one lam row share a rung store (bvp.solve's _prefix): each
-    start runs the eta-free rungs of its ladder once per row, and every cell
-    goes on from a copy of that iterate with the rungs' iterations counted
-    as its own.  Each cell's result is bit-identical to solving it alone;
-    the row's first cell pays for the shared rungs, so per-cell work is
-    front-loaded.  The store is dropped after its row.
+    Each lam row is solved outward from its anchor column, the eta nearest
+    0 (_solve_row).  The cells of one row share a rung store (bvp.solve's
+    _prefix): each start runs the eta-free rungs of its ladder once per row,
+    and every cell goes on from a copy of that iterate with the rungs'
+    iterations counted as its own.  The anchor cell pays for the shared
+    rungs, and the store is dropped after its row.  In every other cell, a
+    start that converged in the neighbouring cell toward the anchor first
+    runs one final-stage rung from that solution (bvp.solve's _warm), and
+    runs the ladder only when that rung fails.  So the anchor column and
+    every start that falls back are bit-identical to solving the cell
+    alone; a start that converges warm solves the cell to newton_tol, but
+    its bits (and possibly its root) are its own.  Each CellRecord counts
+    both kinds (warm_starts, warm_fallbacks), and the summary their totals.
+    RegionMap.cells, and so the CSV, stay in grid order.
     """
     opts = opts or SolveOptions()
     mesh = template.mesh
@@ -420,10 +434,9 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     cells = {}
     counterexamples = []
     for i, lam in enumerate(lam_grid):
-        prefix = {}  # the row's eta-free rungs, run once per start (bvp.solve)
+        row = _solve_row(template, lam, eta_grid, opts)
         for j, eta in enumerate(eta_grid):
-            spec = template.replace(lam=lam, eta=eta)
-            ms = multi_start_solve(spec, opts, _prefix=prefix)
+            ms = row[j]
             rows = []
             for strategy, out, err in ms.per_start:
                 if out is None:
@@ -455,7 +468,8 @@ def sweep(template, lam_grid, eta_grid, opts=None):
                             }
                         )
             cells[(i, j)] = CellRecord(
-                lam, eta, rows, classes, predicted, consistent, len(ms.failures), margin_classes
+                lam, eta, rows, classes, predicted, consistent, len(ms.failures), margin_classes,
+                ms.warm_starts, ms.warm_fallbacks,
             )
 
     region_map = RegionMap(
@@ -473,13 +487,42 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     return region_map
 
 
+def _anchor(etas):
+    """Index of the eta nearest 0, the lower one on a tie: a sweep row's first cell and _measure's eta = 0 column."""
+    return int(np.argmin(np.abs(np.asarray(etas))))
+
+
+def _solve_row(template, lam, etas, opts):
+    """The multi_start_solve result of each cell (lam, eta) of one row, in the order of etas.
+
+    The anchor cell (_anchor) is solved first, then the cells on each side
+    of it, outward.  All of them share the row's rung store (bvp.solve's
+    _prefix), and every cell but the anchor hands each start its converged
+    outcome in the neighbouring cell toward the anchor as a warm start
+    (multi_start_solve's _warm).
+    """
+    if not etas:
+        return []
+    j0 = _anchor(etas)
+    prefix = {}  # the row's eta-free rungs, run once per start (bvp.solve)
+    row = [None] * len(etas)
+    for j in (j0, *range(j0 + 1, len(etas)), *range(j0 - 1, -1, -1)):
+        warm = None
+        if j != j0:
+            neighbour = row[j - 1] if j > j0 else row[j + 1]
+            warm = {label: out for label, out, _ in neighbour.per_start if out is not None}
+        spec = template.replace(lam=lam, eta=etas[j])
+        row[j] = multi_start_solve(spec, opts, _prefix=prefix, _warm=warm)
+    return row
+
+
 def _measure(region_map):
     """Fill delta_hat_mp, delta_hat_amp and the per-lam eta half-widths."""
     lam1 = region_map.lam1
     lams, etas = region_map.lam_grid, region_map.eta_grid
     if not math.isfinite(lam1) or not etas:
         return
-    j0 = int(np.argmin(np.abs(np.asarray(etas))))
+    j0 = _anchor(etas)
     if abs(etas[j0]) > 1e-12:
         return  # no eta = 0 column to measure on
 

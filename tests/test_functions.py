@@ -11,6 +11,7 @@ from plap import (
     ProblemSpec,
     Weight,
     build_interval,
+    build_rectangle,
     discrete_picone_check,
     eta_star,
     grad_energy,
@@ -223,3 +224,17 @@ def _eta_star(mesh, m=_ONES, extra=()):
 def test_nodal_arrays_of_the_wrong_length_are_rejected(call, message):
     with pytest.raises(InvalidConfig, match=message):
         call(build_interval(0.0, 1.0, 8))
+
+
+def test_nodal_data_from_another_mesh_of_the_same_size_is_rejected():
+    # 15 vertices each; the check used to run and return lhs 0.0, rhs 534.1
+    u = DiscreteFunction(build_interval(0.0, 1.0, 14), np.ones(15))
+    phi = DiscreteFunction(build_rectangle(0.0, 1.0, 0.0, 1.0, 4, 2), np.random.default_rng(0).random(15))
+    with pytest.raises(InvalidConfig, match="phi lives on another mesh"):
+        discrete_picone_check(u, phi, 3.0, 1e-3)
+    with pytest.raises(InvalidConfig, match="init lives on another mesh"):
+        one = Weight.constant(1.0)
+        solve(ProblemSpec(u.mesh, 3.0, 1.5, 1.0, 0.0, one, one, one), phi)
+    # a mesh built again from the same arguments is the same mesh
+    again = DiscreteFunction(build_interval(0.0, 1.0, 14), np.linspace(0.0, 1.0, 15))
+    assert discrete_picone_check(u, again, 3.0, 1e-3).holds

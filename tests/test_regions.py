@@ -215,7 +215,10 @@ def test_eigensolve_programming_errors_propagate(monkeypatch):
 
 
 def _spy_cells(monkeypatch):
-    """Record (spec, opts, result) of every multi_start_solve that regions makes."""
+    """Record (spec, opts, result, warm) of every multi_start_solve that regions makes, in call order.
+
+    warm is the call's _warm map (start label -> neighbouring outcome), None for none.
+    """
     import plap.regions as regions
 
     calls = []
@@ -223,23 +226,39 @@ def _spy_cells(monkeypatch):
 
     def spy(spec, opts=None, **kw):
         ms = inner(spec, opts, **kw)
-        calls.append((spec, opts, ms))
+        calls.append((spec, opts, ms, kw.get("_warm")))
         return ms
 
     monkeypatch.setattr(regions, "multi_start_solve", spy)
     return calls
 
 
+def _assert_same_start(shared, alone):
+    """Two per_start triples of one start: the same label, error and outcome, bit for bit."""
+    (label, a, err), (label_alone, b, err_alone) = shared, alone
+    assert (label, err) == (label_alone, err_alone)
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert np.array_equal(a.u.values, b.u.values)
+        assert (a.newton_iters, a.residual_norm, a.energy, a.resonant, a.continuation_steps) == (
+            b.newton_iters, b.residual_norm, b.energy, b.resonant, b.continuation_steps
+        )
+
+
 def _assert_bit_identical(shared, alone):
-    assert [(s, err) for s, _, err in shared.per_start] == [(s, err) for s, _, err in alone.per_start]
-    for (_, a, _), (_, b, _) in zip(shared.per_start, alone.per_start):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert np.array_equal(a.u.values, b.u.values)
-            assert (a.newton_iters, a.residual_norm, a.energy, a.resonant, a.continuation_steps) == (
-                b.newton_iters, b.residual_norm, b.energy, b.resonant, b.continuation_steps
-            )
+    assert [s for s, _, _ in shared.per_start] == [s for s, _, _ in alone.per_start]
+    for a, b in zip(shared.per_start, alone.per_start):
+        _assert_same_start(a, b)
     assert [o.start_strategy for o in shared] == [o.start_strategy for o in alone]
+
+
+def _assert_solves(spec, opts, out):
+    """out passes the final rung's residual test at opts.newton_tol."""
+    from plap.bvp import _NewtonDriver, residual
+
+    norm = float(np.linalg.norm(residual(spec, out.u)))
+    goal = opts.newton_tol * _NewtonDriver(spec)._scale(out.u.values[spec.mesh.interior_vertices], spec.lam, spec.eta)
+    assert norm <= goal, f"{out.start_strategy}: residual {norm:.3e} > {goal:.3e}"
 
 
 @pytest.mark.parametrize(
@@ -252,14 +271,77 @@ def _assert_bit_identical(shared, alone):
     ids=["1d-p3", "2d-p3", "1d-p2"],
 )
 def test_sweep_rows_match_independent_cells(mesh, p, lam_fracs, monkeypatch):
-    # within a row every cell replays the shared eta-free rungs; each cell must
-    # come out as if it were solved alone (0.95 lam1 puts lam rungs in the prefix)
+    # the anchor column (eta = 0) replays the row's shared eta-free rungs and
+    # must come out as if solved alone (0.95 lam1 puts lam rungs in the prefix);
+    # a start of another cell either converges from its neighbour's solution,
+    # and must solve the cell, or falls back to the ladder, bit for bit
     lam1 = principal_eigenpair(mesh, Weight.constant(1.0), p).lam
     calls = _spy_cells(monkeypatch)
     opts = SolveOptions(t_grid=(0.5, 2.0), n_random=2)
     sweep(template(mesh, p=p), [f * lam1 for f in lam_fracs], [-0.3, 0.0, 0.3], opts)
     assert len(calls) == 3 * len(lam_fracs)
-    for spec, solve_opts, ms in calls:
+    warm_converged = 0
+    for spec, solve_opts, ms, warm in calls:
+        alone = multi_start_solve(spec, solve_opts)
+        if spec.eta == 0.0:
+            assert warm is None
+            _assert_bit_identical(ms, alone)
+            continue
+        assert ms.warm_starts + ms.warm_fallbacks == len(warm)
+        assert [s for s, _, _ in ms.per_start] == [s for s, _, _ in alone.per_start]
+        converged = 0
+        for shared, lone in zip(ms.per_start, alone.per_start):
+            out = shared[1]
+            if out is not None and out.diagnostics.get("warm_start"):
+                assert shared[0] in warm
+                converged += 1
+                _assert_solves(spec, solve_opts, out)
+            else:
+                _assert_same_start(shared, lone)
+        assert converged == ms.warm_starts
+        warm_converged += converged
+        found = [(o.sign_class, o.sup_norm) for o in ms]
+        for o in alone:
+            assert any(c == o.sign_class and abs(s - o.sup_norm) <= 1e-6 for c, s in found), o.start_strategy
+    assert warm_converged > 0
+
+
+def test_failed_warm_rungs_fall_back_to_the_lone_ladder(interval_256, pair_p3_256, monkeypatch):
+    # on this bump row every warm rung fails, at its iteration cap: each cell
+    # must be its lone solve, bit for bit, and a failed rung costs at most
+    # _WARM_NEWTON Jacobians
+    import plap.bvp as bvp
+    import plap.fem as fem
+
+    jacobians = [0]
+    p_flux_jacobian = fem.p_flux_jacobian
+
+    def counting_jacobian(*args, **kw):
+        jacobians[0] += 1
+        return p_flux_jacobian(*args, **kw)
+
+    rungs = []  # (max_iter, reason, Jacobians) of every rung
+    newton = bvp._NewtonDriver.newton
+
+    def recording(self, *args):
+        before = jacobians[0]
+        result = newton(self, *args)
+        rungs.append((args[-1], result[0], jacobians[0] - before))
+        return result
+
+    monkeypatch.setattr(fem, "p_flux_jacobian", counting_jacobian)
+    monkeypatch.setattr(bvp._NewtonDriver, "newton", recording)
+    calls = _spy_cells(monkeypatch)
+    lam1 = pair_p3_256.lam
+    tmpl = template(interval_256, p=3.0).replace(f=Weight.expression("bump(0.9, 0.05)"))
+    region_map = sweep(tmpl, [0.8 * lam1], [-0.5, 0.0, 0.2], SolveOptions(n_random=0, lam1=lam1))
+    warm_rungs = [(reason, jac) for cap, reason, jac in rungs if cap == bvp._WARM_NEWTON]
+    offered = sum(len(warm) for _, _, _, warm in calls if warm is not None)
+    assert len(warm_rungs) == offered > 0
+    assert all(reason == "max_newton" and jac <= bvp._WARM_NEWTON for reason, jac in warm_rungs)
+    summary = region_map.summary()
+    assert (summary["warm_starts"], summary["warm_fallbacks"]) == (0, offered)
+    for spec, solve_opts, ms, _ in calls:
         _assert_bit_identical(ms, multi_start_solve(spec, solve_opts))
 
 
@@ -274,13 +356,13 @@ def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
         flux_calls[0] += 1 if values.ndim == 1 else len(values)
         return p_flux(mesh, values, *args, **kw)
 
-    cell_cost = []
+    cell_cost = []  # (eta, residual evaluations) per cell, in solve order
     inner = regions.multi_start_solve
 
-    def costed(*args, **kw):
+    def costed(spec, *args, **kw):
         before = flux_calls[0]
-        ms = inner(*args, **kw)
-        cell_cost.append(flux_calls[0] - before)
+        ms = inner(spec, *args, **kw)
+        cell_cost.append((spec.eta, flux_calls[0] - before))
         return ms
 
     monkeypatch.setattr(fem, "p_flux", counting_p_flux)
@@ -292,15 +374,16 @@ def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
     in_row, cell_cost[:] = cell_cost[:], []
     sweep(template(interval_256, p=3.0), [lam], etas, solve_opts)
     assert cell_cost == in_row  # nothing carries from one sweep call to the next
-    alone = []
+    assert [eta for eta, _ in in_row] == [0.0, 0.3, -0.3]  # outward from the anchor column
+    alone = {}
     for eta in etas:
         spec = template(interval_256, p=3.0).replace(lam=lam, eta=eta)
         before = flux_calls[0]
         multi_start_solve(spec, replace(solve_opts, lam1=pair_p3_256.lam))
-        alone.append(flux_calls[0] - before)
-    assert in_row[0] == alone[0]  # the first cell of a row pays for the prefix
-    assert in_row[1] < alone[1] and in_row[2] < alone[2]
-    assert sum(in_row) < sum(alone)
+        alone[eta] = flux_calls[0] - before
+    assert in_row[0][1] == alone[0.0]  # the anchor cell pays for the prefix
+    assert all(cost < alone[eta] for eta, cost in in_row[1:])
+    assert sum(cost for _, cost in in_row) < sum(alone.values())
 
 
 def test_nonuniformity_probes_match_independent_cells(interval_256, one, monkeypatch):
@@ -313,7 +396,7 @@ def test_nonuniformity_probes_match_independent_cells(interval_256, one, monkeyp
         opts=SolveOptions(t_grid=(0.5, 2.0), n_random=1),
     )
     assert len(report.members) == 1 and len(calls) >= 2
-    for spec, solve_opts, ms in calls:
+    for spec, solve_opts, ms, _ in calls:
         _assert_bit_identical(ms, multi_start_solve(spec, solve_opts))
 
 
