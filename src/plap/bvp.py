@@ -226,7 +226,11 @@ def residual(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
 
 
 def jacobian(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
-    """Sparse symmetric Jacobian of residual() over the interior vertices."""
+    """Sparse symmetric Jacobian of residual() over the interior vertices.
+
+    Raises SingularJacobian at eps_grad = 0 with p < 2 where grad u vanishes
+    on a cell: the linearization is unbounded there.
+    """
     driver = _NewtonDriver(spec)
     return driver.op.matrix(driver.jacobian(u.values, spec.lam, spec.eta, eps_grad, eps_zero))
 

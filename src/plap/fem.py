@@ -29,35 +29,40 @@ once per (mesh, free set).  A Newton iteration then only evaluates
 which is symmetric by construction, and sums the blocks into the fixed
 storage with one bincount.
 
-Per-cell gradients come from one Gradients kernel per mesh, built on first
-use: it keeps each local vertex's column of the cell array and each hat
-gradient coefficient as contiguous arrays, so grad u, G g and |g|^2 are
-(d+1) d multiply-adds on vectors of length n_cells.  The kernel and p_flux
-also take a stack of functions, one per row, with the same arithmetic per
-row as a call on that row alone.  A stack shares one call's overhead among
-its rows (newton's line search stacks its trials).  Time per row of one
-stacked call at p = 3 against a call on one vector, in microseconds (one
-thread, best of 7, the lower of two runs on a shared 2-core Xeon host with
-2 MB of L2 per core):
+Per-cell gradients come from one gradient matrix per mesh (Gradients): D,
+in CSR form with int32 indices, has row k n_cells + c hold the k-th
+component of cell c's hat gradients in its d+1 vertex columns.  grad u is
+D u, and p_flux is D^T (w D u) with w = vol kappa per cell and D^T the CSC
+view of D's arrays.  A product adds a row's entries in stored order: D u
+adds a cell's vertices in increasing order, as einsum does, and D^T z a
+vertex's terms in (axis, cell) order.  Both also take a stack of functions,
+one per row, as the columns of one multi-vector product, with the same
+arithmetic per row as a call on that row alone.  A stack shares one call's
+overhead among its rows (newton's line search stacks its trials).  Time per
+row of one stacked call at p = 3 against a call on one vector, in
+microseconds (one thread, best of 7, the lower of two runs on a shared
+2-core Xeon host with 2 MB of L2 per core):
 
     mesh     cells   vector   1 row   2 rows    4     8    16    32
-    n=256      256     24       32      20     12     6     6     4
-    n=1024    1024     33       41      31     21    18    18    36
-    n=4096    4096     76       73      82     77    80   191   236
-    24^2      1152     76       91      66     50    43    40    40
-    48^2      4608    171      164     133    138   169   178   344
-    64^2      8192    322      324     321    304   303   345   613
+    n=256      256      8        9       7      4     2     1     1
+    n=1024    1024     12       11      14      8     6     4     4
+    n=4096    4096     23       25      40     25    21    30    44
+    24^2      1152     18       18      20     13    10     7     7
+    48^2      4608     47       48      64     44    38    73    74
+    64^2      8192     81       81     116     78    70    67   112
 
-A stack of one costs more than the vector call on the meshes of a few
-hundred cells where the per-call overhead dominates, so newton evaluates a
-single trial as a vector.  newton's chunks hold at most 34 rows, the step
-sizes above its 1e-10 floor; on the benchmark's sweep grids (the n = 256
-interval and the 24^2 square) they reach 23 and 27 rows, where every stack
-of two or more rows pays.  Past about 2^14 rows x cells a stack's
-temporaries outgrow L2 and a row costs as much as a vector call or more
-(n = 4096 and 48^2 from 16 rows).  No search stacks there in the benchmark:
-the eigensolver's inner solve at n = 4096 takes full steps, one vector per
-search.  So p_flux evaluates every stack in one call.
+A stack of one costs about what the vector call does (it takes the same
+one-vector routine); newton evaluates a single trial as a vector.  newton's
+chunks hold at most 34 rows, the step sizes above its 1e-10 floor; on the
+benchmark's sweep grids (the n = 256 interval and the 24^2 square) they
+reach 23 and 27 rows, where stacks of four or more rows pay and one of two
+costs about what two vector calls do.  From a few thousand cells a stack of
+two costs 1.4 to 1.7 times two vector calls, and past about 2^16 rows x
+cells a stack's temporaries outgrow L2 and a row costs as much as a vector
+call or more (n = 4096 and 48^2 from 16 rows, 64^2 at 32).  No search
+stacks there in the benchmark: the eigensolver's inner solve at n = 4096
+takes full steps, one vector per search.  So p_flux evaluates every stack
+in one call.
 
 The storage follows the half-bandwidth b of the free-vertex numbering.  When
 b <= MAX_BAND it is LAPACK band storage, factored once by gbtrf and solved by
@@ -106,6 +111,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .errors import SingularJacobian
 
@@ -165,86 +171,55 @@ def smoothed_odd_power_deriv(s, r, eps):
 
 
 class Gradients:
-    """P1 gradient kernel of one mesh, with its arrays laid out per local vertex.
+    """P1 gradient matrix D of one mesh; the module docstring gives its layout.
 
     Attributes:
-        columns: d+1 contiguous (n_cells,) arrays; columns[i] is column i of
-            mesh.cells, the i-th vertex of every cell.
-        coefficients: coefficients[i][k] is the contiguous (n_cells,) array of
-            the k-th component of the gradient of the i-th local hat function.
+        matrix: D, a (d n_cells, n_vertices) CSR matrix with int32 indices.
+        transpose: D^T, the CSC view of D's arrays (no copy).
+        entries: (d, n_cells, d+1) view of D's data; entries[k, c, i] is the
+            k-th component of grad hat_i on cell c, in column cells[c, i].
 
-    Sums run over the local vertex (or the axis) in increasing order, the
-    order numpy's einsum uses for the same contractions.  Only arrays are
-    kept, never the mesh, as mesh.derived requires of the values it keeps.
+    Only arrays and sparse matrices are kept, never the mesh, as
+    mesh.derived requires of the values it keeps.
     """
 
     def __init__(self, mesh):
         d = mesh.dimension
-        self.cells = mesh.cells
-        self.n_vertices = mesh.n_vertices
-        self.columns = tuple(np.ascontiguousarray(mesh.cells[:, i]) for i in range(d + 1))
-        self.coefficients = tuple(
-            tuple(np.ascontiguousarray(mesh.cell_gradients[:, i, k]) for k in range(d)) for i in range(d + 1)
-        )
-        self._stack_index = np.empty((0, self.cells.size), dtype=np.int64)
+        n_rows = d * len(mesh.cells)
+        indptr = np.arange(0, n_rows * (d + 1) + 1, d + 1, dtype=np.int32)
+        indices = np.tile(mesh.cells.astype(np.int32), (d, 1)).ravel()
+        data = mesh.cell_gradients.transpose(2, 0, 1).ravel()
+        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, mesh.n_vertices))
+        self.transpose = self.matrix.T
+        self.entries = self.matrix.data.reshape(d, -1, d + 1)
+
+    def by_cell(self, columns):
+        """D x as a (d, n_cells, ...) array, for x of shape (n_vertices, ...): grad of each column."""
+        return _product(self.matrix, columns).reshape(self.entries.shape[:2] + columns.shape[1:])
 
     def gradient(self, values):
-        """(d, ..., n_cells) array: row k holds the k-th component of grad u on every cell.
+        """(d, ..., n_cells) C-contiguous array: row k holds the k-th component of grad u on every cell.
 
         values holds one value per vertex, or has shape (rows, n_vertices) for a
         stack of functions; the rows then form the middle axis.
         """
-        if values.ndim == 1:
-            local = [values[col] for col in self.columns]
-        else:
-            # take gives C-ordered rows; values[:, col] is F-ordered, and
-            # broadcasting a coefficient along its strided rows costs twice as much
-            local = [values.take(col, axis=1) for col in self.columns]
-        g = np.empty((len(self.coefficients[0]),) + local[0].shape)
-        for k, row in enumerate(g):
-            np.multiply(local[0], self.coefficients[0][k], out=row)
-            for vals, coef in zip(local[1:], self.coefficients[1:]):
-                row += vals * coef[k]
-        return g
+        g = self.by_cell(values.T)
+        return g if values.ndim == 1 else np.ascontiguousarray(g.transpose(0, 2, 1))
 
     @staticmethod
     def dot(a, b):
-        """Per-cell dot product of two gradient fields from gradient()."""
+        """Per-cell dot product of two gradient fields from gradient() or by_cell()."""
         out = a[0] * b[0]
         for ak, bk in zip(a[1:], b[1:]):
             out += ak * bk
         return out
 
-    def pairings(self, g, scale=None):
-        """(..., n_cells, d+1) array G g: entry (c, i) is grad hat_i . g on cell c, times scale[c]."""
-        out = np.empty(g.shape[1:] + (len(self.columns),))
-        for i, coef in enumerate(self.coefficients):
-            acc = coef[0] * g[0]
-            for ck, gk in zip(coef[1:], g[1:]):
-                acc += ck * gk
-            if scale is not None:
-                acc *= scale
-            out[..., i] = acc
+    def pairings(self, g):
+        """(n_cells, d+1) array G g of a (d, n_cells) field g: entry (c, i) is grad hat_i . g on cell c."""
+        out = self.entries[0] * g[0][:, None]
+        for ek, gk in zip(self.entries[1:], g[1:]):
+            out += ek * gk[:, None]
         return out
-
-    def scatter(self, per_cell):
-        """Vertex sums of an (n_cells, d+1) array of per-cell, per-local-vertex values.
-
-        A (rows, n_cells, d+1) stack gives a (rows, n_vertices) array from one
-        bincount over row-offset vertex indices: each row's bins see the same
-        terms in the same order as a call on that row alone.  The offset
-        indices of the largest stack so far are kept; a smaller stack uses
-        their first rows.
-        """
-        if per_cell.ndim == 2:
-            return np.bincount(self.cells.ravel(), weights=per_cell.ravel(), minlength=self.n_vertices)
-        rows = len(per_cell)
-        if len(self._stack_index) < rows:
-            offsets = np.arange(0, rows * self.n_vertices, self.n_vertices)
-            self._stack_index = offsets[:, None] + self.cells.ravel()
-        index = self._stack_index[:rows]
-        sums = np.bincount(index.ravel(), weights=per_cell.ravel(), minlength=rows * self.n_vertices)
-        return sums.reshape(rows, self.n_vertices)
 
 
 def gradients(mesh):
@@ -252,26 +227,45 @@ def gradients(mesh):
     return mesh.derived(Gradients, lambda: Gradients(mesh))
 
 
-def _cell_terms(kernel, values, eps):
-    """Per cell: g = grad u as a (d, n_cells) array and |g|^2 + eps^2."""
-    g = kernel.gradient(values)
-    g2 = kernel.dot(g, g)
+def _squares(g, eps):
+    """|g|^2 + eps^2 per cell of a gradient field g from Gradients.by_cell or Gradients.gradient."""
+    g2 = Gradients.dot(g, g)
     if eps:
         g2 += eps * eps
-    return g, g2
+    return g2
 
 
 def p_flux(mesh, values, p, eps=0.0):
     """Vector with entries sum_T vol_T kappa(grad u) grad u . grad hat_i, all vertices.
 
     With eps = 0 this is the exact discrete p-Laplacian pairing; the i-th entry
-    is the gradient part of the weak residual at vertex i.  values of shape
-    (rows, n_vertices) give one such vector per row, each bit for bit the
-    vector of that row alone.
+    is the gradient part of the weak residual at vertex i.  It is D^T (w D u)
+    with D the gradient matrix and w = vol kappa on each cell.  values of
+    shape (rows, n_vertices) give one such vector per row, each bit for bit
+    the vector of that row alone, as an F-ordered (rows, n_vertices) array.
     """
     kernel = gradients(mesh)
-    g, g2 = _cell_terms(kernel, values, eps)
-    return kernel.scatter(kernel.pairings(g, mesh.cell_volumes * kappa(g2, p, eps)))
+    g = kernel.by_cell(values.T)  # a stack's rows as columns, the layout of a product
+    w = mesh.cell_volumes if values.ndim == 1 else mesh.cell_volumes[:, None]
+    if p != 2.0:  # at p = 2 the kernel is identically 1
+        w = kappa(_squares(g, eps), p, eps) * w
+    g *= w
+    return _product(kernel.transpose, g.reshape((-1,) + g.shape[2:])).T
+
+
+def _product(matrix, x):
+    """CSR or CSC matrix @ x, x of shape (n,) or (n, k), by the sparsetools routine @ runs.
+
+    @'s checks around it cost 1.6 us a product, a sixth of p_flux at n = 64.
+    """
+    m, n = matrix.shape
+    out = np.zeros((m,) + x.shape[1:])
+    arrays = matrix.indptr, matrix.indices, matrix.data, x.ravel(), out.ravel()
+    if x.size == n:  # one vector: the multi-vector routine costs more per entry for it, as @ knows
+        getattr(_sparsetools, matrix.format + "_matvec")(m, n, *arrays)
+    else:
+        getattr(_sparsetools, matrix.format + "_matvecs")(m, n, x.shape[1], *arrays)
+    return out
 
 
 def kappa(g2, p, eps):
@@ -436,15 +430,19 @@ def p_flux_jacobian(op, values, p, eps, diag=None):
 
     values are nodal values on all vertices; diag, when given, holds one value
     per vertex and is added to the diagonal.  op.matrix(data) is the matrix.
+    Raises SingularJacobian when p < 2 and a cell's |grad u|^2 + eps^2 is 0
+    (eps = 0 there): the linearization is unbounded at that cell.
     """
     if p == 2.0:
         blocks = op.gram  # the kernel is identically 1
     else:
-        g, g2 = _cell_terms(op.kernel, values, eps)
+        g = op.kernel.by_cell(values)
+        g2 = _squares(g, eps)
+        if p < 2 and not g2.all():
+            raise SingularJacobian("eps_grad = 0 with p < 2: the linearization is unbounded where grad u = 0")
         gg = op.kernel.pairings(g)
         kappa = g2 ** (0.5 * (p - 2))
-        # the anisotropic part needs g2 > 0 (g2 = 0 is degenerate for p > 2
-        # and singular for p < 2)
+        # the anisotropic part needs g2 > 0 (g2 = 0 is degenerate for p > 2)
         ratio = np.where(g2 > 0, (p - 2.0) * kappa / np.where(g2 > 0, g2, 1.0), 0.0)
         blocks = gg[:, :, None] * gg[:, None, :]
         blocks *= (op.volumes * ratio)[:, None, None]
@@ -488,15 +486,16 @@ def weak_form(mesh, op, p, eps_g, eps_s, terms, load):
         return r
 
     def jac(values):
-        diag = None
+        data = p_flux_jacobian(op, values, p, eps_g)
         if terms:
             diag = np.zeros(len(values))
             for c, r in terms:
                 diag -= c * smoothed_odd_power_deriv(values, r, eps_s)
-        return p_flux_jacobian(op, values, p, eps_g, diag)
+            op.add_diagonal(data, diag)
+        return data
 
     def energy(values, s):
-        _, g2 = _cell_terms(op.kernel, values, eps_g)
+        g2 = _squares(op.kernel.by_cell(values), eps_g)
         e = float(np.dot(op.volumes, g2 ** (0.5 * p))) / p
         s2 = s * s + eps_s * eps_s
         for c, r in zip(coefs, exponents):
@@ -596,7 +595,7 @@ def newton(values, free, res, jac, op, goal, max_iter, stall, energy=None, width
         relative stall, and is not taken (stall = 0 switches this off);
       * line_search: t fell to 1e-10 with no trial passing;
       * max_newton: max_iter iterations;
-      * singular: the Jacobian could not be factored.
+      * singular: the Jacobian could not be formed or factored.
 
     Each iteration halves t from 1 until the trial passes Armijo,
     ||r_trial||^2 <= (1 - 2e-4 t) ||r||^2; a trial whose ||r_trial||^2 is
@@ -630,8 +629,8 @@ def newton(values, free, res, jac, op, goal, max_iter, stall, energy=None, width
     one costs one call, where most of a call on a few hundred vertices is
     per-call overhead; a rung that stalls on its first iteration after a
     rung that stalled as deep makes one call, not one per trial.  A one-row
-    chunk calls res on the vector, which costs less than a stack of one (the
-    table in the module docstring).
+    chunk calls res on the vector, which costs no more than a stack of one
+    (the table in the module docstring).
     """
     s = values[free]
     r = res(values, s)
@@ -642,9 +641,8 @@ def newton(values, free, res, jac, op, goal, max_iter, stall, energy=None, width
     for it in range(max_iter):
         if rn <= tol:
             return "converged", it, rn, width, energy_steps
-        J = jac(values)
         try:
-            step = solve_sparse(op, J, -r)
+            step = solve_sparse(op, jac(values), -r)
         except SingularJacobian:
             return "singular", it, rn, width, energy_steps
         merit0 = rn * rn

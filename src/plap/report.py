@@ -85,6 +85,8 @@ def to_jsonable(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

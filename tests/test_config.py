@@ -388,3 +388,13 @@ def test_report_arrays_convert_as_element_by_element(tmp_path, pair_p2_256, monk
     report.write_report(payload, slow)
     assert fast.read_bytes() == slow.read_bytes()
     assert '"nan"' in fast.read_text() and '"-inf"' in fast.read_text()
+
+
+def test_numpy_bools_convert_to_json_bools():
+    from plap import report
+
+    assert report.to_jsonable(np.bool_(True)) is True
+    assert report.to_jsonable({"holds": np.bool_(False), "flags": (np.True_, np.array(True))}) == {
+        "holds": False,
+        "flags": [True, True],
+    }

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import oracles
 from plap import (
@@ -217,7 +218,7 @@ def test_pattern_and_pin_match_the_previous_construction(free_set, max_band, rng
 def _assert_stack_matches_rows(mesh, p, eps, rows, rng):
     values = rng.standard_normal((rows, mesh.n_vertices))
     values[-1, :] = 0.0  # a row with zero gradients, where p < 2 takes the limit
-    for _ in range(2):  # the second call reuses the stack's cached scatter index
+    for _ in range(2):
         stacked = fem.p_flux(mesh, values, p, eps)
         assert stacked.shape == values.shape
         for row, want in zip(values, stacked):
@@ -321,20 +322,21 @@ def test_weak_form_energy_is_the_oracle_and_res_is_its_gradient(mesh, p, with_q,
     assert np.max(np.abs(r - fd)) / (1.0 + np.max(np.abs(fd))) < 1e-7
 
 
-def test_stack_index_holds_only_arrays(rng):
+def test_gradient_kernel_holds_only_arrays_and_sparse_matrices():
     mesh = build_rectangle(0.0, 1.0, 0.0, 1.0, 4, 4)
     kernel = fem.gradients(mesh)
-    fem.p_flux(mesh, rng.standard_normal((6, mesh.n_vertices)), 3.0, 1e-2)
-    assert len(kernel._stack_index) == 6
-    fem.p_flux(mesh, rng.standard_normal((3, mesh.n_vertices)), 3.0, 1e-2)
-    assert len(kernel._stack_index) == 6  # a smaller stack uses the first rows
-
-    def arrays(value):
-        if isinstance(value, tuple):
-            return all(arrays(v) for v in value)
-        return isinstance(value, (np.ndarray, int))
-
-    assert all(arrays(value) for value in vars(kernel).values())
+    assert all(isinstance(value, np.ndarray) or sp.issparse(value) for value in vars(kernel).values())
+    D = kernel.matrix
+    assert D.format == "csr" and D.shape == (2 * len(mesh.cells), mesh.n_vertices)
+    assert D.indices.dtype == np.int32 and D.indptr.dtype == np.int32
+    # D^T is a view of D's arrays, not a copy
+    assert kernel.transpose.format == "csc"
+    assert all(np.shares_memory(getattr(kernel.transpose, a), getattr(D, a)) for a in ("data", "indices", "indptr"))
+    assert np.shares_memory(kernel.entries, D.data)
+    mesh_ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert mesh_ref() is None
 
 
 def test_cached_operator_dies_with_its_mesh():
@@ -359,8 +361,7 @@ def test_matrix_shares_no_array_with_operator(rng):
     assert np.array_equal(op.matrix(data).toarray(), want)
 
 
-# The einsum formulas the Gradients kernel replaced, kept as its oracle: the
-# kernel sums in the same order, so the results must agree bit for bit.
+# The einsum formulas the Gradients kernel replaced, kept as its oracle.
 def einsum_cell_terms(mesh, values, eps):
     g = np.einsum("ci,cid->cd", values[mesh.cells], mesh.cell_gradients)
     gg = np.einsum("cid,cd->ci", mesh.cell_gradients, g)
@@ -368,7 +369,8 @@ def einsum_cell_terms(mesh, values, eps):
     return g, gg, g2
 
 
-def einsum_p_flux(mesh, values, p, eps):
+def einsum_weights(mesh, values, p, eps):
+    """vol * kappa per cell, and the per-cell, per-local-vertex products grad hat_i . grad u."""
     _, gg, g2 = einsum_cell_terms(mesh, values, eps)
     if eps == 0.0 and p < 2:
         kappa = np.zeros_like(g2)
@@ -376,8 +378,36 @@ def einsum_p_flux(mesh, values, p, eps):
         kappa[nz] = g2[nz] ** (0.5 * (p - 2))
     else:
         kappa = g2 ** (0.5 * (p - 2))
-    flux = (mesh.cell_volumes * kappa)[:, None] * gg
-    return np.bincount(mesh.cells.ravel(), weights=flux.ravel(), minlength=mesh.n_vertices)
+    return mesh.cell_volumes * kappa, gg
+
+
+def einsum_p_flux(mesh, values, p, eps):
+    w, gg = einsum_weights(mesh, values, p, eps)
+    return np.bincount(mesh.cells.ravel(), weights=(w[:, None] * gg).ravel(), minlength=mesh.n_vertices)
+
+
+def p_flux_rounding_bound(mesh, values, p, eps):
+    """Componentwise bound on |fem.p_flux - einsum_p_flux| from the arithmetic of the two.
+
+    Both sum the same exact terms grad_k hat_i * g_k * w over the cells c
+    holding vertex v and the axes k (g = grad u and w = vol kappa are the same
+    floats in both), in different orders.  fem.p_flux forms z = g_k w, then
+    adds the d m_v products grad_k hat_i * z onto 0 (m_v cells hold v): at
+    most d m_v + 1 roundings per term.  The oracle sums the d products of
+    each cell's pairing, scales it by w and adds the m_v pairings onto 0: at
+    most d + m_v <= d m_v + 1 roundings per term.  With K = d m_v + 1, each
+    result is within gamma_K = K u / (1 - K u) (u the unit roundoff) of the
+    exact sum, relative to the sum of the terms' absolute values (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1),
+    so the two differ by at most 2 gamma_K times that sum.
+    """
+    w, _ = einsum_weights(mesh, values, p, eps)
+    g = np.einsum("ci,cid->cd", values[mesh.cells], mesh.cell_gradients)
+    terms = np.abs(mesh.cell_gradients) * np.abs(g * w[:, None])[:, None, :]  # (c, i, k)
+    absolute = np.bincount(mesh.cells.ravel(), weights=terms.sum(axis=2).ravel(), minlength=mesh.n_vertices)
+    K = mesh.dimension * np.bincount(mesh.cells.ravel(), minlength=mesh.n_vertices) + 1
+    u = np.finfo(float).eps / 2
+    return 2.0 * (K * u / (1.0 - K * u)) * absolute
 
 
 def einsum_jacobian_data(op, mesh, values, p, eps):
@@ -398,19 +428,57 @@ def einsum_grad_energy(mesh, values, p):
     return float(np.dot(mesh.cell_volumes, np.sqrt(np.einsum("cd,cd->c", g, g)) ** p))
 
 
+# meshes whose vertex coordinates and hat gradients are not dyadic, so that
+# products and sums round
+NON_DYADIC_MESHES = [build_interval(0.0, 3.0, 100), build_rectangle(0.0, 1.0, 0.0, 2.0, 7, 5)]
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize(
-    "mesh", [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 5, 5)], ids=["n12", "5x5"]
+    "mesh",
+    [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 5, 5), *NON_DYADIC_MESHES],
+    ids=["n12", "5x5", "n100-on-0-3", "7x5"],
 )
 def test_gradient_kernel_matches_einsum_formulas(mesh, p, eps, rng):
     values = rng.standard_normal(mesh.n_vertices)
     op = fem.operator(mesh, mesh.interior_vertices)
-    assert np.array_equal(fem.p_flux(mesh, values, p, eps), einsum_p_flux(mesh, values, p, eps))
+    # the Jacobian, the cell gradients and the gradient energy sum in the oracle's order: bit for bit
     assert np.array_equal(fem.p_flux_jacobian(op, values, p, eps), einsum_jacobian_data(op, mesh, values, p, eps))
     u = DiscreteFunction(mesh, values)
     assert np.array_equal(u.cell_gradients(), einsum_cell_terms(mesh, values, eps)[0])
     assert grad_energy(u, p) == einsum_grad_energy(mesh, values, p)
+    # p_flux sums the same terms in another order; on a cell with zero
+    # gradient it takes kappa's limit at p < 2, eps = 0
+    values[mesh.cells[0]] = 0.0
+    error = np.abs(fem.p_flux(mesh, values, p, eps) - einsum_p_flux(mesh, values, p, eps))
+    assert np.all(error <= p_flux_rounding_bound(mesh, values, p, eps))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 13])
+@pytest.mark.parametrize("mesh", NON_DYADIC_MESHES, ids=["n100-on-0-3", "7x5"])
+def test_stacks_on_non_dyadic_meshes_match_each_row(mesh, rows, rng):
+    for p in (1.5, 3.0):
+        for eps in (0.0, 1e-2):
+            _assert_stack_matches_rows(mesh, p, eps, rows, rng)
+    values = rng.standard_normal((rows, mesh.n_vertices))
+    kernel = fem.gradients(mesh)
+    stacked = kernel.gradient(values)
+    assert stacked.shape == (mesh.dimension, rows, len(mesh.cells)) and stacked.flags.c_contiguous
+    for k, row in enumerate(values):
+        assert np.array_equal(kernel.gradient(row), stacked[:, k])
+
+
+def test_jacobian_without_gradient_smoothing_below_p2_is_singular():
+    mesh = build_interval(0.0, 1.0, 8)
+    one = Weight.constant(1.0)
+    spec = ProblemSpec(mesh, 1.5, 1.2, 1.0, 0.0, one, one, one)
+    with pytest.raises(SingularJacobian, match=r"eps_grad = 0 with p < 2"):
+        jacobian(spec, DiscreteFunction.zeros(mesh), 0.0, 0.0)
+    # away from zero gradients the linearization is finite
+    values = np.zeros(mesh.n_vertices)
+    values[mesh.interior_vertices] = np.arange(1.0, 8.0) ** 2
+    assert np.all(np.isfinite(jacobian(spec, DiscreteFunction(mesh, values), 0.0, 1e-3).toarray()))
 
 
 @pytest.mark.parametrize("shift", [0.0, 2.5])

@@ -431,15 +431,17 @@ def test_deep_backtracking_rung_is_the_serial_one(pairs, both):
 
 
 # (reason, iterations, final norm) of each rung, recorded before the energy
-# rescue and the carried chunk width; neither may move a rung without the rescue
+# rescue and the carried chunk width; neither may move a rung without the rescue.
+# The square's norms were re-recorded when p_flux became D^T (w D u), which
+# rounds differently on the square (same reasons and iterations).
 SQUARE_STALLED_RUNGS = [  # ("2d", 1.9 lam1, eta 0.2) from phi1: above lam1
-    ("stalled", 11, 0.03403928464285478),
-    ("stalled", 5, 0.034373281469525944),
-    ("stalled", 3, 0.03470258777099655),
-    ("stalled", 2, 0.03502370880705558),
-    ("stalled", 1, 0.035020708017378555),
-    ("stalled", 1, 0.03502070746448146),
-    ("stalled", 1, 0.03502070746442616),
+    ("stalled", 11, 0.03403928464285348),
+    ("stalled", 5, 0.03437328146952307),
+    ("stalled", 3, 0.03470258777099481),
+    ("stalled", 2, 0.03502370880708472),
+    ("stalled", 1, 0.03502070801744243),
+    ("stalled", 1, 0.03502070746454537),
+    ("stalled", 1, 0.03502070746449007),
 ]
 NO_LAM1_RUNGS = [  # ("1d", 0.8 lam1, eta 0.2) from -2 phi1, solved without lam1
     ("stalled", 19, 0.058372666631709536),
@@ -486,7 +488,7 @@ def test_eigen_inner_solves_are_pinned(both):
 
 
 def test_line_search_floor_inside_a_chunk(pairs, both):
-    _solve_case(pairs, "2d", 0.8, 0.0, "1", "1", "zero", 1e-15)
+    _solve_case(pairs, "2d", 0.8, 0.0, "1", "1", 1.0, 1e-15)
     ends = [chunks[-1] for (reason, _, _), _, chunks in both.rungs if reason == "line_search"]
     assert ends
     last = ends[-1]
