@@ -229,7 +229,8 @@ def jacobian(spec, u, eps_grad=EPS_GRAD_FLOOR, eps_zero=EPS_ZERO_FLOOR):
     """Sparse symmetric Jacobian of residual() over the interior vertices.
 
     Raises SingularJacobian at eps_grad = 0 with p < 2 where grad u vanishes
-    on a cell: the linearization is unbounded there.
+    on a cell, and at eps_zero = 0 with p or q below 2 where an interior
+    value of u is 0: the linearization is unbounded there.
     """
     driver = _NewtonDriver(spec)
     return driver.op.matrix(driver.jacobian(u.values, spec.lam, spec.eta, eps_grad, eps_zero))

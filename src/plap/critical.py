@@ -160,10 +160,6 @@ class _Preconditioner:
     def op(self):
         return fem.operator(self.mesh, self.mesh.interior_vertices)
 
-    @functools.cached_property
-    def stiffness(self):
-        return fem.p_flux_jacobian(self.op, np.zeros(self.mesh.n_vertices), 2.0, 0.0)
-
     def __call__(self, rows, rhs, active):
         """K_I^{-1} rhs[k] for row rows[k], 0 on active[k] (masks over the free vertices)."""
         out = np.empty_like(rhs)
@@ -173,7 +169,8 @@ class _Preconditioner:
         for k in np.flatnonzero(some):
             cached = self.pinned.get(rows[k])
             if cached is None or not np.array_equal(active[k], cached[0]):
-                cached = self.pinned[rows[k]] = (active[k], self.op.factorize(self.op.pin(self.stiffness, active[k])))
+                op = self.op
+                cached = self.pinned[rows[k]] = (active[k], op.factorize(op.pin(op.stiffness, active[k])))
             out[k] = cached[1](np.where(active[k], 0.0, rhs[k]))
         self.drop(rows[~some])
         return out

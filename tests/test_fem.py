@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -161,14 +162,19 @@ def test_jacobian_is_csc_on_every_storage(mesh, band, rng):
     assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _local_blocks(mesh, free):
+    """Row and column in free of each entry (i, j) of each cell's block, and whether it leaves free."""
+    loc = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    loc[free] = np.arange(len(free))
+    local = loc[mesh.cells]
+    rows, cols = local[:, :, None], local[:, None, :]
+    return rows, cols, (rows < 0) | (cols < 0)
+
+
 def unique_searchsorted_pattern(mesh, free):
     """The CSC pattern, slots and diagonal positions from np.unique and two searchsorted."""
     n = len(free)
-    loc = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    loc[free] = np.arange(n)
-    local = loc[mesh.cells]
-    rows, cols = local[:, :, None], local[:, None, :]
-    outside = (rows < 0) | (cols < 0)
+    rows, cols, outside = _local_blocks(mesh, free)
     keys = cols * n + rows
     keys[outside] = n * n
     diagonal_keys = np.arange(n) * (n + 1)
@@ -179,6 +185,23 @@ def unique_searchsorted_pattern(mesh, free):
     slots = np.searchsorted(pattern, keys)
     slots[outside] = len(pattern)
     return (pattern % n).astype(np.intc), indptr, slots.ravel(), np.searchsorted(pattern, diagonal_keys)
+
+
+def block_scatter(mesh, free, band):
+    """(position in the data of each cell-block entry, data size); entries leaving free go to the size.
+
+    Band storage puts a[i, j] at ab[band + i - j, j]; a CSC pattern is
+    unique_searchsorted_pattern's.
+    """
+    if band is None:
+        indices, _, slots, _ = unique_searchsorted_pattern(mesh, free)
+        return slots, len(indices)
+    n = len(free)
+    rows, cols, outside = _local_blocks(mesh, free)
+    size = (2 * band + 1) * n
+    slots = (band + rows - cols) * n + cols
+    slots[outside] = size
+    return slots.ravel(), size
 
 
 def repeat_pin(op, data, pinned):
@@ -204,12 +227,14 @@ def test_pattern_and_pin_match_the_previous_construction(free_set, max_band, rng
     free = free_set(mesh)
     op = fem.Operator(mesh, free)
     if op.band is None:
-        indices, indptr, scatter, diagonal = unique_searchsorted_pattern(mesh, free)
+        indices, indptr, _, diagonal = unique_searchsorted_pattern(mesh, free)
         assert op.indices.dtype == indices.dtype and np.array_equal(op.indices, indices)
         assert op.indptr.dtype == indptr.dtype and np.array_equal(op.indptr, indptr)
-        assert np.array_equal(op.scatter, scatter)
         assert np.array_equal(op.diagonal, diagonal)
-    data = fem.p_flux_jacobian(op, rng.standard_normal(mesh.n_vertices), 3.0, 1e-3)
+    values = rng.standard_normal(mesh.n_vertices)
+    data = fem.p_flux_jacobian(op, values, 3.0, 1e-3)
+    # the full blocks summed by the band-slot formula or unique_searchsorted_pattern, bit for bit
+    assert np.array_equal(data, einsum_jacobian_data(mesh, free, op.band, values, 3.0, 1e-3))
     for _ in range(2):
         pinned = rng.random(len(free)) < 0.3
         assert np.array_equal(op.pin(data, pinned), repeat_pin(op, data, pinned))
@@ -410,17 +435,20 @@ def p_flux_rounding_bound(mesh, values, p, eps):
     return 2.0 * (K * u / (1.0 - K * u)) * absolute
 
 
-def einsum_jacobian_data(op, mesh, values, p, eps):
+def einsum_jacobian_data(mesh, free, band, values, p, eps):
+    """Cell blocks vol kappa G G^T + vol (p-2) kappa / g2 (G z)(G z)^T by einsum, summed into the data by bincount."""
+    gram = np.einsum("cid,cjd->cij", mesh.cell_gradients, mesh.cell_gradients) * mesh.cell_volumes[:, None, None]
     if p == 2.0:
-        blocks = op.gram
+        blocks = gram
     else:
         _, gg, g2 = einsum_cell_terms(mesh, values, eps)
         kappa = g2 ** (0.5 * (p - 2))
         ratio = np.where(g2 > 0, (p - 2.0) * kappa / np.where(g2 > 0, g2, 1.0), 0.0)
         blocks = gg[:, :, None] * gg[:, None, :]
         blocks *= (mesh.cell_volumes * ratio)[:, None, None]
-        blocks += kappa[:, None, None] * op.gram
-    return np.bincount(op.scatter, weights=blocks.ravel(), minlength=op.size + 1)[: op.size]
+        blocks += kappa[:, None, None] * gram
+    slots, size = block_scatter(mesh, free, band)
+    return np.bincount(slots, weights=blocks.ravel(), minlength=size + 1)[:size]
 
 
 def einsum_grad_energy(mesh, values, p):
@@ -434,7 +462,7 @@ NON_DYADIC_MESHES = [build_interval(0.0, 3.0, 100), build_rectangle(0.0, 1.0, 0.
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
 @pytest.mark.parametrize(
     "mesh",
     [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 5, 5), *NON_DYADIC_MESHES],
@@ -444,7 +472,8 @@ def test_gradient_kernel_matches_einsum_formulas(mesh, p, eps, rng):
     values = rng.standard_normal(mesh.n_vertices)
     op = fem.operator(mesh, mesh.interior_vertices)
     # the Jacobian, the cell gradients and the gradient energy sum in the oracle's order: bit for bit
-    assert np.array_equal(fem.p_flux_jacobian(op, values, p, eps), einsum_jacobian_data(op, mesh, values, p, eps))
+    want = einsum_jacobian_data(mesh, op.free, op.band, values, p, eps)
+    assert np.array_equal(fem.p_flux_jacobian(op, values, p, eps), want)
     u = DiscreteFunction(mesh, values)
     assert np.array_equal(u.cell_gradients(), einsum_cell_terms(mesh, values, eps)[0])
     assert grad_energy(u, p) == einsum_grad_energy(mesh, values, p)
@@ -453,6 +482,70 @@ def test_gradient_kernel_matches_einsum_formulas(mesh, p, eps, rng):
     values[mesh.cells[0]] = 0.0
     error = np.abs(fem.p_flux(mesh, values, p, eps) - einsum_p_flux(mesh, values, p, eps))
     assert np.all(error <= p_flux_rounding_bound(mesh, values, p, eps))
+
+
+# (mesh, free set, MAX_BAND, whether the storage is CSC): boundary strips on
+# band storage, and the CSC path both beyond the band limit (the 66 x 3
+# strip) and with the limit lowered
+JACOBIAN_ORACLE_CASES = pytest.mark.parametrize(
+    "mesh, free_set, max_band, csc",
+    [
+        (build_rectangle(0.0, 1.0, 0.0, 2.0, 7, 5), strip_free, fem.MAX_BAND, False),
+        (build_rectangle(0.0, 1.0, 0.0, 2.0, 7, 5), strip_free, -1, True),
+        (build_rectangle(0.0, 4.0, 0.0, 1.0, 66, 3), interior_free, fem.MAX_BAND, True),
+        (build_interval(0.0, 3.0, 100), strip_free, fem.MAX_BAND, False),
+    ],
+    ids=["7x5-strip", "7x5-strip-csc", "66x3-csc", "n100-strip"],
+)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-2])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+@JACOBIAN_ORACLE_CASES
+def test_jacobian_matches_the_einsum_oracle_bit_for_bit(mesh, free_set, max_band, csc, p, eps, rng, monkeypatch):
+    monkeypatch.setattr(fem, "MAX_BAND", max_band)
+    free = free_set(mesh)
+    op = fem.Operator(mesh, free)
+    assert (op.band is None) == csc
+    values = rng.standard_normal(mesh.n_vertices)
+    values[mesh.cells[0]] = 0.0  # a cell with zero gradient
+    if p < 2 and eps == 0.0:
+        with pytest.raises(SingularJacobian, match=r"eps_grad = 0 with p < 2"):
+            fem.p_flux_jacobian(op, values, p, eps)
+        values = rng.standard_normal(mesh.n_vertices)
+    want = einsum_jacobian_data(mesh, free, op.band, values, p, eps)
+    assert np.array_equal(fem.p_flux_jacobian(op, values, p, eps), want)
+
+
+def test_operator_holds_only_arrays_and_sparse_matrices(rng):
+    mesh = build_rectangle(0.0, 1.0, 0.0, 2.0, 7, 5)
+    op = fem.operator(mesh, strip_free(mesh))
+    values = rng.standard_normal(mesh.n_vertices)
+    for p in (2.0, 3.0):  # fills the cached stiffness
+        data = fem.p_flux_jacobian(op, values, p, 1e-3)
+    op.pin(data, rng.random(len(op.free)) < 0.3)  # fills the cached slot positions
+    assert {"stiffness", "_slot_positions"} <= set(vars(op))
+    sizes = {"size": int, "band": int}
+    for name, value in vars(op).items():
+        assert isinstance(value, sizes.get(name, np.ndarray)) or sp.issparse(value), name
+    mesh_ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert mesh_ref() is None
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_interval(0.0, 1.0, 12), build_rectangle(0.0, 1.0, 0.0, 2.0, 7, 5)], ids=["n12", "7x5"]
+)
+def test_writing_into_p2_data_leaves_the_next_call_unchanged(mesh, rng):
+    op = fem.operator(mesh, mesh.interior_vertices)
+    zeros = np.zeros(mesh.n_vertices)
+    want = fem.p_flux_jacobian(op, zeros, 2.0, 0.0).copy()
+    for diag in (None, rng.random(mesh.n_vertices)):
+        data = fem.p_flux_jacobian(op, zeros, 2.0, 0.0, diag)
+        data[:] = 7.0
+        assert np.array_equal(fem.p_flux_jacobian(op, zeros, 2.0, 0.0), want)
+    assert not op.stiffness.flags.writeable
 
 
 @pytest.mark.parametrize("rows", [1, 2, 13])
@@ -479,6 +572,36 @@ def test_jacobian_without_gradient_smoothing_below_p2_is_singular():
     values = np.zeros(mesh.n_vertices)
     values[mesh.interior_vertices] = np.arange(1.0, 8.0) ** 2
     assert np.all(np.isfinite(jacobian(spec, DiscreteFunction(mesh, values), 0.0, 1e-3).toarray()))
+
+
+def _q_below_2_spec():
+    mesh = build_interval(0.0, 1.0, 8)
+    one = Weight.constant(1.0)
+    return ProblemSpec(mesh, 3.0, 1.5, 1.0, 0.5, one, one, one)
+
+
+def test_jacobian_without_zero_smoothing_at_a_zero_value_is_singular():
+    spec = _q_below_2_spec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match=r"eps_zero = 0"):
+            jacobian(spec, DiscreteFunction.zeros(spec.mesh), 1e-3, 0.0)
+
+
+def test_jacobian_without_zero_smoothing_ignores_the_boundary_zeros():
+    spec = _q_below_2_spec()
+    mesh = spec.mesh
+    free = mesh.interior_vertices
+    values = np.zeros(mesh.n_vertices)
+    values[free] = 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0^(q-2) on the boundary values
+        got = jacobian(spec, DiscreteFunction(mesh, values), 1e-3, 0.0).toarray()
+    lump = mesh.lumped_volumes
+    diag = np.zeros(mesh.n_vertices)
+    diag[free] = -lump[free] * (2.0 * 0.3**1.0 + 0.5 * 0.5 * 0.3**-0.5)  # -lam m (p-1)|s|^(p-2) - eta a (q-1)|s|^(q-2)
+    want = dense_loop_jacobian(mesh, values, 3.0, 1e-3, diag, free)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("shift", [0.0, 2.5])
