@@ -39,6 +39,11 @@ from .report import write_csv, write_report
 __all__ = ["main"]
 
 
+def _solve_options(mp, seed):
+    """The SolveOptions of a multi-start mode's mode_params."""
+    return SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS})
+
+
 def _run_eigen(cfg, mesh, seed, out_dir):
     mp = cfg.mode_params
     opts = EigenOptions(tol=mp["tol"], max_outer=mp["max_outer"], seed=seed, init=mp["init"])
@@ -62,7 +67,7 @@ def _run_solve(cfg, mesh, seed, out_dir):
     spec = ProblemSpec(
         mesh, cfg.p, cfg.q, mp["lam"], mp["eta"], cfg.weights["m"], cfg.weights["a"], cfg.weights["f"]
     )
-    return solve(spec, mp["init"], SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}))
+    return solve(spec, mp["init"], _solve_options(mp, seed))
 
 
 def _run_sweep(cfg, mesh, seed, out_dir):
@@ -84,7 +89,7 @@ def _run_sweep(cfg, mesh, seed, out_dir):
             )
             eta_bar = est.value if math.isfinite(est.value) else 1.0
             eta_grid = np.linspace(-eta_bar, eta_bar, mp["n_eta"]).tolist()
-    region_map = sweep(template, lam_grid, eta_grid, SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}))
+    region_map = sweep(template, lam_grid, eta_grid, _solve_options(mp, seed))
     write_csv(region_map, os.path.join(out_dir, cfg.output["csv"]))
     return region_map
 
@@ -146,7 +151,7 @@ def _run_nonuniformity(cfg, mesh, seed, out_dir):
         eta_small=mp["eta_small"],
         n_lam=mp["n_lam"],
         delta_span=mp["delta_span"],
-        opts=SolveOptions(seed=seed, **{k: mp[k] for k in SOLVE_OPTIONS}),
+        opts=_solve_options(mp, seed),
     )
 
 

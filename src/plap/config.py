@@ -15,7 +15,8 @@ A config names the domain, exponents, weights, the mode and its parameters:
 Every level has a table of its fields, name -> (check, default), and
 _check_fields validates an object against it: an unknown key is an error, and
 an omitted key reads as its default, checked like a given value (None stays
-None).  The top level picks its table, and so the MODE_PARAMS table of
+None); an option's default is its field's in SolveOptions, EigenOptions or
+EtaStarOptions.  The top level picks its table, and so the MODE_PARAMS table of
 mode_params, by "mode"; the domain and a weight object pick theirs by "kind".
 Every error names the field path, e.g. mode_params.family[0].radius.
 
@@ -37,6 +38,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .bvp import SolveOptions
+from .critical import EtaStarOptions
+from .eigen import EigenOptions
 from .errors import EvalError, InvalidConfig, ParseError
 from .expr import parse_expr
 from .functions import Weight
@@ -207,22 +211,22 @@ def _check_fields(raw, fields, path):
     return out
 
 
-# The mode_params keys that are SolveOptions fields, for the multi-start modes.
+# The mode_params keys that are SolveOptions fields, for the multi-start modes (t_grid's default as a list).
 SOLVE_OPTIONS = {
-    "newton_tol": (_require_number, 1e-10),
-    "max_newton": (_count(1), 60),
-    "lam1": (_require_number, None),
-    "t_grid": (_list_of(_require_number), [0.5, 1.0, 2.0, 4.0, 8.0]),
-    "n_random": (_count(0), 2),
-    "dedup_tol": (_require_number, 1e-6),
+    "newton_tol": (_require_number, SolveOptions.newton_tol),
+    "max_newton": (_count(1), SolveOptions.max_newton),
+    "lam1": (_require_number, SolveOptions.lam1),
+    "t_grid": (_list_of(_require_number), list(SolveOptions.t_grid)),
+    "n_random": (_count(0), SolveOptions.n_random),
+    "dedup_tol": (_require_number, SolveOptions.dedup_tol),
 }
 
 # mode -> mode_params key -> (check, default); check(raw, path) returns the typed value.
 MODE_PARAMS = {
     "eigen": {
-        "tol": (_require_number, None),
-        "max_outer": (_count(1), 500),
-        "init": (_choice("distance_bump", "random"), "distance_bump"),
+        "tol": (_require_number, EigenOptions.tol),
+        "max_outer": (_count(1), EigenOptions.max_outer),
+        "init": (_choice("distance_bump", "random"), EigenOptions.init),
         "negative": (_flag, False),
         "subdomain": (
             _object({"rho": (_positive, _REQUIRED), "part": (_choice("strip", "complement"), "strip")}),
@@ -240,15 +244,15 @@ MODE_PARAMS = {
         "eta_grid": (_list_of(_require_number), None),
         "n_lam": (_count(1), 61),
         "n_eta": (_count(1), 21),
-        "eta_star_starts": (_count(1), 32),
+        "eta_star_starts": (_count(1), EtaStarOptions.n_starts),
         **SOLVE_OPTIONS,
     },
     "critval": {
         # one of lam and lam_frac is required; lam wins when both are given
         "lam": (_require_number, None),
         "lam_frac": (_require_number, None),
-        "n_starts": (_count(1), 32),
-        "max_iter": (_count(1), 600),
+        "n_starts": (_count(1), EtaStarOptions.n_starts),
+        "max_iter": (_count(1), EtaStarOptions.max_iter),
     },
     "picone-check": {
         "q_grid": (_list_of(_require_number), []),

@@ -20,19 +20,23 @@ smoothings, EPS_GRAD_FLOOR and EPS_ZERO_FLOOR, are the ones every solve
 ends on, at the foot of the one ladder of smoothings, EPS_LADDER.
 
 Linearized systems live on an Operator: the Jacobian restricted to one set of
-free vertices, with its storage pattern, built once per (mesh, free set).  The
-linearized gradient term's block on a cell,
+free vertices, with its storage pattern, built once per (mesh, free set).  One
+stable sort of the cell blocks' entries by CSC key col n + row gives the
+pattern (Cuvelier, Japhet & Scarella, BIT Numer. Math. 56, 2016): the distinct
+keys are the entries (rows, cols), and each run of equal keys lists its block
+entries in cell order.  One formula places an entry in the data (filled): its
+band slot (band + row - col) n + col, or its CSC rank.  Storage is decided
+only there and in factorize.  The linearized gradient term's block on a cell,
 
     block_T = vol kappa G G^T + vol (p-2) kappa / (|z|^2 + eps^2) (G z)(G z)^T,
 
 is exactly symmetric, so only its 3 (1D) or 6 (2D) entries i <= j are formed,
 as a (pairs, n_cells) array, and summed into the storage by one product with a
-fixed 0/1 matrix that lists each stored position's entries in cell order
-(Cuvelier, Japhet & Scarella, BIT Numer. Math. 56, 2016).  Each entry gets the
-arithmetic of its full block and each position adds onto 0 in cell order, so
-the data is bit for bit a bincount of the full blocks.  Per call at p = 3 near
-a solution, in microseconds (one thread, best of 7, the lower of two runs on
-a shared 2-core Xeon host):
+fixed 0/1 matrix whose rows are those runs.  Each entry gets the arithmetic of
+its full block and each position adds onto 0 in cell order, so the data is bit
+for bit a bincount of the full blocks.  Per call at p = 3 near a solution, in
+microseconds (one thread, best of 7, the lower of two runs on a shared 2-core
+Xeon host):
 
     mesh                   n=256    24^2    64^2    100^2 (CSC)
     bincount of blocks        23      92     708     1495
@@ -80,16 +84,20 @@ tridiagonal gttrf/gttrs do the same); beyond that it is the
 data of a CSC matrix with fixed indices, factorized by SuperLU with a
 minimum-degree ordering on A^T + A, as the pattern is symmetric.  On an
 n x n grid b is about n, so band storage grows like n^3 and band LU costs
-O(n^4) against SuperLU's fill-reducing order.  Factor + solve of an
-indefinite p = 3 Jacobian on the interior of an n x n grid (one core of a
-shared x86-64 VM, numpy/scipy with OpenBLAS, one thread):
+O(n^4) against SuperLU's fill-reducing order.  Factor + one solve of an
+indefinite p = 3 Jacobian on the interior of an n x n grid (one thread, best
+of 7 runs, 2 at 256^2, on a shared 2-core Xeon host):
 
-    n x n     16^2     24^2     32^2     48^2     64^2      96^2    128^2
-    SuperLU   0.60 ms  2.12 ms  2.59 ms  7.3 ms   15.3 ms   41 ms   82 ms
-    banded    0.10 ms  0.42 ms  0.72 ms  3.0 ms   8.6 ms    41 ms   84 ms
+    n x n       24^2      64^2     96^2      128^2     256^2
+    band        0.12 ms   2.6 ms   9.6 ms    24.6 ms   326 ms
+    SuperLU     0.85 ms   5.5 ms   13.5 ms   28.1 ms   179 ms
+    band work   0.3 MB    6 MB     21 MB     50 MB     400 MB
 
-so MAX_BAND = 64 keeps every grid up to 64 x 64 on the band solver (6 MB of
-band workspace at 64 x 64) and moves 96 x 96 and beyond to SuperLU.
+Band LU stays ahead up to 128 x 128, but by less as n grows, and its
+workspace grows like n^3; SuperLU is ahead at 256 x 256.  MAX_BAND = 64 keeps
+every grid up to 64 x 64 on the band solver, where it is twice as fast, and
+moves 96 x 96 and beyond, where the two are within 30% of each other, to
+SuperLU and its smaller memory.
 
 The p = 2 stiffness K + c diag(lumped volumes), the one matrix that every
 iteration of a caller reuses (the p = 2 eigensolve, the eta* preconditioner,
@@ -98,9 +106,10 @@ whole interior of a build_rectangle grid (mesh.grid is set) K is the 5-point
 stencil, which the 2D DST-I diagonalizes, so a solve is two 2D sine
 transforms (numpy's rfft) and a division, with nothing to factor; on any
 other free set (boundary strips, and intervals, where gttrf is already O(n))
-K is assembled on the Operator and factored once as above.  Factor + one
-solve (f+s) and each further solve (s) of the p = 2 stiffness on the
-interior of an n x n grid (same machine, one thread, best of three runs):
+K is a copy of the Operator's stiffness with the shift on its diagonal,
+factored once as above.  Factor + one solve (f+s) and each further solve (s)
+of the p = 2 stiffness on the interior of an n x n grid (one core of a shared
+x86-64 VM, one thread, best of three runs):
 
     n x n           24^2             64^2            128^2
     SuperLU  f+s/s  1.7 / 0.067 ms   10.7 / 0.33 ms  70 / 1.9 ms
@@ -295,13 +304,15 @@ class Operator:
         band: half-bandwidth of the band storage, None when the half-bandwidth
             exceeds MAX_BAND and the storage is CSC.
         indices, indptr: the fixed CSC pattern when band is None.
-        diagonal: (len(free),) position of each diagonal entry in the data.
+        rows, cols, filled: the row, the column and the data position of each
+            entry that blocks reach, in CSC order (by column, then row).
+        diagonal: (len(free),) data position of each diagonal entry.
         gradient, entries, volumes: the mesh's D (shared), a (d, d+1, n_cells)
             C-contiguous copy of its entries by vertex, and the cell volumes.
         pairs, gram: (2, m) local vertices i <= j of the block entries formed
             (m = 3 in 1D, 6 in 2D), and their (m, n_cells) values vol G G^T.
-        filled, assembly: the sorted data positions that blocks reach, and the
-            0/1 CSR matrix that sums terms laid out as gram into them.
+        assembly: the 0/1 CSR matrix that sums terms laid out as gram into
+            the entries, a row per entry.
         stiffness: read-only data of the p = 2 stiffness, built on first use.
 
     Only sizes, arrays and sparse matrices are kept, never the mesh, so an
@@ -322,40 +333,33 @@ class Operator:
         loc[self.free] = np.arange(n)
         local = loc[mesh.cells]
         rows, cols = local[:, :, None], local[:, None, :]  # entry (i, j) of each cell's block
-        outside = (rows < 0) | (cols < 0)
-        band = int(np.max(np.abs(rows - cols), where=~outside, initial=0))
+        inside = (rows >= 0) & (cols >= 0)
+        # block entry (c, i, j) takes pair (min, max) on cell c; the distinct
+        # keys hold the diagonal, as every free vertex lies in a cell
+        i, j = self.pairs
+        pair = np.empty((d + 1, d + 1), dtype=np.int64)
+        pair[i, j] = pair[j, i] = np.arange(len(i))
+        columns = (pair * n_cells + np.arange(n_cells)[:, None, None])[inside]
+        keys = (cols * n + rows)[inside]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.cols, self.rows = np.divmod(keys[starts], n)
+        band = int(np.max(np.abs(self.rows - self.cols), initial=0))
         if band <= MAX_BAND:
             # LAPACK band storage: ab[band + i - j, j] = a[i, j]
             self.band = band
             self.size = (2 * band + 1) * n
-            slots = (band + rows - cols) * n + cols
-            self.diagonal = band * n + np.arange(n)
+            self.filled = (band + self.rows - self.cols) * n + self.cols
         else:
-            # keys col * n + row sort in CSC order; the diagonal is always stored.
-            # A key's slot is its position among the distinct keys.
             self.band = None
-            keys = cols * n + rows
-            keys[outside] = n * n
-            every = np.concatenate([keys.ravel(), np.arange(n) * (n + 1)])
-            pattern, slot = np.unique(every, return_inverse=True)
-            pattern = pattern[pattern < n * n]
-            self.size = len(pattern)
-            self.indices = (pattern % n).astype(np.intc)
-            self.indptr = np.zeros(n + 1, dtype=np.intc)
-            np.cumsum(np.bincount(pattern // n, minlength=n), out=self.indptr[1:])
-            slots = slot[: keys.size].reshape(keys.shape)
-            self.diagonal = slot[keys.size :]
-        # block entry (c, i, j) takes pair (min, max) on cell c; a stable sort
-        # by slot keeps each slot's entries in cell order
-        i, j = self.pairs
-        pair = np.empty((d + 1, d + 1), dtype=np.int64)
-        pair[i, j] = pair[j, i] = np.arange(len(i))
-        columns = (pair * n_cells + np.arange(n_cells)[:, None, None])[~outside]
-        order = np.argsort(slots[~outside], kind="stable")
-        self.filled, counts = np.unique(slots[~outside], return_counts=True)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        arrays = (np.ones(len(order)), columns[order].astype(np.int32), indptr)
-        self.assembly = sp.csr_matrix(arrays, shape=(len(self.filled), self.gram.size))
+            self.size = len(starts)
+            self.filled = np.arange(self.size)
+            self.indices = self.rows.astype(np.intc)
+            self.indptr = np.searchsorted(self.cols, np.arange(n + 1)).astype(np.intc)
+        self.diagonal = self.filled[self.rows == self.cols]
+        arrays = (np.ones(len(order)), columns[order].astype(np.int32), np.append(starts, len(keys)).astype(np.int32))
+        self.assembly = sp.csr_matrix(arrays, shape=(len(starts), self.gram.size))
 
     def assemble(self, terms):
         """Stored data of the blocks whose entries i <= j are terms, laid out as gram."""
@@ -369,17 +373,14 @@ class Operator:
         data.flags.writeable = False
         return data
 
-    def add_diagonal(self, data, diag):
-        """Add diag (one value per mesh vertex) to the diagonal of data in place."""
-        data[self.diagonal] += diag[self.free]
+    def add_diagonal(self, data, values):
+        """Add values (one per free vertex) to the diagonal of data in place."""
+        data[self.diagonal] += values
 
     def matrix(self, data):
         """The stored matrix as a new scipy CSC matrix that shares no array with the operator."""
         n = len(self.free)
-        if self.band is None:
-            return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n), copy=True)
-        offsets = np.arange(self.band, -self.band - 1, -1)
-        return sp.dia_matrix((data.reshape(-1, n), offsets), shape=(n, n)).tocsc()
+        return sp.csc_matrix((data[self.filled], (self.rows, self.cols)), shape=(n, n))
 
     def pin(self, data, pinned):
         """Copy of data with the rows and columns of the pinned free vertices set to the identity.
@@ -388,22 +389,10 @@ class Operator:
         right-hand side that vanishes on pinned gives the solution of the
         system restricted to the other free vertices, and zero on pinned.
         """
-        rows, cols = self._slot_positions
         out = data.copy()
-        out[pinned[rows] | pinned[cols]] = 0.0
+        out[self.filled[pinned[self.rows] | pinned[self.cols]]] = 0.0
         out[self.diagonal[pinned]] = 1.0
         return out
-
-    @functools.cached_property
-    def _slot_positions(self):
-        """(2, size) array: the row and the column of every data slot, formed on the first pin."""
-        n = len(self.free)
-        if self.band is None:
-            return np.array((self.indices, np.repeat(np.arange(n), np.diff(self.indptr))))
-        slot = np.arange(self.size)
-        cols = slot % n
-        # the unused corners of band storage map outside [0, n); they hold zeros
-        return np.array((np.clip(cols + slot // n - self.band, 0, n - 1), cols))
 
     def factorize(self, data):
         """Factor the stored matrix once; returns solve(rhs).
@@ -454,35 +443,31 @@ def operator(mesh, free):
     return mesh.derived((Operator, free.tobytes()), lambda: Operator(mesh, free))
 
 
-def p_flux_jacobian(op, values, p, eps, diag=None):
-    """Stored data of the linearized gradient term on op's free vertices.
+def p_flux_jacobian(op, values, p, eps):
+    """Stored data of the linearized gradient term on op's free vertices, a new array.
 
-    values are nodal values on all vertices; diag, when given, holds one value
-    per vertex and is added to the diagonal.  op.matrix(data) is the matrix.
-    Raises SingularJacobian when p < 2 and a cell's |grad u|^2 + eps^2 is 0
-    (eps = 0 there): the linearization is unbounded at that cell.
+    values are nodal values on all vertices.  op.matrix(data) is the matrix,
+    and op.add_diagonal adds a diagonal to it.  Raises SingularJacobian when
+    p < 2 and a cell's |grad u|^2 + eps^2 is 0 (eps = 0 there): the
+    linearization is unbounded at that cell.
     """
     if p == 2.0:
-        data = op.stiffness.copy()  # the kernel is identically 1
-    else:
-        g = _product(op.gradient, values).reshape(len(op.entries), -1)
-        g2 = _squares(g, eps)
-        if p < 2 and not g2.all():
-            raise SingularJacobian("eps_grad = 0 with p < 2: the linearization is unbounded where grad u = 0")
-        gg = op.entries[0] * g[0]  # entry (i, c) is grad hat_i . grad u on cell c
-        for ek, gk in zip(op.entries[1:], g[1:]):
-            gg += ek * gk
-        kappa = g2 ** (0.5 * (p - 2))
-        # the anisotropic part needs g2 > 0 (g2 = 0 is degenerate for p > 2)
-        ratio = np.where(g2 > 0, (p - 2.0) * kappa / np.where(g2 > 0, g2, 1.0), 0.0)
-        i, j = op.pairs
-        terms = gg[i] * gg[j]
-        terms *= op.volumes * ratio
-        terms += kappa * op.gram
-        data = op.assemble(terms)
-    if diag is not None:
-        op.add_diagonal(data, diag)
-    return data
+        return op.stiffness.copy()  # the kernel is identically 1
+    g = _product(op.gradient, values).reshape(len(op.entries), -1)
+    g2 = _squares(g, eps)
+    if p < 2 and not g2.all():
+        raise SingularJacobian("eps_grad = 0 with p < 2: the linearization is unbounded where grad u = 0")
+    gg = op.entries[0] * g[0]  # entry (i, c) is grad hat_i . grad u on cell c
+    for ek, gk in zip(op.entries[1:], g[1:]):
+        gg += ek * gk
+    kappa = g2 ** (0.5 * (p - 2))
+    # the anisotropic part needs g2 > 0 (g2 = 0 is degenerate for p > 2)
+    ratio = np.where(g2 > 0, (p - 2.0) * kappa / np.where(g2 > 0, g2, 1.0), 0.0)
+    i, j = op.pairs
+    terms = gg[i] * gg[j]
+    terms *= op.volumes * ratio
+    terms += kappa * op.gram
+    return op.assemble(terms)
 
 
 def weak_form(mesh, op, p, eps_g, eps_s, terms, load):
@@ -527,7 +512,7 @@ def weak_form(mesh, op, p, eps_g, eps_s, terms, load):
             diag = np.zeros(len(s))
             for c, r in zip(coefs, exponents):
                 diag -= c * smoothed_odd_power_deriv(s, r, eps_s)
-            data[op.diagonal] += diag
+            op.add_diagonal(data, diag)
         return data
 
     def energy(values, s):
@@ -547,15 +532,16 @@ def stiffness_solver(mesh, free, shift=0.0):
     rhs is a vector over free or an (len(free), k) block, as for the solve of
     Operator.factorize.  On the interior of a build_rectangle grid K is the
     5-point stencil and the solve is closed form (_sine_solver); otherwise K
-    is assembled on the cached Operator and factorized once.
+    is a copy of the cached Operator's stiffness, with the shift added by
+    Operator.add_diagonal, factorized once.
     """
     free = np.asarray(free, dtype=np.int64)
     if mesh.grid is not None and np.array_equal(free, mesh.interior_vertices):
         return _sine_solver(mesh, shift)
     op = operator(mesh, free)
-    data = p_flux_jacobian(op, np.zeros(mesh.n_vertices), 2.0, 0.0)
+    data = op.stiffness.copy()
     if shift:
-        op.add_diagonal(data, shift * mesh.lumped_volumes)
+        op.add_diagonal(data, shift * mesh.lumped_volumes[free])
     return op.factorize(data)
 
 

@@ -25,7 +25,7 @@ class Mesh:
         cells: (nc, dimension+1) int array; segments in 1D, triangles in 2D.
         boundary_vertices: sorted int array of vertex indices on the boundary.
         interior_vertices: sorted int array of the remaining vertex indices.
-        cell_volumes: (nc,) positive cell measures.
+        cell_volumes: (nc,) positive cell measures; every vertex lies in a cell.
         bounds: the bounding box (x0, x1) or (x0, x1, y0, y1); used for the
             exact distance-to-boundary formula.
         grid: (nx, ny) for a build_rectangle grid, else None; the p = 2
@@ -62,6 +62,8 @@ class Mesh:
             self.cells.ravel(),
             np.repeat(self.cell_volumes / (self.dimension + 1), self.dimension + 1),
         )
+        if not self.lumped_volumes.all():  # with positive cell volumes, 0 marks a vertex in no cell
+            raise InvalidConfig(f"mesh vertex {np.argmin(self.lumped_volumes)} lies in no cell")
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
         self.lumped_volumes.setflags(write=False)

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from plap import (
     DiscreteFunction,
+    InvalidConfig,
     NonConvergence,
     ProblemSpec,
     SolveOptions,
@@ -173,6 +174,11 @@ def test_solve_amp_closed_form(interval_256):
     assert sup_norm(out.u - DiscreteFunction(interval_256, closed)) < 1e-3
     assert out.sign_class == "negative"
     assert np.all(out.boundary_flux_sign == 1)
+
+
+def test_solve_rejects_an_unknown_init_name(interval_256):
+    with pytest.raises(InvalidConfig, match="bogus"):
+        solve(make_spec(interval_256), "bogus")
 
 
 def test_solve_zero_data(interval_256):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import oracles
 from plap.cli import main
 
 BASE = {
@@ -59,6 +60,31 @@ def test_eigen_negative_and_subdomain(tmp_path):
     assert report["result"]["lam"] < 0
     proc = run_cli("eigen", config("eigen", subdomain={"rho": 0.25, "part": "complement"}), tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def run_main(mode, cfg, tmp_path):
+    """Run the CLI in this process (so a line trace sees it) and return the report's result."""
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main([mode, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / f"{mode.replace('-', '_')}_report.json").read_text())["result"]
+
+
+def test_eigen_on_the_strip_complement_with_a_constant_weight_object(tmp_path):
+    results = []
+    for m in (1, {"kind": "constant", "value": 1}):
+        cfg = config("eigen", subdomain={"rho": 0.25, "part": "complement"})
+        cfg["weights"]["m"] = m
+        results.append(run_main("eigen", cfg, tmp_path))
+    assert results[0] == results[1]
+    # the complement holds x = 16/64 .. 48/64: the Dirichlet problem on 34 cells from 15/64 to 49/64
+    lam_oracle, _, _ = oracles.linear_eig_oracle_1d(34, length=34 / 64)
+    assert results[0]["lam"] == pytest.approx(lam_oracle, rel=1e-7)
+
+
+def test_picone_check_scans_its_q_grid(tmp_path):
+    result = run_main("picone-check", config("picone-check", q_grid=[1.2, 1.8]), tmp_path)
+    assert [row["q"] for row in result["q_scan"]] == [1.2, 1.8]
+    assert all(row["holds"] for row in result["q_scan"])
 
 
 def test_solve_roundtrip(tmp_path):
@@ -288,6 +314,10 @@ PROBES = [
             "+".join(["x"] * 1000),
         ]
     ],
+    # flags, cell counts and weight gammas of the wrong kind
+    ("eigen", {"negative": 1}, {}, "mode_params.negative"),
+    ("eigen", {}, {"domain": {"kind": "rectangle", "bounds": [0, 1, 0, 1], "resolution": [3]}}, "domain.resolution"),
+    ("solve", {"lam": 3.0}, {"weights": {"m": {"kind": "constant", "value": 1, "gamma": 0.5}}}, "weights.m.gamma"),
 ]
 
 

@@ -125,6 +125,9 @@ def test_mode_params_defaults_match_library_options():
     assert EigenOptions(tol=eigen_mp["tol"], max_outer=eigen_mp["max_outer"], init=eigen_mp["init"]) == EigenOptions()
     crit_mp = parse_config(cfg_text(mode="critval", mode_params={"lam": 1.0})).mode_params
     assert EtaStarOptions(n_starts=crit_mp["n_starts"], max_iter=crit_mp["max_iter"]) == EtaStarOptions()
+    sweep_mp = parse_config(cfg_text(mode="sweep")).mode_params
+    assert SolveOptions(**{k: sweep_mp[k] for k in SOLVE_OPTIONS}) == SolveOptions()
+    assert EtaStarOptions(n_starts=sweep_mp["eta_star_starts"]) == EtaStarOptions()
 
 
 def test_mode_params_typed_and_echoed_as_given():

@@ -87,6 +87,13 @@ def test_empty_admissible_set(interval_256):
         principal_eigenpair(interval_256, Weight.constant(-1.0), 2.0)
 
 
+def test_mask_without_an_interior_vertex_is_empty(interval_256, one):
+    mask = SubdomainMask(interval_256, interval_256.boundary_vertices)
+    with pytest.raises(EmptyAdmissibleSet, match="no interior vertices"):
+        principal_eigenpair(mask, one, 2.0)
+    assert subdomain_eigenvalue(mask, one, 2.0).lam == math.inf
+
+
 def test_subdomain_half_interval(interval_512, one):
     mask = SubdomainMask.from_predicate(interval_512, lambda x: x < 0.5)
     lam_half_oracle, _, _ = oracles.linear_eig_oracle_1d(256, length=0.5)

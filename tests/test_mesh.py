@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plap import InvalidConfig, SubdomainMask, boundary_strip, build_interval, build_rectangle
+from plap import InvalidConfig, Mesh, SubdomainMask, boundary_strip, build_interval, build_rectangle
 
 
 def test_interval_vertices_and_boundary():
@@ -64,6 +64,13 @@ def test_rectangle_rejects_degenerate():
         build_rectangle(0, 0, 0, 1, 2, 2)
     with pytest.raises(InvalidConfig):
         build_rectangle(0, 1, 0, 1, 1, 2)
+
+
+def test_mesh_rejects_a_vertex_in_no_cell():
+    # vertex 3 at x = 2 belongs to no segment of (0, 1)
+    vertices = [[0.0], [0.5], [1.0], [2.0]]
+    with pytest.raises(InvalidConfig, match="vertex 3 lies in no cell"):
+        Mesh(1, vertices, [[0, 1], [1, 2]], [0, 2], (0.0, 1.0))
 
 
 def test_strip_exact_distances():
