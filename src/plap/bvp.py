@@ -76,30 +76,32 @@ solve run as without the rescue, bit for bit.
 
 The ladder's first rungs do not read eta: the lam rungs and (lam, 0) at the
 first smoothing, the unperturbed problem the eta term is switched on from.
-Every cell of one lam row of a sweep runs them alike, so regions.sweep hands
-the row's solves one private store (solve's _prefix) and each start runs
-them once per row.  A later cell copies the stored iterate and replays the
-rung's reason, iterations, norm and the chunk width it ended on.  That is
-exact: Newton is deterministic, and the key, the start's initial nodal
-values and the stages run so far, fixes everything the rung reads.  The
-ladder's results stay bit-identical; the row's first cell pays for the
-shared rungs.
+Every cell of one lam row runs them alike, so _solve_row hands the row's
+solves one private store (solve's _prefix) and each start runs them once
+per row.  regions.sweep solves each of its lam rows there, and
+regions.nonuniformity_experiment its two probes, eta = 0 and eta_small.  A
+later cell copies the stored iterate and replays the rung's reason,
+iterations, norm and the chunk width it ended on.  That is exact: Newton is
+deterministic, and the key, the start's initial nodal values and the stages
+run so far, fixes everything the rung reads.  The ladder's results stay
+bit-identical; the row's first cell pays for the shared rungs.
 
-A sweep row also continues in eta (natural continuation; Allgower & Georg,
+A row also continues in eta (natural continuation; Allgower & Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  It solves the
-row's anchor cell, the eta nearest 0, first, by the ladder alone.  Each
-start of every further cell that converged in the neighbouring cell toward
-the anchor first runs one rung at the final stage from that solution
-(solve's _warm), with the final rung's goal and at most _WARM_NEWTON = 10
-iterations.  A warm rung that converges gives a root of the same final
-residual to newton_tol, but not the ladder's bits, and it may be another
-root than the ladder reaches.  One that fails costs its iterations, and the
-start runs the ladder with the row store, bit-identical to a lone solve.  So
-the anchor column and every start that falls back are bit-identical to
-solving the cell alone; the starts that converge warm are not.  Why the
-cap, on the census rows of tests/test_census_sweep.py: the 122 of 212 warm
-rungs that converged took 3-9 iterations; on the bump rows none of 90
-converged, and without the cap 85 of them ran until max_newton.
+row's anchor cell, the eta nearest 0 (_anchor), first, by the ladder alone,
+then the cells on each side of it, outward.  Each start of every further
+cell that converged in the neighbouring cell toward the anchor first runs
+one rung at the final stage from that solution (solve's _warm), with the
+final rung's goal and at most _WARM_NEWTON = 10 iterations.  A warm rung
+that converges gives a root of the same final residual to newton_tol, but
+not the ladder's bits, and it may be another root than the ladder reaches.
+One that fails costs its iterations, and the start runs the ladder with the
+row store, bit-identical to a lone solve.  So the anchor column and every
+start that falls back are bit-identical to solving the cell alone; the
+starts that converge warm are not.  Why the cap, on the census rows of
+tests/test_census_sweep.py: the 122 of 212 warm rungs that converged took
+3-9 iterations; on the bump rows none of 90 converged, and without the cap
+85 of them ran until max_newton.
 """
 
 from __future__ import annotations
@@ -422,17 +424,17 @@ def solve(spec, init="zero", opts=None, *, _prefix=None, _warm=None):
     spectral parameter sits numerically on an eigenvalue).
 
     _prefix is a private rung store (a dict) for solves that differ only in
-    eta: same mesh, p, q, m, a, f, lam and opts, as in one lam row of
-    regions.sweep (see the module docstring).  It keeps the iterate after
-    each _eta_free rung with the rung's (reason, iters, norm) and the chunk
-    width it ended on (_NewtonDriver.width), keyed by the initial values'
-    bytes and the stages run so far.  A later solve replays
-    the record: its iterations still count in newton_iters, a singular rung
-    still sets resonant and a failed rung still only costs the warm start.
-    Results are bit-identical to solves without a store.
+    eta: same mesh, p, q, m, a, f, lam and opts, the cells of one row
+    (_solve_row; see the module docstring).  It keeps the iterate after each
+    _eta_free rung with the rung's (reason, iters, norm) and the chunk width
+    it ended on (_NewtonDriver.width), keyed by the initial values' bytes
+    and the stages run so far.  A later solve replays the record: its
+    iterations still count in newton_iters, a singular rung still sets
+    resonant and a failed rung still only costs the warm start.  Results are
+    bit-identical to solves without a store.
 
     _warm is a private warm start (a DiscreteFunction or nodal values), the
-    solution of this start in a neighbouring cell of a sweep row.  In place
+    solution of this start in the neighbouring cell of its row.  In place
     of the ladder, one rung at the final stage runs from it, for at most
     _WARM_NEWTON iterations; the outcome of a rung that converges carries
     diagnostics["warm_start"] = True.  When the rung fails, the ladder runs
@@ -571,12 +573,13 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     dedup_tol * (1 + min sup) of each other in the sup norm count as one
     solution.  phi1, and lam1 for an unset opts.lam1, come from
     eigen._principal; when it fails (e.g. m <= 0) the +-t starts are
-    dropped.  _prefix is passed to every solve() (see there).
+    dropped.  _solve_row passes its row's store as _prefix to every solve()
+    (see there).
 
-    _warm maps a start label to that start's outcome in a neighbouring cell
-    of a sweep row; a start found there runs solve() with the outcome's
-    solution as its _warm start.  The result counts the starts that
-    converged from it (warm_starts) and the ones that fell back to the
+    _warm maps a start label to that start's outcome in the neighbouring
+    cell of its row (_solve_row); a start found there runs solve() with the
+    outcome's solution as its _warm start.  The result counts the starts
+    that converged from it (warm_starts) and the ones that fell back to the
     ladder (warm_fallbacks).
     """
     opts = opts or SolveOptions()
@@ -619,3 +622,33 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     offered = sum(label in _warm for label, _ in starts)
     warm_starts = sum(out is not None and "warm_start" in out.diagnostics for _, out, _ in per_start)
     return MultiStartResult(outcomes, per_start, warm_starts, offered - warm_starts)
+
+
+def _anchor(etas):
+    """Index of the eta nearest 0, the lower one on a tie: a row's first cell and regions' eta = 0 column."""
+    return int(np.argmin(np.abs(np.asarray(etas))))
+
+
+def _solve_row(template, lam, etas, opts):
+    """The multi_start_solve result of each cell (lam, eta) of one row, in the order of etas.
+
+    template is a ProblemSpec whose lam/eta fields are ignored.  The anchor
+    cell (_anchor) is solved first, then the cells on each side of it,
+    outward.  All of them share the row's rung store (solve's _prefix), and
+    every cell but the anchor hands each start its converged outcome in the
+    neighbouring cell toward the anchor as a warm start (multi_start_solve's
+    _warm); see the module docstring.
+    """
+    if not etas:
+        return []
+    j0 = _anchor(etas)
+    prefix = {}  # the row's eta-free rungs, run once per start
+    row = [None] * len(etas)
+    for j in (j0, *range(j0 + 1, len(etas)), *range(j0 - 1, -1, -1)):
+        warm = None
+        if j != j0:
+            neighbour = row[j - 1] if j > j0 else row[j + 1]
+            warm = {label: out for label, out, _ in neighbour.per_start if out is not None}
+        spec = template.replace(lam=lam, eta=etas[j])
+        row[j] = multi_start_solve(spec, opts, _prefix=prefix, _warm=warm)
+    return row

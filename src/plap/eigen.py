@@ -33,7 +33,9 @@ import numpy as np
 
 from . import fem
 from .errors import EmptyAdmissibleSet, InvalidConfig, NonConvergence, PlapError
-from .functions import DiscreteFunction, Weight, check_exponents, grad_energy, nodal_values, weight_values
+from .functions import (
+    DiscreteFunction, Weight, check_exponents, grad_energy, nodal_values, weight_values, weighted_power_integral,
+)
 from .mesh import SubdomainMask
 
 __all__ = [
@@ -91,10 +93,6 @@ def _free_vertices(mesh, mask):
         return mesh.interior_vertices
     interior = mesh.interior_vertices
     return interior[mask.indicator()[interior]]
-
-
-def _weighted_mass(mesh, m_vals, values, p):
-    return float(np.dot(mesh.lumped_volumes, m_vals * np.abs(values) ** p))
 
 
 def _eigen_residual(mesh, m_vals, values, lam, p, free):
@@ -169,11 +167,11 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
         u[free] = mesh.distance_to_boundary()[free] * (m_vals[free] > 0)
     else:
         raise InvalidConfig(f"unknown init {opts.init!r}")
-    if _weighted_mass(mesh, m_vals, u, p) <= 0:
+    if weighted_power_integral(m_vals, DiscreteFunction(mesh, u), p) <= 0:
         # fall back to a start supported strictly inside {m > 0}
         u[:] = 0.0
         u[free] = np.maximum(m_vals[free], 0.0)
-    u /= _weighted_mass(mesh, m_vals, u, p) ** (1.0 / p)
+    u /= weighted_power_integral(m_vals, DiscreteFunction(mesh, u), p) ** (1.0 / p)
 
     rq0 = grad_energy(DiscreteFunction(mesh, u), p)
     # indefinite weights need the positivity-preserving shift; the Rayleigh
@@ -211,7 +209,7 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
             goal = min(1e-8 * np.linalg.norm(load), 1e-2 * residual_norm * smax ** (p - 1))
             v = _inner_solve(mesh, op, p, shift, load, u, goal)
         v = np.maximum(v, 0.0)
-        mass = _weighted_mass(mesh, m_vals, v, p)
+        mass = weighted_power_integral(m_vals, DiscreteFunction(mesh, v), p)
         if mass <= 0:
             # outside the admissible cone: rescale by the sup norm and retry
             # from there without updating the quotient
@@ -225,7 +223,7 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
             t, accepted = 0.5, False
             while t > 1e-6:
                 w = np.maximum((1 - t) * u + t * v, 0.0)
-                mass_w = _weighted_mass(mesh, m_vals, w, p)
+                mass_w = weighted_power_integral(m_vals, DiscreteFunction(mesh, w), p)
                 if mass_w > 0:
                     w /= mass_w ** (1.0 / p)
                     rq_w = grad_energy(DiscreteFunction(mesh, w), p)

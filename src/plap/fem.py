@@ -39,7 +39,6 @@ microseconds (one thread, best of 7, the lower of two runs on a shared 2-core
 Xeon host):
 
     mesh                   n=256    24^2    64^2    100^2 (CSC)
-    bincount of blocks        23      92     708     1495
     pairs and product         20      54     388      713
 
 Per-cell gradients come from one gradient matrix per mesh (Gradients): D,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import ProblemSpec, SolveOptions, classify_sign, multi_start_solve
+from .bvp import ProblemSpec, SolveOptions, _anchor, _solve_row, classify_sign, multi_start_solve
 from .critical import eta_star_bound, picone_polynomial_check
 from .eigen import _principal, second_eigenvalue_1d
 from .errors import InvalidConfig, PlapError
@@ -393,20 +393,12 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     in every cell.  A set opts.lam1 stands in for lam1 in the predictions as
     in the solves.
 
-    Each lam row is solved outward from its anchor column, the eta nearest
-    0 (_solve_row).  The cells of one row share a rung store (bvp.solve's
-    _prefix): each start runs the eta-free rungs of its ladder once per row,
-    and every cell goes on from a copy of that iterate with the rungs'
-    iterations counted as its own.  The anchor cell pays for the shared
-    rungs, and the store is dropped after its row.  In every other cell, a
-    start that converged in the neighbouring cell toward the anchor first
-    runs one final-stage rung from that solution (bvp.solve's _warm), and
-    runs the ladder only when that rung fails.  So the anchor column and
-    every start that falls back are bit-identical to solving the cell
-    alone; a start that converges warm solves the cell to newton_tol, but
-    its bits (and possibly its root) are its own.  Each CellRecord counts
-    both kinds (warm_starts, warm_fallbacks), and the summary their totals.
-    RegionMap.cells, and so the CSV, stay in grid order.
+    Each lam row is solved by bvp._solve_row, outward from the eta nearest
+    0, with the eta-free rungs shared and warm starts from the neighbouring
+    cell (see the bvp module docstring).  The anchor column and every start
+    that falls back are bit-identical to solving the cell alone.  Each
+    CellRecord counts the warm_starts and warm_fallbacks, and the summary
+    their totals.  RegionMap.cells, and so the CSV, stay in grid order.
     """
     opts = opts or SolveOptions()
     mesh = template.mesh
@@ -487,35 +479,6 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     return region_map
 
 
-def _anchor(etas):
-    """Index of the eta nearest 0, the lower one on a tie: a sweep row's first cell and _measure's eta = 0 column."""
-    return int(np.argmin(np.abs(np.asarray(etas))))
-
-
-def _solve_row(template, lam, etas, opts):
-    """The multi_start_solve result of each cell (lam, eta) of one row, in the order of etas.
-
-    The anchor cell (_anchor) is solved first, then the cells on each side
-    of it, outward.  All of them share the row's rung store (bvp.solve's
-    _prefix), and every cell but the anchor hands each start its converged
-    outcome in the neighbouring cell toward the anchor as a warm start
-    (multi_start_solve's _warm).
-    """
-    if not etas:
-        return []
-    j0 = _anchor(etas)
-    prefix = {}  # the row's eta-free rungs, run once per start (bvp.solve)
-    row = [None] * len(etas)
-    for j in (j0, *range(j0 + 1, len(etas)), *range(j0 - 1, -1, -1)):
-        warm = None
-        if j != j0:
-            neighbour = row[j - 1] if j > j0 else row[j + 1]
-            warm = {label: out for label, out, _ in neighbour.per_start if out is not None}
-        spec = template.replace(lam=lam, eta=etas[j])
-        row[j] = multi_start_solve(spec, opts, _prefix=prefix, _warm=warm)
-    return row
-
-
 def _measure(region_map):
     """Fill delta_hat_mp, delta_hat_amp and the per-lam eta half-widths."""
     lam1 = region_map.lam1
@@ -573,11 +536,14 @@ def nonuniformity_experiment(
     """Probe how the AMP interval shrinks as the source concentrates.
 
     f_family is a list of (label, Weight) sources, ordered so that supports
-    separate from the eigenfunction mass.  For lam = lam1 + eps_lambda and
-    eta in {0, eta_small} every member is solved by multi-start and the sign
-    classes recorded; for each member the AMP half-width delta_hat (largest
-    contiguous all-negative lam prefix above lam1 at eta = 0) is measured on a
-    shared lam grid.  Requires a >= 0; raises InvalidConfig otherwise.
+    separate from the eigenfunction mass.  At lam = lam1 + eps_lambda each
+    member's probes eta = 0 and eta_small are solved as one row by
+    bvp._solve_row, like a sweep row: the eta_small cell warm-starts from
+    the eta = 0 solutions.  Their sign classes and failed starts are
+    recorded; for each member the AMP half-width delta_hat (largest
+    contiguous all-negative lam prefix above lam1 at eta = 0) is measured on
+    a shared lam grid, one lone multi-start solve per lam.  Requires a >= 0;
+    raises InvalidConfig otherwise.
     """
     solve_opts = opts or SolveOptions()
     a_vals = weight_values(a, mesh)
@@ -590,16 +556,15 @@ def nonuniformity_experiment(
 
     members = []
     for label, f in f_family:
-        entry = {"label": label}
-        prefix = {}  # the two probes share their eta-free rungs (bvp.solve)
-        for eta, key in ((0.0, "classes_eta0"), (eta_small, "classes_eta_small")):
-            spec = ProblemSpec(mesh, p, q, lam_probe, eta, m, a, f)
-            ms = multi_start_solve(spec, solve_opts, _prefix=prefix)
+        spec = ProblemSpec(mesh, p, q, lam_probe, 0.0, m, a, f)
+        entry = {"label": label, "failures": {}}
+        probes = _solve_row(spec, lam_probe, [0.0, eta_small], solve_opts)
+        for key, ms in zip(("classes_eta0", "classes_eta_small"), probes):
             entry[key] = sorted({o.sign_class for o in ms.outcomes})
-            entry.setdefault("failures", {})[key] = len(ms.failures)
+            entry["failures"][key] = len(ms.failures)
 
         def all_negative(lam):
-            ms = multi_start_solve(ProblemSpec(mesh, p, q, lam, 0.0, m, a, f), solve_opts)
+            ms = multi_start_solve(spec.replace(lam=lam), solve_opts)
             return _all_in({o.sign_class for o in ms.outcomes}, _NEGATIVE)
 
         reach = _last_of_run(map(float, lam_scan), all_negative)

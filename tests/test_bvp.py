@@ -9,6 +9,7 @@ from plap import (
     InvalidConfig,
     NonConvergence,
     ProblemSpec,
+    ResonantParameter,
     SolveOptions,
     Weight,
     build_interval,
@@ -23,6 +24,7 @@ from plap import (
     solve,
     sup_norm,
 )
+from plap.fem import EPS_ZERO_FLOOR, smoothed_odd_power_deriv
 
 
 def make_spec(mesh, p=2.0, q=1.5, lam=0.0, eta=0.0, m=1.0, a=1.0, f=1.0):
@@ -233,6 +235,17 @@ def test_multi_start_never_raises_at_resonance(interval_256, pair_p2_256):
     spec = make_spec(interval_256, lam=pair_p2_256.lam)
     ms = multi_start_solve(spec, SolveOptions(lam1=pair_p2_256.lam))
     assert len(ms.per_start) >= 1  # never aborts the batch
+
+
+def test_solve_on_a_singular_linearization_raises_resonant():
+    # the 2-cell interval's one interior vertex has stiffness 4 and lumped mass
+    # 1/2, and the power term's slope at 0 is d, so at p = 2, eta = 0 the
+    # Jacobian is 4 - lam d / 2.  d rounds to 1 - 2^-53: lam = 8 ends the rung
+    # by a line search, and lam = 8 / d makes the Jacobian exactly 0
+    d = float(smoothed_odd_power_deriv(0.0, 2.0, EPS_ZERO_FLOOR))
+    spec = make_spec(build_interval(0.0, 1.0, 2), lam=8.0 / d)
+    with pytest.raises(ResonantParameter, match="Newton stalled with singular linearization"):
+        solve(spec)
 
 
 def test_multi_start_without_phi1_solves_its_own_eigenpair(interval_256, pair_p3_256):

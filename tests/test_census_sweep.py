@@ -2,7 +2,7 @@
 
 test_census.py solves each cell alone.  A sweep solves each lam row outward
 from its eta = 0 column, and each start of a later cell first runs one rung
-from its solution in the neighbouring cell (regions._solve_row).  Here each
+from its solution in the neighbouring cell (bvp._solve_row).  Here each
 census grid's rows are swept over eta in {-0.5, 0, 0.2} with the census
 options (n_random = 0, lam1 given).  Every census cell must keep its recorded
 solutions; a gained solution must pass the residual check at newton_tol and
@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
-import plap.regions as regions
+import plap.bvp as bvp
 from plap import ProblemSpec, SolveOptions, Weight, build_rectangle, principal_eigenpair, sweep
 from plap.bvp import _NewtonDriver, residual
 from test_census import CENSUS, P, Q, WEIGHTS, _match, _weight
@@ -217,14 +217,14 @@ def test_whole_default_sweep_keeps_its_census(grid, interval_256, square_24, mon
 def _spy_cells(monkeypatch):
     """(lam, eta) -> (spec, result) of every cell a sweep solves from here on."""
     cells = {}
-    inner = regions.multi_start_solve
+    inner = bvp.multi_start_solve
 
     def spy(spec, opts=None, **kw):
         ms = inner(spec, opts, **kw)
         cells[(spec.lam, spec.eta)] = (spec, ms)
         return ms
 
-    monkeypatch.setattr(regions, "multi_start_solve", spy)
+    monkeypatch.setattr(bvp, "multi_start_solve", spy)
     return cells
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from plap.cli import main
+from plap.fem import EPS_ZERO_FLOOR, smoothed_odd_power_deriv
 
 BASE = {
     "domain": {"kind": "interval", "bounds": [0, 1], "resolution": 64},
@@ -244,6 +245,16 @@ def test_exit_3_nonconvergence(tmp_path):
     cfg["p"] = 3.0
     proc = run_cli("eigen", cfg, tmp_path)
     assert proc.returncode == 3
+
+
+def test_exit_3_resonant_solve(tmp_path):
+    # on the 2-cell interval at p = 2 the Jacobian 4 - lam d / 2 is exactly 0 at
+    # lam = 8 / d, d the smoothed power's slope at 0 (as in test_bvp)
+    cfg = config("solve", lam=8.0 / float(smoothed_odd_power_deriv(0.0, 2.0, EPS_ZERO_FLOOR)))
+    cfg["domain"]["resolution"] = 2
+    proc = run_cli("solve", cfg, tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "singular linearization" in proc.stderr
 
 
 def test_exit_4_io_error(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from plap import (
     solve,
     sweep,
 )
+from plap.report import write_report
 
 
 def template(mesh, p=2.0, q=1.5, m=1.0, a=1.0, f=1.0):
@@ -130,6 +132,26 @@ def test_sweep_handles_empty_grid(interval_256):
     assert region_map.cells == {}
 
 
+def test_sweep_with_an_empty_eta_grid_solves_no_cell(interval_256, monkeypatch):
+    calls = _spy_cells(monkeypatch)
+    region_map = sweep(template(interval_256), [1.0, 2.0], [], SolveOptions())
+    assert region_map.cells == {} and calls == []
+    assert math.isnan(region_map.delta_hat_mp) and region_map.eta_bounds == {}
+
+
+def test_sweep_without_an_eta_zero_column_measures_nothing(interval_256, pair_p2_256, tmp_path):
+    # the widths are measured on the eta = 0 column; this grid has none
+    lam1 = pair_p2_256.lam
+    opts = SolveOptions(t_grid=(1.0,), n_random=0)
+    region_map = sweep(template(interval_256), [0.5 * lam1, 1.5 * lam1], [-0.2, 0.2], opts)
+    assert sorted(region_map.cells) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert math.isnan(region_map.delta_hat_mp) and math.isnan(region_map.delta_hat_amp)
+    assert region_map.eta_bounds == {}
+    write_report(region_map, tmp_path / "sweep_report.json")
+    result = json.loads((tmp_path / "sweep_report.json").read_text())["result"]
+    assert (result["delta_hat_mp"], result["delta_hat_amp"], result["eta_bounds"]) == ("nan", "nan", {})
+
+
 def test_sweep_amp_interval_matches_linear_oracle(interval_512, pair_p2_512):
     lam1 = pair_p2_512.lam
     lam_grid = np.linspace(1.1 * lam1, 3.6 * math.pi**2, 5)
@@ -215,21 +237,21 @@ def test_eigensolve_programming_errors_propagate(monkeypatch):
 
 
 def _spy_cells(monkeypatch):
-    """Record (spec, opts, result, warm) of every multi_start_solve that regions makes, in call order.
+    """Record (spec, opts, result, warm) of every row cell bvp._solve_row solves, in call order.
 
-    warm is the call's _warm map (start label -> neighbouring outcome), None for none.
+    warm is the call's _warm map (start label -> neighbouring outcome), None for the anchor cell.
     """
-    import plap.regions as regions
+    import plap.bvp as bvp
 
     calls = []
-    inner = regions.multi_start_solve
+    inner = bvp.multi_start_solve
 
     def spy(spec, opts=None, **kw):
         ms = inner(spec, opts, **kw)
         calls.append((spec, opts, ms, kw.get("_warm")))
         return ms
 
-    monkeypatch.setattr(regions, "multi_start_solve", spy)
+    monkeypatch.setattr(bvp, "multi_start_solve", spy)
     return calls
 
 
@@ -261,6 +283,38 @@ def _assert_solves(spec, opts, out):
     assert norm <= goal, f"{out.start_strategy}: residual {norm:.3e} > {goal:.3e}"
 
 
+def _assert_row_rule(calls):
+    """The row rule on _spy_cells' record; returns the number of starts that converged warm.
+
+    The anchor cell and every start that falls back match the lone solve bit
+    for bit, every start that converges warm passes the residual check at
+    newton_tol, and no solution of the lone solve is lost.
+    """
+    warm_converged = 0
+    for spec, solve_opts, ms, warm in calls:
+        alone = multi_start_solve(spec, solve_opts)
+        if warm is None:
+            _assert_bit_identical(ms, alone)
+            continue
+        assert ms.warm_starts + ms.warm_fallbacks == len(warm)
+        assert [s for s, _, _ in ms.per_start] == [s for s, _, _ in alone.per_start]
+        converged = 0
+        for shared, lone in zip(ms.per_start, alone.per_start):
+            out = shared[1]
+            if out is not None and out.diagnostics.get("warm_start"):
+                assert shared[0] in warm
+                converged += 1
+                _assert_solves(spec, solve_opts, out)
+            else:
+                _assert_same_start(shared, lone)
+        assert converged == ms.warm_starts
+        warm_converged += converged
+        found = [(o.sign_class, o.sup_norm) for o in ms]
+        for o in alone:
+            assert any(c == o.sign_class and abs(s - o.sup_norm) <= 1e-6 for c, s in found), o.start_strategy
+    return warm_converged
+
+
 @pytest.mark.parametrize(
     "mesh, p, lam_fracs",
     [
@@ -280,30 +334,8 @@ def test_sweep_rows_match_independent_cells(mesh, p, lam_fracs, monkeypatch):
     opts = SolveOptions(t_grid=(0.5, 2.0), n_random=2)
     sweep(template(mesh, p=p), [f * lam1 for f in lam_fracs], [-0.3, 0.0, 0.3], opts)
     assert len(calls) == 3 * len(lam_fracs)
-    warm_converged = 0
-    for spec, solve_opts, ms, warm in calls:
-        alone = multi_start_solve(spec, solve_opts)
-        if spec.eta == 0.0:
-            assert warm is None
-            _assert_bit_identical(ms, alone)
-            continue
-        assert ms.warm_starts + ms.warm_fallbacks == len(warm)
-        assert [s for s, _, _ in ms.per_start] == [s for s, _, _ in alone.per_start]
-        converged = 0
-        for shared, lone in zip(ms.per_start, alone.per_start):
-            out = shared[1]
-            if out is not None and out.diagnostics.get("warm_start"):
-                assert shared[0] in warm
-                converged += 1
-                _assert_solves(spec, solve_opts, out)
-            else:
-                _assert_same_start(shared, lone)
-        assert converged == ms.warm_starts
-        warm_converged += converged
-        found = [(o.sign_class, o.sup_norm) for o in ms]
-        for o in alone:
-            assert any(c == o.sign_class and abs(s - o.sup_norm) <= 1e-6 for c, s in found), o.start_strategy
-    assert warm_converged > 0
+    assert all((warm is None) == (spec.eta == 0.0) for spec, _, _, warm in calls)
+    assert _assert_row_rule(calls) > 0
 
 
 def test_failed_warm_rungs_fall_back_to_the_lone_ladder(interval_256, pair_p3_256, monkeypatch):
@@ -346,8 +378,8 @@ def test_failed_warm_rungs_fall_back_to_the_lone_ladder(interval_256, pair_p3_25
 
 
 def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
+    import plap.bvp as bvp
     import plap.fem as fem
-    import plap.regions as regions
 
     flux_calls = [0]  # residual evaluations: one per vector, one per row of a stack
     p_flux = fem.p_flux
@@ -357,7 +389,7 @@ def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
         return p_flux(mesh, values, *args, **kw)
 
     cell_cost = []  # (eta, residual evaluations) per cell, in solve order
-    inner = regions.multi_start_solve
+    inner = bvp.multi_start_solve
 
     def costed(spec, *args, **kw):
         before = flux_calls[0]
@@ -366,7 +398,7 @@ def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
         return ms
 
     monkeypatch.setattr(fem, "p_flux", counting_p_flux)
-    monkeypatch.setattr(regions, "multi_start_solve", costed)
+    monkeypatch.setattr(bvp, "multi_start_solve", costed)
     lam = 0.95 * pair_p3_256.lam
     etas = [-0.3, 0.0, 0.3]
     solve_opts = SolveOptions(t_grid=(0.5, 2.0), n_random=0)
@@ -386,18 +418,30 @@ def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
     assert sum(cost for _, cost in in_row) < sum(alone.values())
 
 
-def test_nonuniformity_probes_match_independent_cells(interval_256, one, monkeypatch):
-    # p = 3: the eta = 0 and eta_small probes share the (lam, 0) rung per start
+@pytest.mark.parametrize(
+    "n, p, bump, eps_lambda, opts, min_warm",
+    [
+        (64, 2.0, "bump(0.958, 0.03)", 1.0, SolveOptions(t_grid=(1.0,), n_random=0), 1),
+        (256, 3.0, "bump(0.9, 0.05)", 0.5, SolveOptions(t_grid=(0.5, 2.0), n_random=1), 0),
+    ],
+    ids=["benchmark-probe", "p3-bump"],
+)
+def test_nonuniformity_probes_keep_the_row_rule(n, p, bump, eps_lambda, opts, min_warm, one, monkeypatch):
+    # the eta = 0 and eta_small probes are one row: the eta_small cell warm
+    # starts from the eta = 0 solutions, as every sweep cell does; on the
+    # p = 3 bump row no warm rung converges, so every start falls back
     calls = _spy_cells(monkeypatch)
-    family = [("b1", Weight.expression("bump(0.9, 0.05)"))]
     report = nonuniformity_experiment(
-        interval_256, 3.0, 1.5, one, one, 0.5, family,
-        eta_small=0.05, n_lam=2, delta_span=1.0,
-        opts=SolveOptions(t_grid=(0.5, 2.0), n_random=1),
+        build_interval(0.0, 1.0, n), p, 1.5, one, one, eps_lambda, [("b1", Weight.expression(bump))],
+        eta_small=0.05, n_lam=2, delta_span=1.0, opts=opts,
     )
-    assert len(report.members) == 1 and len(calls) >= 2
-    for spec, solve_opts, ms, _ in calls:
-        _assert_bit_identical(ms, multi_start_solve(spec, solve_opts))
+    assert [(spec.lam, spec.eta, warm is None) for spec, _, _, warm in calls] == [
+        (report.lam_probe, 0.0, True), (report.lam_probe, 0.05, False),
+    ]
+    member = report.members[0]
+    for key, (_, _, ms, _) in zip(("classes_eta0", "classes_eta_small"), calls):
+        assert member[key] == sorted({o.sign_class for o in ms})
+    assert _assert_row_rule(calls) >= min_warm
 
 
 def _count_eigensolves(monkeypatch):
