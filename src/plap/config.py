@@ -22,13 +22,14 @@ Every error names the field path, e.g. mode_params.family[0].radius.
 
 Weights may be numbers (constants), strings (expressions over x, y), or
 objects: {"kind": "nodal", "values": [...]} / {"kind": "nodal", "path": ...}
-(a JSON file holding the value list) / {"kind": "constant", "value": c} /
-{"kind": "expression", "src": ...}, with an optional "gamma" >= 1 that is
-only echoed.  Numbers must be finite, and a bool is never read as a number;
-build_mesh checks that expression weights are finite at every vertex.  The
-report echo carries the parsed domain, exponents, seed and output block, and
-the weights and mode_params exactly as given.  Seeds default to a fixed
-constant so bare runs reproduce.
+(a JSON file holding the value list; a nodal weight takes values or path,
+not both) / {"kind": "constant", "value": c} / {"kind": "expression",
+"src": ...}, with an optional "gamma" >= 1 that is only echoed.  Numbers
+must be finite, and a bool is never read as a number; build_mesh checks
+that expression weights are finite at every vertex.  The report echo carries
+the parsed domain, exponents, seed and output block, and the weights and
+mode_params exactly as given.  Seeds default to a fixed constant so bare
+runs reproduce.
 """
 
 from __future__ import annotations
@@ -324,6 +325,8 @@ def _parse_weight(raw, path, base_dir):
         return Weight("expression", spec["src"])
     values = spec["values"]
     if spec["path"] is not None:
+        if values is not None:
+            _fail(path, "a nodal weight takes values or path, not both")
         file_path = os.path.join(base_dir, spec["path"])
         if not os.path.exists(file_path):
             _fail(f"{path}.path", f"referenced file {file_path!r} does not exist")

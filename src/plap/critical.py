@@ -30,17 +30,19 @@ about 70 iterations, and max_iter is only a cap.
 All starts descend in lockstep as rows of one (n_starts, n_vertices) array,
 in rounds.  In each round the rows that took a step in the last round get a
 new direction from one stacked fem.p_flux call, and every live row then
-makes one line-search trial, evaluated as one stacked energy over the rows.
-What is shared: the gradient kernel calls, the stiffness K, and one solve
-with K (fem.stiffness_solver: closed form on a rectangle grid, one factor
-of K elsewhere) that serves every row whose active set is empty as one
-multi-right-hand-side solve.  What each row keeps: its step size, its
+makes one line-search trial, normalized and evaluated over all the rows at
+once.  What is shared: the gradient kernel calls, the stiffness K, and one
+solve with K (fem.stiffness_solver: closed form on a rectangle grid, one
+factor of K elsewhere) that serves every row whose active set is empty as
+one multi-right-hand-side solve.  What each row keeps: its step size, its
 accept/reject test, its max_iter count, its zero-quotient exit and, while
 its active set is not empty, the factor of that set.  A row leaves the
-array when it stops.  The per-row scalars (the weighted sums, the
-normalization and the quotient) use the BLAS dot and the float powers of a
-single start, not numpy's vectorized ones, which differ in the last bit:
-each row then makes the same arithmetic as its start descending alone.
+array when it stops.  The rows do not interact: every per-row reduction
+(the gradient energy and the weighted sums) is a numpy sum along one
+C-contiguous row, and every other step is elementwise, so a row's numbers
+do not depend on which other rows share the array.  A matrix-vector product
+would not do: BLAS dgemv need not give a row the bits it gives that row
+alone.
 
 The closed-form lower bound
 
@@ -115,13 +117,14 @@ class EtaStarResult:
 def _quotient(p, q, h_lam, f_term, denom):
     """The eta* quotient C(p,q) h_lam^alpha f_term^beta / denom, alpha = (q-1)/(p-1), beta = (p-q)/(p-1).
 
-    +inf when denom <= 0 (off the cone), else 0 when h_lam <= 0 or f_term <= 0.
+    Elementwise over arrays (or floats) of one shape: +inf where denom <= 0
+    (off the cone), else 0 where h_lam <= 0 or f_term <= 0.
     """
-    if denom <= 0.0:
-        return math.inf
-    if h_lam <= 0.0 or f_term <= 0.0:
-        return 0.0
-    return picone_constant(p, q) * h_lam ** ((q - 1.0) / (p - 1.0)) * f_term ** ((p - q) / (p - 1.0)) / denom
+    on_cone = denom > 0.0
+    inside = on_cone & (h_lam > 0.0) & (f_term > 0.0)
+    h, f, d = (np.where(inside, x, 1.0) for x in (h_lam, f_term, denom))
+    g = picone_constant(p, q) * h ** ((q - 1.0) / (p - 1.0)) * f ** ((p - q) / (p - 1.0)) / d
+    return np.where(inside, g, np.where(on_cone, 0.0, math.inf))
 
 
 def eta_star_objective(mesh, m, a, f, p, q, lam, u):
@@ -129,7 +132,7 @@ def eta_star_objective(mesh, m, a, f, p, q, lam, u):
     u = u.with_values(np.maximum(u.values, 0.0))
     h_lam = grad_energy(u, p) - lam * weighted_power_integral(m, u, p)
     f_term = weighted_power_integral(f, u, 1.0, signed=True)
-    return _quotient(p, q, h_lam, f_term, weighted_power_integral(a, u, q))
+    return float(_quotient(p, q, h_lam, f_term, weighted_power_integral(a, u, q)))
 
 
 class _Preconditioner:
@@ -180,17 +183,14 @@ class _Preconditioner:
             self.pinned.pop(row, None)
 
 
-def _row_dots(weights, rows):
-    """np.dot(weights, row) for every row, each the BLAS dot a single start takes."""
-    return np.array([np.dot(weights, row) for row in rows])
-
-
 def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
     """Sobolev-preconditioned projected descent of G from every start, in lockstep.
 
     starts is an (n_starts, n_vertices) array.  Returns (G, nodal values,
     descent iterations), one entry or row per start; the iterations count the
-    gradient evaluations of that start, at most max_iter.
+    gradient evaluations of that start, at most max_iter.  A start with zero
+    gradient energy keeps G = +inf and takes no step.  Each row's result is
+    bit for bit that of its start descending alone.
     """
     free = mesh.interior_vertices
     lump = mesh.lumped_volumes
@@ -198,33 +198,29 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
     alpha = (q - 1.0) / (p - 1.0)
     beta = (p - q) / (p - 1.0)
     precondition = _Preconditioner(mesh)
+    grad_f = lump * f_vals
+    lam_m = lam * lump * m_vals
+    lump_a = lump * a_vals
+    a_q = q * lump * a_vals
 
-    def energy(vals):
-        g = kernel.gradient(vals)
-        return _row_dots(mesh.cell_volumes, np.sqrt(kernel.dot(g, g)) ** p)
-
-    def normalized(u, e):
-        # the rows of u scaled to unit gradient energy (e before scaling), with G and its pieces there
-        u = u / np.array([x ** (1.0 / p) for x in e.tolist()])[:, None]
-        h_lam = 1.0 - lam * _row_dots(lump, m_vals * u**p)
-        f_term = _row_dots(lump, f_vals * u)
-        denom = _row_dots(lump, a_vals * u**q)
-        g = [_quotient(p, q, *pieces) for pieces in zip(h_lam.tolist(), f_term.tolist(), denom.tolist())]
-        return u, np.array(g), h_lam, f_term, denom
+    def normalized(u):
+        # u's rows scaled to unit gradient energy, and the rows (G, h_lam, f_term, denom) there;
+        # a zero row stays zero, with denom = 0 and so G = +inf
+        g = kernel.gradient(u)
+        e = (mesh.cell_volumes * np.sqrt(kernel.dot(g, g)) ** p).sum(axis=1)
+        u = u / np.where(e > 0.0, e, 1.0)[:, None] ** (1.0 / p)
+        h_lam = 1.0 - (lam_m * u**p).sum(axis=1)
+        f_term = (grad_f * u).sum(axis=1)
+        denom = (lump_a * u**q).sum(axis=1)
+        return u, np.array([_quotient(p, q, h_lam, f_term, denom), h_lam, f_term, denom])
 
     n_rows = len(starts)
     vals = np.maximum(starts, 0.0)
     vals[:, mesh.boundary_vertices] = 0.0
-    value = np.full(n_rows, math.inf)
-    h_lam, f_term, denom = np.zeros(n_rows), np.zeros(n_rows), np.zeros(n_rows)
-    e = energy(vals)
-    live = np.flatnonzero(e > 0.0)
-    vals[live], value[live], h_lam[live], f_term[live], denom[live] = normalized(vals[live], e[live])
-    live = live[np.isfinite(value[live]) & (value[live] != 0.0)]
+    vals, state = normalized(vals)
+    value = state[0]  # a view: G of every row
+    live = np.flatnonzero(np.isfinite(value) & (value != 0.0))
 
-    grad_f = lump * f_vals
-    lam_m = lam * lump * m_vals
-    a_q = q * lump * a_vals
     step = np.ones(n_rows)
     iterations = np.zeros(n_rows, dtype=np.int64)
     direction = np.zeros((n_rows, mesh.n_vertices))
@@ -244,30 +240,22 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
             # nodal gradient of G, one row per start
             grad_h = p * (fem.p_flux(mesh, u, p, 0.0) - lam_m * u ** (p - 1.0))
             grad_d = a_q * u ** (q - 1.0)
-            g, h, f, d = (x[new, None] for x in (value, h_lam, f_term, denom))
+            g, h, f, d = state[:, new, None]
             raw = (g * (alpha * grad_h / h + beta * grad_f / f - grad_d / d))[:, free]
             # active: u = 0 and the step would push u below zero; those vertices stay put
             active = (u[:, free] == 0.0) & (raw > 0.0)
             direction[np.ix_(new, free)] = precondition(new, raw, active)
 
         # one line-search trial per live row
-        trial = np.maximum(vals[live] - step[live, None] * direction[live], 0.0)
-        e = energy(trial)
-        positive = e > 0.0
-        rows = live[positive]
-        trial, g_t, h_t, f_t, d_t = normalized(trial[positive], e[positive])
-        g = value[rows]
+        trial, trial_state = normalized(np.maximum(vals[live] - step[live, None] * direction[live], 0.0))
+        g, g_t = value[live], trial_state[0]
         accept = g_t < g - 1e-14 * (1.0 + np.abs(g))
         took = accept | (g_t == 0.0)
-        took_rows = rows[took]
-        vals[took_rows] = trial[took]
-        value[took_rows] = g_t[took]
-        h_lam[took_rows], f_term[took_rows], denom[took_rows] = h_t[took], f_t[took], d_t[took]
-        factor = np.full(len(live), 0.5)
-        factor[np.flatnonzero(positive)[accept]] = 1.3
-        step[live] *= factor
-        fresh[rows[accept]] = True
-        step[took_rows[g_t[took] == 0.0]] = 0.0  # a zero quotient ends the start
+        rows = live[took]
+        vals[rows], state[:, rows] = trial[took], trial_state[:, took]
+        step[live] *= np.where(accept, 1.3, 0.5)
+        fresh[live[accept]] = True
+        step[rows[g_t[took] == 0.0]] = 0.0  # a zero quotient ends the start
     return value, vals, iterations
 
 

@@ -459,13 +459,13 @@ def p_flux_jacobian(op, values, p, eps):
     gg = op.entries[0] * g[0]  # entry (i, c) is grad hat_i . grad u on cell c
     for ek, gk in zip(op.entries[1:], g[1:]):
         gg += ek * gk
-    kappa = g2 ** (0.5 * (p - 2))
+    kap = kappa(g2, p, eps)
     # the anisotropic part needs g2 > 0 (g2 = 0 is degenerate for p > 2)
-    ratio = np.where(g2 > 0, (p - 2.0) * kappa / np.where(g2 > 0, g2, 1.0), 0.0)
+    ratio = np.where(g2 > 0, (p - 2.0) * kap / np.where(g2 > 0, g2, 1.0), 0.0)
     i, j = op.pairs
     terms = gg[i] * gg[j]
     terms *= op.volumes * ratio
-    terms += kappa * op.gram
+    terms += kap * op.gram
     return op.assemble(terms)
 
 

@@ -329,6 +329,8 @@ PROBES = [
     ("eigen", {"negative": 1}, {}, "mode_params.negative"),
     ("eigen", {}, {"domain": {"kind": "rectangle", "bounds": [0, 1, 0, 1], "resolution": [3]}}, "domain.resolution"),
     ("solve", {"lam": 3.0}, {"weights": {"m": {"kind": "constant", "value": 1, "gamma": 0.5}}}, "weights.m.gamma"),
+    # a nodal weight with both its values and a file
+    ("solve", {"lam": 3.0}, {"weights": {"m": 1, "f": {"kind": "nodal", "values": [0, 5, 5, 5, 0], "path": "w.json"}}}, "weights.f"),
 ]
 
 
