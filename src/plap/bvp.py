@@ -89,19 +89,25 @@ bit-identical; the row's first cell pays for the shared rungs.
 A row also continues in eta (natural continuation; Allgower & Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  It solves the
 row's anchor cell, the eta nearest 0 (_anchor), first, by the ladder alone,
-then the cells on each side of it, outward.  Each start of every further
-cell that converged in the neighbouring cell toward the anchor first runs
-one rung at the final stage from that solution (solve's _warm), with the
-final rung's goal and at most _WARM_NEWTON = 10 iterations.  A warm rung
-that converges gives a root of the same final residual to newton_tol, but
-not the ladder's bits, and it may be another root than the ladder reaches.
-One that fails costs its iterations, and the start runs the ladder with the
-row store, bit-identical to a lone solve.  So the anchor column and every
-start that falls back are bit-identical to solving the cell alone; the
-starts that converge warm are not.  Why the cap, on the census rows of
-tests/test_census_sweep.py: the 122 of 212 warm rungs that converged took
-3-9 iterations; on the bump rows none of 90 converged, and without the cap
-85 of them ran until max_newton.
+then the cells on each side of it, outward.  Continuation follows
+solutions, not starts: a cell's starts mostly reach one or two of them.  So
+each distinct solution of the neighbouring cell toward the anchor is
+continued once.  Every start that converged there is handed the solution
+its dedup matched, as the first start that found it reached it
+(MultiStartResult.matched), and first runs one rung at the final stage from
+it (solve's _warm), with the final rung's goal and at most _WARM_NEWTON =
+10 iterations.  The row store keeps that rung too, keyed by the warm
+start's bytes and the final stage, which with a fresh driver fix everything
+it reads, so the starts of one solution share one rung and its bits.  A
+warm rung that converges gives a root of the same final residual to
+newton_tol, but not the ladder's bits, and it may be another root than the
+ladder reaches.  One that fails costs its iterations once, and each start
+of it runs its own ladder with the row store, bit-identical to a lone
+solve.  So the anchor column and every start that falls back are
+bit-identical to solving the cell alone; the starts that converge warm are
+not.  Why the cap, on the census rows of tests/test_census_sweep.py: the 14
+of 26 warm rungs that converged took 3-9 iterations; on the bump rows none
+of 12 converged, and without the cap 11 of them ran until max_newton.
 """
 
 from __future__ import annotations
@@ -434,11 +440,14 @@ def solve(spec, init="zero", opts=None, *, _prefix=None, _warm=None):
     bit-identical to solves without a store.
 
     _warm is a private warm start (a DiscreteFunction or nodal values), the
-    solution of this start in the neighbouring cell of its row.  In place
-    of the ladder, one rung at the final stage runs from it, for at most
-    _WARM_NEWTON iterations; the outcome of a rung that converges carries
-    diagnostics["warm_start"] = True.  When the rung fails, the ladder runs
-    from init as without _warm, and the result is bit-identical to it.
+    solution in the neighbouring cell of its row that this start's solution
+    there matched.  In place of the ladder, one rung at the final stage runs
+    from it, for at most _WARM_NEWTON iterations; the outcome of a rung that
+    converges carries diagnostics["warm_start"] = True.  With _prefix, the
+    rung is kept there under the warm start's bytes and the final stage, and
+    a later start with the same warm start replays it, as the eta-free rungs
+    are replayed.  When the rung fails, the ladder runs from init as without
+    _warm, and the result is bit-identical to it.
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
@@ -453,8 +462,15 @@ def solve(spec, init="zero", opts=None, *, _prefix=None, _warm=None):
     stages = _continuation_stages(spec, opts.lam1)
     if _warm is not None:
         warm = nodal_values(_warm, mesh, "warm start").copy()
-        driver = _NewtonDriver(spec, opts.lam1)
-        reason, iters, rn = driver.newton(warm, *stages[-1], opts.newton_tol, _WARM_NEWTON)
+        key = (warm.tobytes(), stages[-1]) if _prefix is not None else None
+        if key is not None and key in _prefix:
+            stored, reason, iters, rn = _prefix[key]
+            warm[:] = stored
+        else:
+            driver = _NewtonDriver(spec, opts.lam1)
+            reason, iters, rn = driver.newton(warm, *stages[-1], opts.newton_tol, _WARM_NEWTON)
+            if key is not None:
+                _prefix[key] = (warm.copy(), reason, iters, rn)
         if reason == "converged":
             outcome = _outcome(spec, warm, rn, iters, 1, False)
             outcome.diagnostics["warm_start"] = True
@@ -541,16 +557,20 @@ class MultiStartResult:
 
     Iterating yields the distinct outcomes (the deduplicated solution set);
     per_start has one (strategy, outcome_or_None, error_message) triple per
-    attempted start, preserving start order.  warm_starts and warm_fallbacks
-    count the starts that converged from a neighbouring cell's solution and
-    the ones that fell back to the ladder (multi_start_solve's _warm).
+    attempted start, preserving start order.  matched maps the label of
+    each converged start to the distinct outcome its dedup matched, which is
+    its own outcome when it found that solution first.  warm_starts and
+    warm_fallbacks count the starts that converged from a neighbouring
+    cell's solution and the ones that fell back to the ladder
+    (multi_start_solve's _warm).
     """
 
-    def __init__(self, outcomes, per_start, warm_starts=0, warm_fallbacks=0):
+    def __init__(self, outcomes, per_start, warm_starts=0, warm_fallbacks=0, matched=None):
         self.outcomes = outcomes
         self.per_start = per_start
         self.warm_starts = warm_starts
         self.warm_fallbacks = warm_fallbacks
+        self.matched = matched or {}
 
     @property
     def failures(self):
@@ -576,11 +596,13 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     dropped.  _solve_row passes its row's store as _prefix to every solve()
     (see there).
 
-    _warm maps a start label to that start's outcome in the neighbouring
-    cell of its row (_solve_row); a start found there runs solve() with the
-    outcome's solution as its _warm start.  The result counts the starts
-    that converged from it (warm_starts) and the ones that fell back to the
-    ladder (warm_fallbacks).
+    _warm maps a start label to the distinct outcome that start matched in
+    the neighbouring cell of its row (that cell's matched; _solve_row); a
+    start found there runs solve() with the outcome's solution as its _warm
+    start, so starts that matched one outcome share its warm rung through
+    _prefix.  The result counts the starts that converged from it
+    (warm_starts) and the ones that fell back to the ladder
+    (warm_fallbacks).
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
@@ -602,6 +624,7 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     _warm = _warm or {}
     per_start = []
     outcomes = []
+    matched = {}  # converged start's label -> the kept outcome its dedup matched
     for label, init in starts:
         neighbour = _warm.get(label)
         try:
@@ -611,17 +634,18 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
             continue
         out.start_strategy = label
         per_start.append((label, out, ""))
-        duplicate = False
-        for kept in outcomes:
-            gap = sup_norm(out.u - kept.u)
-            if gap <= opts.dedup_tol * (1.0 + min(out.sup_norm, kept.sup_norm)):
-                duplicate = True
+        kept = out
+        for other in outcomes:
+            gap = sup_norm(out.u - other.u)
+            if gap <= opts.dedup_tol * (1.0 + min(out.sup_norm, other.sup_norm)):
+                kept = other
                 break
-        if not duplicate:
+        else:
             outcomes.append(out)
+        matched[label] = kept
     offered = sum(label in _warm for label, _ in starts)
     warm_starts = sum(out is not None and "warm_start" in out.diagnostics for _, out, _ in per_start)
-    return MultiStartResult(outcomes, per_start, warm_starts, offered - warm_starts)
+    return MultiStartResult(outcomes, per_start, warm_starts, offered - warm_starts, matched)
 
 
 def _anchor(etas):
@@ -635,9 +659,11 @@ def _solve_row(template, lam, etas, opts):
     template is a ProblemSpec whose lam/eta fields are ignored.  The anchor
     cell (_anchor) is solved first, then the cells on each side of it,
     outward.  All of them share the row's rung store (solve's _prefix), and
-    every cell but the anchor hands each start its converged outcome in the
-    neighbouring cell toward the anchor as a warm start (multi_start_solve's
-    _warm); see the module docstring.
+    every cell but the anchor hands each start that converged in the
+    neighbouring cell toward the anchor the distinct outcome it matched
+    there (MultiStartResult.matched) as a warm start (multi_start_solve's
+    _warm), so each distinct solution runs one warm rung; see the module
+    docstring.
     """
     if not etas:
         return []
@@ -647,8 +673,7 @@ def _solve_row(template, lam, etas, opts):
     for j in (j0, *range(j0 + 1, len(etas)), *range(j0 - 1, -1, -1)):
         warm = None
         if j != j0:
-            neighbour = row[j - 1] if j > j0 else row[j + 1]
-            warm = {label: out for label, out, _ in neighbour.per_start if out is not None}
+            warm = (row[j - 1] if j > j0 else row[j + 1]).matched
         spec = template.replace(lam=lam, eta=etas[j])
         row[j] = multi_start_solve(spec, opts, _prefix=prefix, _warm=warm)
     return row

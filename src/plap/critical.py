@@ -22,10 +22,13 @@ free vertices except those where u = 0 and the nodal gradient is positive
 which keeps the scaling valid on the cone.  Each trial is clamped to u >= 0
 and renormalized to unit gradient energy, accepted when it lowers G by
 1e-14 (1 + |G|), and the step grows by 1.3 after an accepted trial and
-halves after a rejected one.  A start stops when no step above 1e-14
-lowers G; the scaling removes the mesh dependence of plain projected
-gradient, so on the 256-cell interval at p = 3 every start stops within
-about 70 iterations, and max_iter is only a cap.
+halves after a rejected one.  A start stops once its step is at most
+max(1e-14, 2^-20 times its step after its last accepted trial, or its first
+step before one): twenty rejections in a row, where a stop at 1e-14 alone
+spent about 44 trials confirming it.  The scaling removes the mesh
+dependence of plain projected gradient, so on the 256-cell interval at
+p = 3 every start stops within about 70 iterations, and max_iter is only a
+cap.
 
 All starts descend in lockstep as rows of one (n_starts, n_vertices) array,
 in rounds.  In each round the rows that took a step in the last round get a
@@ -222,12 +225,14 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
     live = np.flatnonzero(np.isfinite(value) & (value != 0.0))
 
     step = np.ones(n_rows)
+    accepted_step = np.ones(n_rows)  # each row's step after its last accepted trial, its first step before one
     iterations = np.zeros(n_rows, dtype=np.int64)
     direction = np.zeros((n_rows, mesh.n_vertices))
     fresh = np.ones(n_rows, dtype=bool)  # the row took a step and needs a new direction
     while True:
-        # a start stops after max_iter directions, or once no step above 1e-14 lowers G
-        stop = (fresh[live] & (iterations[live] >= max_iter)) | (step[live] <= 1e-14)
+        # a start stops after max_iter directions, or after 20 rejections in a row (or at a step of 1e-14)
+        floor = np.maximum(1e-14, 2.0**-20 * accepted_step[live])
+        stop = (fresh[live] & (iterations[live] >= max_iter)) | (step[live] <= floor)
         precondition.drop(live[stop])
         live = live[~stop]
         if not len(live):
@@ -254,6 +259,7 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
         rows = live[took]
         vals[rows], state[:, rows] = trial[took], trial_state[:, took]
         step[live] *= np.where(accept, 1.3, 0.5)
+        accepted_step[live[accept]] = step[live[accept]]
         fresh[live[accept]] = True
         step[rows[g_t[took] == 0.0]] = 0.0  # a zero quotient ends the start
     return value, vals, iterations
@@ -265,7 +271,10 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     Requires f >= 0 nodally and 0 <= lam <= lambda_1(m) (up to a 1e-6 relative
     margin); lambda_1(m) and phi1, the first start, come from eigen._principal.
     Returns the +infinity sentinel when no start attains a positive
-    denominator (empty admissible cone).  The lower_bound field carries the
+    denominator (empty admissible cone).  value is the least start value,
+    and minimizer the first start within a relative 1e-12 of it: start
+    values often agree to rounding, and a last-bit change must not move the
+    reported minimizer to another start.  The lower_bound field carries the
     closed-form bound (eta_star_bound) when it applies and is finite.
     """
     opts = opts or EtaStarOptions()
@@ -299,11 +308,12 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
 
     values, minimizers, iterations = _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, np.array(starts), opts.max_iter)
     all_values, iterations = values.tolist(), iterations.tolist()
-    best = int(np.argmin(values))
-    if not math.isfinite(values[best]):
+    least = values.min()
+    if not math.isfinite(least):
         return EtaStarResult(math.inf, None, lower, len(starts), all_values, lam1, iterations)
+    best = int(np.flatnonzero(values - least <= 1e-12 * abs(least))[0])
     return EtaStarResult(
-        value=max(all_values[best], 0.0),
+        value=max(float(least), 0.0),
         minimizer=DiscreteFunction(mesh, minimizers[best]),
         lower_bound=lower,
         starts_used=len(starts),

@@ -201,6 +201,30 @@ def test_start_with_zero_gradient_energy_gives_inf(interval_256, one, pair_p3_25
     assert math.isfinite(res.value)
 
 
+@pytest.mark.parametrize(
+    "values, best",
+    [
+        ([3.0 + 4e-12, 3.0 + 2e-12, 3.0, 3.0 + 1e-13, 5.0], 1),  # ties within a relative 1e-12 of 3: the lowest
+        ([3.0 + 4e-12, 3.0, 3.0, 5.0], 1),
+        ([math.inf, 0.0, 0.0], 1),
+        ([-1.0 + 1e-13, -1.0], 0),
+    ],
+    ids=["ties", "exact-tie", "zero", "negative"],
+)
+def test_minimizer_is_the_lowest_start_that_ties_the_least_value(values, best, interval_256, one, pair_p3_256, monkeypatch):
+    # the descent's own values tie to rounding; this takes the rows' values as given
+    values = np.array(values)
+    rows = np.arange(len(values), dtype=float)[:, None] * np.ones(interval_256.n_vertices)
+
+    def descend(*args):
+        return values, rows, np.ones(len(values), dtype=np.int64)
+
+    monkeypatch.setattr(critical, "_descend", descend)
+    res = eta_star(interval_256, one, one, one, 3.0, 1.5, 0.5 * pair_p3_256.lam, EtaStarOptions(n_starts=len(values)))
+    assert res.value == max(float(values.min()), 0.0)
+    assert np.array_equal(res.minimizer.values, rows[best])
+
+
 @pytest.mark.parametrize("a_value, eigensolves", [(1.0, 0), (2.0, 1)])
 def test_lower_bound_reuses_lam1_when_the_clamped_weight_is_m(one, pair_p3_256, monkeypatch, a_value, eigensolves):
     from plap import eigen, principal_eigenpair

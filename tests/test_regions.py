@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -340,8 +341,9 @@ def test_sweep_rows_match_independent_cells(mesh, p, lam_fracs, monkeypatch):
 
 def test_failed_warm_rungs_fall_back_to_the_lone_ladder(interval_256, pair_p3_256, monkeypatch):
     # on this bump row every warm rung fails, at its iteration cap: each cell
-    # must be its lone solve, bit for bit, and a failed rung costs at most
-    # _WARM_NEWTON Jacobians
+    # must be its lone solve, bit for bit, a failed rung costs at most
+    # _WARM_NEWTON Jacobians, and the starts that share a neighbour solution
+    # share its one rung
     import plap.bvp as bvp
     import plap.fem as fem
 
@@ -369,12 +371,55 @@ def test_failed_warm_rungs_fall_back_to_the_lone_ladder(interval_256, pair_p3_25
     region_map = sweep(tmpl, [0.8 * lam1], [-0.5, 0.0, 0.2], SolveOptions(n_random=0, lam1=lam1))
     warm_rungs = [(reason, jac) for cap, reason, jac in rungs if cap == bvp._WARM_NEWTON]
     offered = sum(len(warm) for _, _, _, warm in calls if warm is not None)
-    assert len(warm_rungs) == offered > 0
+    distinct = sum(len({id(out) for out in warm.values()}) for _, _, _, warm in calls if warm is not None)
+    assert len(warm_rungs) == distinct > 0
     assert all(reason == "max_newton" and jac <= bvp._WARM_NEWTON for reason, jac in warm_rungs)
     summary = region_map.summary()
     assert (summary["warm_starts"], summary["warm_fallbacks"]) == (0, offered)
     for spec, solve_opts, ms, _ in calls:
         _assert_bit_identical(ms, multi_start_solve(spec, solve_opts))
+
+
+def test_each_neighbour_solution_runs_one_warm_rung(monkeypatch):
+    # a start of a further cell warm-starts from the kept outcome its dedup
+    # matched in the neighbouring cell; the starts of one group share that
+    # outcome's one warm rung, so they fall back together or converge
+    # together, to the same bits
+    import plap.bvp as bvp
+
+    warm_rungs = Counter()  # (lam, eta) -> warm rungs run in that cell
+    newton = bvp._NewtonDriver.newton
+
+    def counting(self, *args):
+        warm_rungs[self.spec.lam, self.spec.eta] += args[-1] == bvp._WARM_NEWTON
+        return newton(self, *args)
+
+    monkeypatch.setattr(bvp._NewtonDriver, "newton", counting)
+    calls = _spy_cells(monkeypatch)
+    mesh = build_interval(0.0, 1.0, 128)
+    lam1 = principal_eigenpair(mesh, Weight.constant(1.0), 3.0).lam
+    etas = [-0.4, -0.2, 0.0, 0.2, 0.4]
+    sweep(template(mesh, p=3.0), [0.95 * lam1, 1.2 * lam1], etas, SolveOptions(t_grid=(0.5, 2.0), n_random=2))
+    assert len(calls) == 2 * len(etas)
+    shared = 0
+    for spec, _, ms, warm in calls:
+        run = warm_rungs[spec.lam, spec.eta]
+        if warm is None:
+            assert run == 0
+            continue
+        assert run == len({id(out) for out in warm.values()}) > 0
+        groups = {}
+        for label, out, _ in ms.per_start:
+            if label in warm:
+                groups.setdefault(id(warm[label]), []).append(out)
+        for outs in groups.values():
+            converged = [out for out in outs if out is not None and out.diagnostics.get("warm_start")]
+            assert len(converged) in (0, len(outs))
+            for out in converged[1:]:
+                assert np.array_equal(out.u.values, converged[0].u.values)
+                assert (out.residual_norm, out.sup_norm) == (converged[0].residual_norm, converged[0].sup_norm)
+            shared += len(converged) > 1
+    assert shared > 0
 
 
 def test_sweep_row_runs_its_prefix_once(interval_256, pair_p3_256, monkeypatch):
