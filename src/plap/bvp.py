@@ -74,17 +74,19 @@ as rescued starts above lam1 crawl toward their roots.  Rungs that never
 stall, rungs above lam1, solves without lam1 and the eigensolver's inner
 solve run as without the rescue, bit for bit.
 
-The ladder's first rungs do not read eta: the lam rungs and (lam, 0) at the
-first smoothing, the unperturbed problem the eta term is switched on from.
-Every cell of one lam row runs them alike, so _solve_row hands the row's
-solves one private store (solve's _prefix) and each start runs them once
+solve states its work as plans, each a list of rungs (stage, goal, cap,
+shared), and _run executes a plan: it alone runs _NewtonDriver.newton and
+reads or fills the row store.  The ladder is one plan.  Its first rungs do
+not read eta: the lam rungs and (lam, 0) at the first smoothing, the
+unperturbed problem the eta term is switched on from.  Every cell of one
+lam row runs them alike, so they are shared: _solve_row hands the row's
+solves one private store (solve's _prefix), and each start runs them once
 per row.  regions.sweep solves each of its lam rows there, and
 regions.nonuniformity_experiment its two probes, eta = 0 and eta_small.  A
-later cell copies the stored iterate and replays the rung's reason,
-iterations, norm and the chunk width it ended on.  That is exact: Newton is
-deterministic, and the key, the start's initial nodal values and the stages
-run so far, fixes everything the rung reads.  The ladder's results stay
-bit-identical; the row's first cell pays for the shared rungs.
+later cell replays a shared rung's record.  That is exact: Newton is
+deterministic, and the key, the start's bytes and the rungs run so far,
+fixes everything the rung reads.  The ladder's results stay bit-identical;
+the row's first cell pays for the shared rungs.
 
 A row also continues in eta (natural continuation; Allgower & Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  It solves the
@@ -94,20 +96,19 @@ solutions, not starts: a cell's starts mostly reach one or two of them.  So
 each distinct solution of the neighbouring cell toward the anchor is
 continued once.  Every start that converged there is handed the solution
 its dedup matched, as the first start that found it reached it
-(MultiStartResult.matched), and first runs one rung at the final stage from
-it (solve's _warm), with the final rung's goal and at most _WARM_NEWTON =
-10 iterations.  The row store keeps that rung too, keyed by the warm
-start's bytes and the final stage, which with a fresh driver fix everything
-it reads, so the starts of one solution share one rung and its bits.  A
-warm rung that converges gives a root of the same final residual to
-newton_tol, but not the ladder's bits, and it may be another root than the
-ladder reaches.  One that fails costs its iterations once, and each start
-of it runs its own ladder with the row store, bit-identical to a lone
-solve.  So the anchor column and every start that falls back are
-bit-identical to solving the cell alone; the starts that converge warm are
-not.  Why the cap, on the census rows of tests/test_census_sweep.py: the 14
-of 26 warm rungs that converged took 3-9 iterations; on the bump rows none
-of 12 converged, and without the cap 11 of them ran until max_newton.
+(MultiStartResult.matched), and first runs a one-rung plan from it (solve's
+_warm): the final stage, with the final rung's goal and at most
+_WARM_NEWTON = 10 iterations, shared, so the starts of one solution share
+one rung and its bits.  A warm rung that converges gives a root of the same
+final residual to newton_tol, but not the ladder's bits, and it may be
+another root than the ladder reaches.  One that fails costs its iterations
+once, and each start of it runs its own ladder with the row store,
+bit-identical to a lone solve.  So the anchor column and every start that
+falls back are bit-identical to solving the cell alone; the starts that
+converge warm are not.  Why the cap, on the census rows of
+tests/test_census_sweep.py: the 14 of 26 warm rungs that converged took 3-9
+iterations; on the bump rows none of 12 converged, and without the cap 11
+of them ran until max_newton.
 """
 
 from __future__ import annotations
@@ -315,12 +316,12 @@ def _boundary_flux_sign(u):
 
 
 class _NewtonDriver:
-    """The rungs of one start: each rung's weak form, goal and energy rescue, and the carried chunk width.
+    """The rungs of one plan (_run): each rung's weak form, goal and energy rescue, and the carried chunk width.
 
     lam1 is the principal eigenvalue of (m, p), None when unknown; it gates
     the energy rescue (_coercive).  width is the chunk width fem.newton
-    returned for the start's last rung, and energy_steps the rescue steps of
-    that rung.
+    returned for the plan's last rung, and energy_steps the rescue steps of
+    that rung; solve gives each plan a fresh driver.
     """
 
     def __init__(self, spec, lam1=None):
@@ -415,39 +416,58 @@ def _continuation_stages(spec, lam1):
     return stages
 
 
-def _eta_free(stage):
-    """True for the rungs every eta of one lam runs alike: eta = 0 at the first smoothing, so never the final stage."""
-    _, eta, eps_g, eps_s = stage
-    return eta == 0.0 and (eps_g, eps_s) == fem.EPS_LADDER[0]
+def _run(driver, values, plan, store):
+    """Run plan's rungs in order on values, in place; returns (reason, norm, iterations, singular).
+
+    A rung (stage, goal, cap, shared) is driver.newton at stage = (lam, eta,
+    eps_g, eps_s) to tolerance goal for at most cap iterations, from the last
+    rung's iterate, whatever reason that one ended on.  reason and norm are
+    the last rung's; iterations and singular (a rung ended singular) cover
+    them all.  With a store, each shared rung is looked up there, under the
+    initial values' bytes and the rungs run so far, and replayed, or run and
+    recorded as (iterate, reason, iterations, norm, chunk width).
+    """
+    key = (values.tobytes(),) if store is not None else None
+    total, singular = 0, False
+    for rung in plan:
+        stage, goal, cap, shared = rung
+        key = None if key is None else (*key, rung)
+        kept = shared and key is not None
+        if kept and key in store:
+            stored, reason, iters, rn, driver.width = store[key]
+            values[:] = stored
+        else:
+            reason, iters, rn = driver.newton(values, *stage, goal, cap)
+            if kept:
+                store[key] = (values.copy(), reason, iters, rn, driver.width)
+        total += iters
+        singular = singular or reason == "singular"
+    return reason, rn, total, singular
 
 
 def solve(spec, init="zero", opts=None, *, _prefix=None, _warm=None):
     """Solve the boundary value problem by damped Newton with continuation.
 
     init is a DiscreteFunction, an array of nodal values, or the name of a
-    start ("zero").  Raises NonConvergence when the final stage fails, and
+    start ("zero").  solve builds plans of rungs for _run (see the module
+    docstring): the ladder from init, one rung per stage, and with _warm a
+    one-rung plan before it; the first plan that converges gives the
+    outcome.  Raises NonConvergence when the ladder's final rung fails, and
     ResonantParameter when it fails with a singular linearization (the
     spectral parameter sits numerically on an eigenvalue).
 
     _prefix is a private rung store (a dict) for solves that differ only in
-    eta: same mesh, p, q, m, a, f, lam and opts, the cells of one row
-    (_solve_row; see the module docstring).  It keeps the iterate after each
-    _eta_free rung with the rung's (reason, iters, norm) and the chunk width
-    it ended on (_NewtonDriver.width), keyed by the initial values' bytes
-    and the stages run so far.  A later solve replays the record: its
-    iterations still count in newton_iters, a singular rung still sets
-    resonant and a failed rung still only costs the warm start.  Results are
-    bit-identical to solves without a store.
+    eta, the cells of one row (_solve_row): same mesh, p, q, m, a, f, lam
+    and opts.  A replayed rung still counts in newton_iters and a singular
+    one still sets resonant; results are bit-identical to solves without a
+    store.
 
     _warm is a private warm start (a DiscreteFunction or nodal values), the
     solution in the neighbouring cell of its row that this start's solution
-    there matched.  In place of the ladder, one rung at the final stage runs
-    from it, for at most _WARM_NEWTON iterations; the outcome of a rung that
-    converges carries diagnostics["warm_start"] = True.  With _prefix, the
-    rung is kept there under the warm start's bytes and the final stage, and
-    a later start with the same warm start replays it, as the eta-free rungs
-    are replayed.  When the rung fails, the ladder runs from init as without
-    _warm, and the result is bit-identical to it.
+    there matched.  Its plan is the final stage for at most _WARM_NEWTON
+    iterations, shared; an outcome from it carries diagnostics["warm_start"]
+    = True.  When it fails, the result is bit-identical to solving without
+    _warm.
     """
     opts = opts or SolveOptions()
     mesh = spec.mesh
@@ -460,53 +480,30 @@ def solve(spec, init="zero", opts=None, *, _prefix=None, _warm=None):
     values[mesh.boundary_vertices] = 0.0
 
     stages = _continuation_stages(spec, opts.lam1)
+    final = len(stages) - 1
+    ladder = [
+        (stage, opts.newton_tol if k == final else max(1e-6, opts.newton_tol), opts.max_newton,
+         stage[1] == 0.0 and stage[2:] == fem.EPS_LADDER[0])
+        for k, stage in enumerate(stages)
+    ]
+    plans = [(values, ladder)]
     if _warm is not None:
         warm = nodal_values(_warm, mesh, "warm start").copy()
-        key = (warm.tobytes(), stages[-1]) if _prefix is not None else None
-        if key is not None and key in _prefix:
-            stored, reason, iters, rn = _prefix[key]
-            warm[:] = stored
-        else:
-            driver = _NewtonDriver(spec, opts.lam1)
-            reason, iters, rn = driver.newton(warm, *stages[-1], opts.newton_tol, _WARM_NEWTON)
-            if key is not None:
-                _prefix[key] = (warm.copy(), reason, iters, rn)
+        plans.insert(0, (warm, [(stages[final], opts.newton_tol, _WARM_NEWTON, True)]))
+    for start, plan in plans:
+        driver = _NewtonDriver(spec, opts.lam1)
+        reason, rn, iters, singular = _run(driver, start, plan, _prefix)
         if reason == "converged":
-            outcome = _outcome(spec, warm, rn, iters, 1, False)
-            outcome.diagnostics["warm_start"] = True
+            outcome = _outcome(spec, start, rn, iters, len(plan), singular)
+            if plan is not ladder:
+                outcome.diagnostics["warm_start"] = True
             return outcome
-
-    driver = _NewtonDriver(spec, opts.lam1)
-    init_key = values.tobytes() if _prefix is not None else None
-    total_iters = 0
-    rn = math.inf
-    resonant_seen = False
-    for k, (lam, eta, eps_g, eps_s) in enumerate(stages):
-        is_final = k == len(stages) - 1
-        tol = opts.newton_tol if is_final else max(1e-6, opts.newton_tol)
-        key = (init_key, *stages[: k + 1]) if init_key is not None and _eta_free(stages[k]) else None
-        if key is not None and key in _prefix:
-            stored, reason, iters, rn, driver.width = _prefix[key]
-            values[:] = stored
-        else:
-            reason, iters, rn = driver.newton(values, lam, eta, eps_g, eps_s, tol, opts.max_newton)
-            if key is not None:
-                _prefix[key] = (values.copy(), reason, iters, rn, driver.width)
-        total_iters += iters
-        if reason != "converged":
-            resonant_seen = resonant_seen or reason == "singular"
-            if is_final:
-                steps = driver.energy_steps
-                after = f" after {steps} energy step{'s' if steps > 1 else ''}" if steps else ""
-                if reason == "singular":
-                    raise ResonantParameter(
-                        f"Newton stalled{after} with singular linearization at lam={lam}, eta={eta}"
-                    )
-                raise NonConvergence(
-                    f"Newton {reason}{after}: residual {rn:.3e} above tolerance at lam={lam}, eta={eta}"
-                )
-            # non-final rung failures only cost the warm start
-    return _outcome(spec, values, rn, total_iters, len(stages), resonant_seen)
+    lam, eta = stages[final][:2]
+    steps = driver.energy_steps
+    after = f" after {steps} energy step{'s' if steps > 1 else ''}" if steps else ""
+    if reason == "singular":
+        raise ResonantParameter(f"Newton stalled{after} with singular linearization at lam={lam}, eta={eta}")
+    raise NonConvergence(f"Newton {reason}{after}: residual {rn:.3e} above tolerance at lam={lam}, eta={eta}")
 
 
 def _outcome(spec, values, rn, iters, steps, resonant):
@@ -668,7 +665,7 @@ def _solve_row(template, lam, etas, opts):
     if not etas:
         return []
     j0 = _anchor(etas)
-    prefix = {}  # the row's eta-free rungs, run once per start
+    prefix = {}  # the row's shared rungs, eta-free and warm, each run once
     row = [None] * len(etas)
     for j in (j0, *range(j0 + 1, len(etas)), *range(j0 - 1, -1, -1)):
         warm = None

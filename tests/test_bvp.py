@@ -7,6 +7,7 @@ import oracles
 from plap import (
     DiscreteFunction,
     InvalidConfig,
+    Mesh,
     NonConvergence,
     ProblemSpec,
     ResonantParameter,
@@ -20,6 +21,7 @@ from plap import (
     grad_energy,
     jacobian,
     multi_start_solve,
+    principal_eigenpair,
     residual,
     solve,
     sup_norm,
@@ -188,6 +190,35 @@ def test_solve_zero_data(interval_256):
     out = solve(spec, opts=SolveOptions(lam1=math.pi**2))
     assert out.sign_class == "zero"
     assert out.sup_norm == 0.0
+
+
+@pytest.mark.parametrize("p, eta", [(3.0, 0.5), (2.0, 0.0)])
+def test_solve_on_a_mesh_without_interior_vertices(p, eta):
+    # both vertices are on the boundary: the only function is u = 0
+    mesh = Mesh(1, [[0.0], [1.0]], [[0, 1]], [0, 1], (0.0, 1.0))
+    out = solve(make_spec(mesh, p=p, lam=1.0, eta=eta))
+    assert out.sign_class == "zero"
+    np.testing.assert_array_equal(out.boundary_flux_sign, [0, 0])
+
+
+def test_row_store_keeps_only_the_shared_rungs():
+    # 0.95 lam1 runs three lam rungs and (lam, 0) at the first smoothing
+    # before eta is switched on: those four rungs, and warm rungs, are the
+    # store's entries; a rung that reads eta is never looked up again
+    mesh = build_interval(0.0, 1.0, 128)
+    pair = principal_eigenpair(mesh, Weight.constant(1.0), 3.0)
+    opts = SolveOptions(lam1=pair.lam)
+    spec = make_spec(mesh, p=3.0, lam=0.95 * pair.lam)
+    store = {}
+    anchor = solve(spec, pair.phi.values, opts, _prefix=store)
+    assert len(store) == 4
+    assert solve(spec.replace(eta=0.3), pair.phi.values, opts, _prefix=store).continuation_steps == 10
+    assert len(store) == 4
+    warm = solve(spec.replace(eta=0.3), pair.phi.values, opts, _prefix=store, _warm=anchor.u)
+    assert warm.diagnostics["warm_start"] and len(store) == 5
+    again = solve(spec.replace(eta=0.3), "zero", opts, _prefix=store, _warm=anchor.u)
+    assert len(store) == 5
+    np.testing.assert_array_equal(again.u.values, warm.u.values)
 
 
 def test_solution_scaling_law(interval_256, pair_p3_256):

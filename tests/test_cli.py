@@ -257,11 +257,23 @@ def test_exit_3_resonant_solve(tmp_path):
     assert "singular linearization" in proc.stderr
 
 
-def test_exit_4_io_error(tmp_path):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("a file, not a directory")
-    proc = run_cli("eigen", config("eigen"), tmp_path, out=blocker / "sub")
+@pytest.mark.parametrize(
+    "mode, output, out, unwritable",
+    [
+        ("eigen", {}, "blocker/sub", "blocker/sub"),  # the output directory would sit under a file
+        ("eigen", {"report": "taken"}, ".", "taken"),  # the report path is a directory
+        ("sweep", {"csv": "taken"}, ".", "taken"),  # the CSV path is a directory
+    ],
+    ids=["out-dir", "report", "csv"],
+)
+def test_exit_4_io_error(mode, output, out, unwritable, tmp_path):
+    (tmp_path / "blocker").write_text("a file, not a directory")
+    (tmp_path / "taken").mkdir()
+    cfg = config(mode, **({"lam_grid": [3.0], "eta_grid": [0.0], "n_random": 0} if mode == "sweep" else {}))
+    cfg["output"] = output
+    proc = run_cli(mode, cfg, tmp_path, out=tmp_path / out)
     assert proc.returncode == 4
+    assert repr(str(tmp_path / unwritable)) in proc.stderr
 
 
 def test_exit_5_counterexample(tmp_path):
