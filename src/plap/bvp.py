@@ -119,8 +119,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem
-from .eigen import _principal
-from .errors import InvalidConfig, NonConvergence, PlapError, ResonantParameter, SingularJacobian
+from .eigen import _principal_or_none
+from .errors import InvalidConfig, NonConvergence, ResonantParameter, SingularJacobian
 from .functions import (
     DiscreteFunction, Weight, check_exponents, grad_energy, nodal_values, sup_norm, weight_values,
     weighted_power_integral,
@@ -589,8 +589,8 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     Per-start failures are recorded, never raised.  Outcomes within
     dedup_tol * (1 + min sup) of each other in the sup norm count as one
     solution.  phi1, and lam1 for an unset opts.lam1, come from
-    eigen._principal; when it fails (e.g. m <= 0) the +-t starts are
-    dropped.  _solve_row passes its row's store as _prefix to every solve()
+    eigen._principal_or_none; when it fails (e.g. m <= 0) the +-t starts
+    are dropped.  _solve_row passes its row's store as _prefix to every solve()
     (see there).
 
     _warm maps a start label to the distinct outcome that start matched in
@@ -604,11 +604,8 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     opts = opts or SolveOptions()
     mesh = spec.mesh
     starts = [("zero", "zero")]
-    try:
-        pair = _principal(mesh, spec.m, spec.p)
-    except PlapError:
-        pass
-    else:
+    pair = _principal_or_none(mesh, spec.m, spec.p)
+    if pair is not None:
         if opts.lam1 is None:
             opts = replace(opts, lam1=pair.lam)
         for t in opts.t_grid:

@@ -207,7 +207,3 @@ def main(argv=None):
     except IoError as exc:
         print(f"plap: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

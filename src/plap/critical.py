@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .eigen import _principal
+from .eigen import _principal, _principal_or_none
 from .errors import InvalidConfig
 from .functions import (
     DiscreteFunction, check_exponents, grad_energy, nodal_values, weight_values, weighted_power_integral
@@ -324,14 +324,14 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
 
 
 def eta_star_bound(mesh, f_vals, clamped, p, q, lam1):
-    """lam -> eta_star_lower_bound with a_+ = clamped, or None unless min f > 0 and lam1 is finite.
+    """lam -> eta_star_lower_bound with a_+ = clamped, or None where the bound does not apply.
 
-    clamped holds nodal values (a_- for eta < 0).  The bound's lambda_1 is
-    that of the power weight clamped^{(p-1)/(q-1)}, solved once per (mesh,
-    nodal values, p) by eigen._principal: a power weight with m's values
-    shares m's solve.  The bound is +inf when the power weight vanishes on
-    every interior vertex (empty admissible cone), 0 from lam1 = lambda_1(m)
-    up, and below lam = 0 the bound at 0.
+    It applies when min f > 0, lam1 is finite and the power weight
+    clamped^{(p-1)/(q-1)} has a lambda_1: eigen._principal_or_none solves it
+    once per (mesh, nodal values, p), so a power weight with m's values shares
+    m's solve.  clamped holds nodal values (a_- for eta < 0).  The bound is
+    +inf when the power weight vanishes on every interior vertex (empty
+    admissible cone), 0 from lam1 = lambda_1(m) up, and below lam = 0 the bound at 0.
     """
     c_f = float(np.min(f_vals))
     if c_f <= 0 or not math.isfinite(lam1):
@@ -339,8 +339,10 @@ def eta_star_bound(mesh, f_vals, clamped, p, q, lam1):
     power = clamped ** ((p - 1.0) / (q - 1.0))
     if not np.any(power[mesh.interior_vertices] > 0):
         return lambda lam: math.inf
-    lam1_w = _principal(mesh, power, p).lam
-    return lambda lam: eta_star_lower_bound(c_f, p, q, max(lam, 0.0), lam1, lam1_w) if lam < lam1 else 0.0
+    pair = _principal_or_none(mesh, power, p)
+    if pair is None:
+        return None
+    return lambda lam: eta_star_lower_bound(c_f, p, q, max(lam, 0.0), lam1, pair.lam) if lam < lam1 else 0.0
 
 
 def eta_star_lower_bound(c_f, p, q, lam, lam1_m, lam1_aplus):

@@ -21,7 +21,11 @@ inverse-power analogue for the p-Laplacian: alternately
 
 The iteration stops when the discrete residual of -Lap_p(phi) = lam m phi^{p-1}
 drops below tolerance on the sup-normalized eigenfunction.  A backtracking
-safeguard keeps the recorded Rayleigh quotients nonincreasing.
+safeguard keeps the recorded Rayleigh quotients nonincreasing, and the solve
+stalls where no damped step lowers the quotient.  It fires only on meshes with
+obtuse triangles: on build_interval and build_rectangle meshes the discrete
+comparison principle keeps an exact step nonnegative, and Hoelder's inequality
+with the nonnegative weight lam m + shift then keeps its quotient from rising.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
     Requires the positive part of m to be nontrivial on the active vertex set,
     otherwise EmptyAdmissibleSet is raised.  Returns an EigenPair with phi >= 0,
     sup_norm(phi) = 1 and the residual of the discrete eigenvalue equation
-    below opts.tol; raises NonConvergence after opts.max_outer iterations.
+    below opts.tol; raises NonConvergence after opts.max_outer iterations or a stall.
     """
     opts = opts or EigenOptions()
     check_exponents(p)
@@ -186,7 +190,6 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
         op = fem.operator(mesh, free)
     rq_history = [rq0]
     residual_norm = math.inf
-    iterations = 0
     for iterations in range(1, opts.max_outer + 1):
         lam = rq_history[-1]
         if m_min < 0 and 1.1 * lam * (-m_min) < 0.6 * shift:
@@ -220,7 +223,7 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
         rq = grad_energy(DiscreteFunction(mesh, v), p)
         if rq > lam + _RQ_SLACK * (1.0 + abs(lam)):
             # damp toward the previous iterate until the quotient stops rising
-            t, accepted = 0.5, False
+            t = 0.5
             while t > 1e-6:
                 w = np.maximum((1 - t) * u + t * v, 0.0)
                 mass_w = weighted_power_integral(m_vals, DiscreteFunction(mesh, w), p)
@@ -228,21 +231,19 @@ def principal_eigenpair(mesh_or_mask, m, p, opts=None):
                     w /= mass_w ** (1.0 / p)
                     rq_w = grad_energy(DiscreteFunction(mesh, w), p)
                     if rq_w <= lam + _RQ_SLACK * (1.0 + abs(lam)):
-                        v, rq, accepted = w, rq_w, True
+                        v, rq = w, rq_w
                         break
                 t *= 0.5
-            if not accepted:
-                break  # stationary up to backtracking resolution; residual check decides
+            else:  # no damped step lowers the quotient: stationary up to backtracking resolution
+                raise NonConvergence(
+                    f"eigensolver stalled with residual {residual_norm:.3e} above tol {tol:.1e}"
+                )
         u = v
         rq_history.append(rq)
     else:
         raise NonConvergence(
             f"eigensolver residual {residual_norm:.3e} above tol {tol:.1e} "
             f"after {opts.max_outer} iterations"
-        )
-    if residual_norm > tol:
-        raise NonConvergence(
-            f"eigensolver stalled with residual {residual_norm:.3e} above tol {tol:.1e}"
         )
     phi = DiscreteFunction(mesh, u / np.max(u))
     return EigenPair(
@@ -275,6 +276,14 @@ def _principal(mesh, m, p):
         error, message = phi
         raise error(message)
     return replace(pair, phi=DiscreteFunction(mesh, phi))
+
+
+def _principal_or_none(mesh, m, p):
+    """_principal(mesh, m, p), or None when it fails: the fallback of every caller that can go without the pair."""
+    try:
+        return _principal(mesh, m, p)
+    except PlapError:
+        return None
 
 
 def principal_eigenpair_negative(mesh, m, p, opts=None):

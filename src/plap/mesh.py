@@ -54,8 +54,6 @@ class Mesh:
         self.bounds = tuple(float(b) for b in bounds)
         self.grid = grid
         self.cell_volumes, self.cell_gradients = self._geometry()
-        if np.any(self.cell_volumes <= 0):
-            raise InvalidConfig("mesh has a cell with nonpositive volume")
         self.lumped_volumes = np.zeros(len(self.vertices))
         np.add.at(
             self.lumped_volumes,
@@ -86,16 +84,16 @@ class Mesh:
     def _geometry(self):
         pts = self.vertices[self.cells]  # (nc, d+1, d)
         if self.dimension == 1:
-            h = pts[:, 1, 0] - pts[:, 0, 0]
-            vols = np.abs(h)
-            grads = np.empty((len(self.cells), 2, 1))
-            grads[:, 0, 0] = -1.0 / h
-            grads[:, 1, 0] = 1.0 / h
-            return vols, grads
-        e1 = pts[:, 1] - pts[:, 0]
-        e2 = pts[:, 2] - pts[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        vols = 0.5 * np.abs(det)
+            det = pts[:, 1, 0] - pts[:, 0, 0]
+        else:
+            e1 = pts[:, 1] - pts[:, 0]
+            e2 = pts[:, 2] - pts[:, 0]
+            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        vols = np.abs(det) / self.dimension  # |det| / d!, and d! = d for d <= 2
+        if np.any(vols <= 0):  # before any division by det
+            raise InvalidConfig("mesh has a cell with nonpositive volume")
+        if self.dimension == 1:
+            return vols, np.stack([-1.0 / det, 1.0 / det], axis=1)[:, :, None]
         # grad of barycentric coordinate i is (rotated opposite edge) / (2*area)
         grads = np.empty((len(self.cells), 3, 2))
         for i in range(3):

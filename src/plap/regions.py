@@ -23,8 +23,8 @@ import numpy as np
 
 from .bvp import ProblemSpec, SolveOptions, _anchor, _solve_row, classify_sign, multi_start_solve
 from .critical import eta_star_bound, picone_polynomial_check
-from .eigen import _principal, second_eigenvalue_1d
-from .errors import InvalidConfig, PlapError
+from .eigen import _principal, _principal_or_none, second_eigenvalue_1d
+from .errors import InvalidConfig
 from .functions import weight_values, weighted_power_integral
 
 __all__ = [
@@ -389,9 +389,10 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     that fail are recorded as rows with sign_class "failed", never fatal.
     opts is the SolveOptions of every cell's multi_start_solve.  Returns the
     RegionMap with the predictions and measured MP/AMP half-widths.
-    (lam1, phi1) come from eigen._principal (lam1 = inf when it fails), as
-    in every cell.  A set opts.lam1 stands in for lam1 in the predictions as
-    in the solves.
+    (lam1, phi1) come from eigen._principal_or_none (lam1 = inf when it
+    fails), as in every cell; a set opts.lam1 stands in for lam1.  The eta
+    thresholds are critical.eta_star_bound's: where it does not apply (its
+    power weight's eigensolve fails, say) prop-noneg binds at eta = 0 only.
 
     Each lam row is solved by bvp._solve_row, outward from the eta nearest
     0, with the eta-free rungs shared and warm starts from the neighbouring
@@ -405,12 +406,8 @@ def sweep(template, lam_grid, eta_grid, opts=None):
     lam_grid = [float(v) for v in lam_grid]
     eta_grid = [float(v) for v in eta_grid]
 
-    phi1, lam1 = None, math.inf
-    try:
-        pair = _principal(mesh, template.m, template.p)
-        phi1, lam1 = pair.phi, pair.lam
-    except PlapError:
-        pass
+    pair = _principal_or_none(mesh, template.m, template.p)
+    phi1, lam1 = (None, math.inf) if pair is None else (pair.phi, pair.lam)
     if opts.lam1 is not None:
         lam1 = opts.lam1
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -88,6 +89,37 @@ def test_picone_check_scans_its_q_grid(tmp_path):
     assert all(row["holds"] for row in result["q_scan"])
 
 
+def test_picone_check_counts_discrete_violations(tmp_path, monkeypatch):
+    from plap import cli
+    from plap.critical import PiconeCheckResult
+
+    failed = PiconeCheckResult(lhs=1.0, rhs=0.0, holds=False, slack=0.0)
+    monkeypatch.setattr(cli, "discrete_picone_check", lambda *args: failed)
+    result = run_main("picone-check", config("picone-check", discrete_trials=3, eps=[0.1, 1e-3]), tmp_path)
+    assert result["discrete"] == {"trials": 3, "eps": [0.1, 1e-3], "violations": 6}
+
+
+def bump_config(mode, **mode_params):
+    # a vanishes near the boundary, so at p = 5 the power weight a^((p-1)/(q-1)) of the eta* bound fails its eigensolve
+    cfg = config(mode, **mode_params)
+    cfg.update(p=5.0, q=1.5)
+    cfg["weights"]["a"] = "bump(0.5, 0.3)"
+    return cfg
+
+
+def test_sweep_runs_when_the_bound_eigensolve_fails(tmp_path):
+    cfg = bump_config("sweep", lam_grid=[10], eta_grid=[0], t_grid=[1], n_random=0)
+    result = run_main("sweep", cfg, tmp_path)
+    assert result["counterexample_count"] == 0
+    assert result["lam1"] == pytest.approx(178.424, rel=1e-5)  # m's own eigensolve converges
+
+
+def test_critval_leaves_the_bound_out_when_its_eigensolve_fails(tmp_path):
+    result = run_main("critval", bump_config("critval", lam_frac=0.5, n_starts=4), tmp_path)
+    assert math.isfinite(result["value"]) and result["value"] > 0
+    assert result["lower_bound"] is None
+
+
 def test_solve_roundtrip(tmp_path):
     proc = run_cli("solve", config("solve", lam=3.0, eta=0.1), tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -159,7 +191,7 @@ def test_sweep_default_grids(tmp_path):
 
 
 def test_default_sweep_solves_its_eigenproblem_once(tmp_path, monkeypatch):
-    from plap import bvp, cli, critical, eigen, regions
+    from plap import cli, critical, eigen, regions
 
     cfg = config("sweep", n_lam=3, n_eta=3)
     cfg["p"] = 3.0
@@ -182,7 +214,7 @@ def test_default_sweep_solves_its_eigenproblem_once(tmp_path, monkeypatch):
     once = run(tmp_path / "once")
     # without the eigenpair memo: the grid, eta*, its power weight, the sweep,
     # its threshold and each of the nine cells solve the eigenproblem again
-    for module in (bvp, cli, critical, regions):
+    for module in (cli, critical, eigen, regions):
         monkeypatch.setattr(module, "_principal", counting)
     again = run(tmp_path / "again")
     assert (once[0], again[0]) == (1, 14)
@@ -343,6 +375,9 @@ PROBES = [
     ("solve", {"lam": 3.0}, {"weights": {"m": {"kind": "constant", "value": 1, "gamma": 0.5}}}, "weights.m.gamma"),
     # a nodal weight with both its values and a file
     ("solve", {"lam": 3.0}, {"weights": {"m": 1, "f": {"kind": "nodal", "values": [0, 5, 5, 5, 0], "path": "w.json"}}}, "weights.f"),
+    # a domain or an expression source of the wrong type
+    ("solve", {"lam": 3.0}, {"domain": 5}, "domain"),
+    ("solve", {"lam": 3.0}, {"weights": {"m": {"kind": "expression", "src": 5}}}, "weights.m.src"),
 ]
 
 
@@ -354,6 +389,23 @@ def test_malformed_input_exits_2_naming_the_field(mode, params, overrides, path,
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith(f"plap: {path}: ") and err.count("\n") == 1, err
+
+
+def test_nodal_file_of_invalid_json_exits_2_naming_its_field(tmp_path, capsys):
+    (tmp_path / "w.json").write_text("[0, 1,")
+    cfg = config("solve", lam=3.0)
+    cfg["weights"]["f"] = {"kind": "nodal", "path": "w.json"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("plap: weights.f.path: could not read nodal values: "), err
+
+
+def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    code = main(["eigen", "--config", missing, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"plap: could not read config {missing!r}: "), err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

@@ -308,6 +308,16 @@ def test_nodal_file_roundtrip(tmp_path):
     assert cfg.echo["weights"]["m"]["gamma"] == 3.0
 
 
+def test_expression_weight_object_parses_like_its_string():
+    raw = json.loads(cfg_text())
+    raw["weights"]["a"] = "1 + x"
+    raw["weights"]["f"] = {"kind": "expression", "src": "1 + x"}
+    cfg = parse_config(json.dumps(raw))
+    mesh = build_mesh(cfg)
+    assert repr(cfg.weights["f"]) == repr(cfg.weights["a"])
+    assert cfg.weights["f"].values(mesh).tobytes() == cfg.weights["a"].values(mesh).tobytes()
+
+
 def test_rectangle_domain_and_expression_weight():
     raw = json.loads(cfg_text())
     raw["domain"] = {"kind": "rectangle", "bounds": [0, 1, 0, 2], "resolution": [4, 6]}
@@ -401,3 +411,15 @@ def test_numpy_bools_convert_to_json_bools():
         "holds": False,
         "flags": [True, True],
     }
+
+
+def test_scalars_and_unknown_objects_convert():
+    from plap import report
+
+    class Opaque:
+        def __repr__(self):
+            return "<opaque>"
+
+    assert [report._fmt(-math.inf), report._fmt(7)] == ["-inf", "7"]
+    converted = [report.to_jsonable(v) for v in (np.int64(3), np.float32(0.5), Opaque())]
+    assert converted == [3, 0.5, "<opaque>"] and type(converted[0]) is int and type(converted[1]) is float

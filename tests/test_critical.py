@@ -247,6 +247,22 @@ def test_lower_bound_reuses_lam1_when_the_clamped_weight_is_m(one, pair_p3_256, 
     assert res.lower_bound == want
 
 
+def test_bound_does_not_apply_when_its_power_weight_eigensolve_fails(one):
+    # a vanishes near the boundary: the power weight a^((p-1)/(q-1)) = a^8 of p = 5,
+    # q = 1.5 fails its inner solve, where m = 1 converges
+    from plap import NonConvergence, eigen
+
+    mesh = build_interval(0.0, 1.0, 64)
+    a = Weight.expression("bump(0.5, 0.3)")
+    power = a.values(mesh) ** 8.0
+    with pytest.raises(NonConvergence):
+        eigen._principal(mesh, power, 5.0)
+    lam1 = eigen._principal(mesh, one, 5.0).lam
+    assert critical.eta_star_bound(mesh, np.ones(mesh.n_vertices), a.values(mesh), 5.0, 1.5, lam1) is None
+    res = eta_star(mesh, one, a, one, 5.0, 1.5, 0.5 * lam1, EtaStarOptions(n_starts=4))
+    assert res.lower_bound is None and math.isnan(res.gap) and res.value > 0
+
+
 def test_eta_star_rejects_bad_lam(interval_256, one, pair_p2_256):
     opts = EtaStarOptions()
     with pytest.raises(InvalidConfig):

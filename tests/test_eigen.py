@@ -125,6 +125,13 @@ def test_second_eigenvalue_length_scaling():
     assert lam2 == pytest.approx(math.pi**2, abs=1e-3)
 
 
+def test_second_eigenvalue_rejects_reversed_bounds():
+    from plap import InvalidConfig
+
+    with pytest.raises(InvalidConfig, match="x1 > x0"):
+        second_eigenvalue_1d(1.0, 0.0, 3.0)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_second_is_2_to_p_times_first(p):
     lam1 = oracles.plap_shooting_oracle_1d(p)
@@ -310,3 +317,47 @@ def test_p2_eigensolve_on_a_grid_builds_no_operator_and_no_factor(m_expr, monkey
     monkeypatch.setattr(fem.Operator, "factorize", counting_factorize)
     principal_eigenpair(build_rectangle(0, 1, 0, 1, 10, 8), Weight.expression(m_expr), 2.0)
     assert calls == []
+
+
+def _perturbed_square(n, seed, amplitude):
+    """build_rectangle's n x n unit square with each interior vertex moved by a uniform draw: obtuse triangles."""
+    from plap import Mesh
+
+    grid = build_rectangle(0, 1, 0, 1, n, n)
+    vertices = grid.vertices.copy()
+    shift = np.random.default_rng(seed).uniform(-amplitude, amplitude, (len(grid.interior_vertices), 2))
+    vertices[grid.interior_vertices] += shift
+    return Mesh(2, vertices, grid.cells, grid.boundary_vertices, grid.bounds)
+
+
+def test_eigensolve_stalls_where_no_damped_step_lowers_the_quotient():
+    # on obtuse triangles an exact inverse-power step can raise the Rayleigh
+    # quotient; here no damping of it down to t = 1e-6 lowers it again
+    from plap import NonConvergence
+
+    message = "eigensolver stalled with residual 3.921e+08 above tol 1.0e-06"
+    with pytest.raises(NonConvergence, match=re.escape(message)):
+        principal_eigenpair(_perturbed_square(12, 28, 0.035), Weight.expression("1 - 3*step(0.5 - y)"), 4.0)
+
+
+def test_eigensolve_accepts_a_damped_step_and_converges(monkeypatch):
+    # grad_energy scores rq0 and each accepted iterate once; a damped trial
+    # scores one more, so the trial count exceeds the recorded quotients
+    from plap import eigen
+
+    scored = []
+    energy = eigen.grad_energy
+    monkeypatch.setattr(eigen, "grad_energy", lambda *args: scored.append(1) or energy(*args))
+    pair = principal_eigenpair(_perturbed_square(8, 282, 0.45 / 8), Weight.expression("1 - 3*step(0.5 - y)"), 8.0)
+    assert pair.lam == pytest.approx(21639.18, rel=1e-6) and pair.iterations == 91
+    assert len(scored) > len(pair.rq_history) and pair.residual_norm <= 1e-6
+    hist = pair.rq_history
+    assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(hist, hist[1:]))
+
+
+def test_inner_solve_that_never_converges_raises(one, monkeypatch):
+    from plap import NonConvergence, fem
+
+    monkeypatch.setattr(fem, "newton", lambda *args: ("stalled", None))
+    with pytest.raises(NonConvergence, match="inner p-Laplacian solve did not converge"):
+        principal_eigenpair(build_interval(0.0, 1.0, 16), one, 3.0)

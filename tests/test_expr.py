@@ -80,6 +80,13 @@ def test_parse_errors_carry_position():
         parse_expr("unknownvar")
 
 
+def test_trailing_space_is_skipped_and_a_trailing_token_is_an_error():
+    assert format_expr(parse_expr("x ")) == format_expr(parse_expr("x"))
+    with pytest.raises(ParseError, match=r"unexpected trailing token '\)'") as info:
+        parse_expr("x )")
+    assert info.value.position == 2
+
+
 def test_eval_errors():
     with pytest.raises(EvalError):
         ev("1/0")

@@ -152,6 +152,15 @@ def test_pinned_system_solves_the_restriction(mesh, band, rng):
 
 
 @SOLVER_CASES
+def test_factor_of_data_holding_a_nan_raises_singular_jacobian(mesh, band, rng):
+    op = fem.operator(mesh, mesh.interior_vertices)
+    data = fem.p_flux_jacobian(op, np.zeros(mesh.n_vertices), 2.0, 0.0)
+    data[op.diagonal[0]] = np.nan
+    with pytest.raises(SingularJacobian):
+        op.factorize(data)(rng.standard_normal(len(op.free)))
+
+
+@SOLVER_CASES
 def test_jacobian_is_csc_on_every_storage(mesh, band, rng):
     one = Weight.constant(1.0)
     spec = ProblemSpec(mesh, 3.0, 1.5, 2.0, 0.5, one, one, one)

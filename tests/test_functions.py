@@ -154,6 +154,21 @@ def test_weight_sign_summary():
     assert Weight.expression("x - 0.5").sign_summary(mesh) == "indefinite"
 
 
+def test_unknown_weight_kind_is_rejected():
+    with pytest.raises(InvalidConfig, match="unknown weight kind 'bogus'"):
+        Weight("bogus", 1)
+
+
+def test_reprs_name_kind_and_size():
+    mesh = build_interval(0, 1, 4)
+    assert repr(mesh) == "Mesh(interval, 5 vertices, 4 cells)"
+    assert repr(build_rectangle(0, 1, 0, 1, 2, 2)) == "Mesh(rectangle, 9 vertices, 8 cells)"
+    assert repr(Weight.constant(2.0)) == "Weight(constant, 2.0)"
+    u = DiscreteFunction(mesh, np.array([0.0, 1.0, -3.0, 2.0, 0.0]))
+    assert repr(u) == "DiscreteFunction(Mesh(interval, 5 vertices, 4 cells), sup=3)"
+    assert (u + u).values.tolist() == (2 * u).values.tolist() == [0.0, 2.0, -6.0, 4.0, 0.0]
+
+
 def test_nodal_weight_length_mismatch():
     mesh = build_interval(0, 1, 8)
     with pytest.raises(InvalidConfig):

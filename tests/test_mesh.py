@@ -73,6 +73,22 @@ def test_mesh_rejects_a_vertex_in_no_cell():
         Mesh(1, vertices, [[0, 1], [1, 2]], [0, 2], (0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "dimension, vertices, cells, boundary, bounds",
+    [
+        # a segment of zero length
+        (1, [[0.0], [0.0], [1.0]], [[0, 1], [1, 2]], [0, 2], (0.0, 1.0)),
+        # a triangle whose three vertices lie on y = 0
+        (2, [[0, 0], [1, 0], [0.5, 0], [0.5, 1]], [[0, 2, 1], [0, 1, 3]], [0, 1, 2, 3], (0, 1, 0, 1)),
+    ],
+    ids=["1d", "2d"],
+)
+def test_mesh_rejects_a_degenerate_cell_before_dividing_by_it(dimension, vertices, cells, boundary, bounds):
+    # the warning filter of the tier-1 run turns a division by the zero volume into the failure
+    with pytest.raises(InvalidConfig, match="nonpositive volume"):
+        Mesh(dimension, vertices, cells, boundary, bounds)
+
+
 def test_strip_exact_distances():
     mesh = build_interval(0, 1, 10)
     mask = boundary_strip(mesh, 0.15)
@@ -141,6 +157,10 @@ def test_mask_from_predicate_and_indicator():
     assert set(mask.active_vertices) | set(mask.complement().active_vertices) == set(
         range(mesh.n_vertices)
     )
+
+    square = build_rectangle(0, 1, 0, 1, 2, 2)
+    lower_left = SubdomainMask.from_predicate(square, lambda x, y: x + y < 0.75)
+    assert lower_left.active_vertices.tolist() == [0, 1, 3]
 
 
 def test_rectangle_2x2_layout():

@@ -91,6 +91,31 @@ def test_hypotheses_strip_variants(interval_256, pair_p2_256):
     assert by_id(preds, "thm-1ww")
 
 
+def test_hypotheses_with_a_zero_on_the_whole_domain(interval_256, pair_p2_256):
+    # a = 0 vanishes on every strip: the widest is half the interval, and f = 1 certifies only the MP side
+    preds = check_hypotheses(template(interval_256, a=0.0), pair_p2_256.lam, pair_p2_256.phi)
+    (strip,) = by_id(preds, "thm-1ww")
+    assert ("a = 0 on the boundary strip (rho = 0.5)", True) in strip.hypothesis_report
+    assert strip.claim == {"positive"}
+    assert not by_id(preds, "thm1-w")  # its pairing int a phi1^q > 0 fails
+
+
+def test_hypotheses_with_a_source_whose_pairing_is_not_positive(interval_256, pair_p2_256):
+    # f changes sign and its pairing with the symmetric phi1 is (0.3 - 0.5) int phi1 < 0:
+    # the source condition fails, and no prediction is emitted
+    f = Weight.expression("0.3 - x")
+    assert check_hypotheses(template(interval_256, f=f), pair_p2_256.lam, pair_p2_256.phi) == []
+
+
+def test_hypotheses_with_f_zero_on_the_strip_claim_both_sides(interval_256, pair_p2_256):
+    a = Weight.expression("step(x - 0.25) * step(0.75 - x)")
+    f = Weight.expression("step(x - 0.25) * step(0.75 - x)")
+    preds = check_hypotheses(template(interval_256, a=a, f=f), pair_p2_256.lam, pair_p2_256.phi)
+    (thm1w,) = by_id(preds, "thm1-w")
+    assert thm1w.claim == {"positive", "negative"}
+    assert ("f = 0 on the strip (AMP side)", True) in thm1w.hypothesis_report
+
+
 def test_sweep_mp_amp_and_measurements(interval_256, pair_p2_256):
     lam1 = pair_p2_256.lam
     lam_grid = [0.3 * lam1, 0.6 * lam1, 0.9 * lam1, 1.2 * lam1, 1.8 * lam1]
