@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid config or parse error, 3 no convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -165,7 +166,9 @@ _RUNNERS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use: most of its cost is argparse's gettext lookups."""
     parser = argparse.ArgumentParser(prog="plap", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
@@ -173,7 +176,11 @@ def main(argv=None):
         mode_parser.add_argument("--config", required=True)
         mode_parser.add_argument("--out", default=None)
         mode_parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         try:

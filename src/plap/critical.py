@@ -19,16 +19,34 @@ gradient): the direction is K_I^{-1} applied to the nodal gradient of G,
 with K the p = 2 stiffness on the free vertices and I the inactive set, the
 free vertices except those where u = 0 and the nodal gradient is positive
 (the step would push u below zero).  The direction is 0 on that active set,
-which keeps the scaling valid on the cone.  Each trial is clamped to u >= 0
-and renormalized to unit gradient energy, accepted when it lowers G by
-1e-14 (1 + |G|), and the step grows by 1.3 after an accepted trial and
-halves after a rejected one.  A start stops once its step is at most
-max(1e-14, 2^-20 times its step after its last accepted trial, or its first
-step before one): twenty rejections in a row, where a stop at 1e-14 alone
-spent about 44 trials confirming it.  The scaling removes the mesh
-dependence of plain projected gradient, so on the 256-cell interval at
-p = 3 every start stops within about 70 iterations, and max_iter is only a
-cap.
+which keeps the scaling valid on the cone.  The steps are those of the
+spectral projected gradient method (Birgin, Martinez & Raydan, SIAM J.
+Optim. 10 (2000)) in this metric:
+
+- step.  The first trial step along a start's first direction is 1.  From
+  its second direction d = K_I^{-1} g on, it is the Barzilai-Borwein step
+  (IMA J. Numer. Anal. 8 (1988)) alpha = s.y / y.(d - d_prev), with s the
+  change in the start's free values and y the change in its nodal gradient
+  g between its last two direction points.  While the active set stays put,
+  d - d_prev = K_I^{-1} y, so this is the preconditioned BB2 step and needs
+  no extra kernel call or solve.  alpha is clipped to [1e-6, 1e6]
+  (_STEP_CLIP); where s.y <= 0 or y.(d - d_prev) <= 0 the step is kept.
+  A rejected trial halves the step.
+- accept.  Each trial is clamped to u >= 0 and renormalized to unit
+  gradient energy, and accepted when its G lies below the largest of the
+  start's last 5 accepted G (_MEMORY) by 1e-14 (1 + |G|): the nonmonotone
+  reference of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23
+  (1986)).  G may thus rise along a path, and a start reports the lowest G
+  it accepted and the iterate there.
+- stop.  A start stops when the first trial along a fresh direction
+  predicts a decrease alpha <g, d> of at most 1e-14 (1 + |G|), below the
+  acceptance margin; after twenty rejections in a row (its step at most
+  2^-20 times its first trial step along the direction, or at 1e-14); or
+  after max_iter directions.
+
+The scaling removes the mesh dependence of plain projected gradient, and
+the spectral step its linear rate, so on the 256-cell interval at p = 3
+every start stops within about 40 directions, and max_iter is only a cap.
 
 All starts descend in lockstep as rows of one (n_starts, n_vertices) array,
 in rounds.  In each round the rows that took a step in the last round get a
@@ -37,15 +55,17 @@ makes one line-search trial, normalized and evaluated over all the rows at
 once.  What is shared: the gradient kernel calls, the stiffness K, and one
 solve with K (fem.stiffness_solver: closed form on a rectangle grid, one
 factor of K elsewhere) that serves every row whose active set is empty as
-one multi-right-hand-side solve.  What each row keeps: its step size, its
-accept/reject test, its max_iter count, its zero-quotient exit and, while
-its active set is not empty, the factor of that set.  A row leaves the
-array when it stops.  The rows do not interact: every per-row reduction
-(the gradient energy and the weighted sums) is a numpy sum along one
-C-contiguous row, and every other step is elementwise, so a row's numbers
-do not depend on which other rows share the array.  A matrix-vector product
-would not do: BLAS dgemv need not give a row the bits it gives that row
-alone.
+one multi-right-hand-side solve.  What each row keeps: its step size and
+last direction point, its recent and lowest accepted G, its accept/reject
+test, its stops, its zero-quotient exit and, while its active set is not
+empty, the factor of that set.  A row leaves the array when it stops.  The
+rows do not interact: every per-row reduction (the gradient energy, the
+weighted sums and the inner products of the step and the stop) is a numpy
+sum along one C-contiguous row, the maximum over its recent G is exact, and
+every other step is elementwise, so a row's numbers do not depend on which
+other rows share the array.  A matrix-vector product would not do: BLAS
+dgemv need not give a row the bits it gives that row alone, and neither
+would a sum along the rows of an F-ordered array such as fem.p_flux's.
 
 The closed-form lower bound
 
@@ -85,6 +105,9 @@ __all__ = [
     "discrete_picone_check",
 ]
 
+_MEMORY = 5  # accepted values of G behind the nonmonotone acceptance reference
+_STEP_CLIP = (1e-6, 1e6)  # bounds of the spectral step
+
 
 def picone_constant(p, q):
     """C(p,q) = (p-1) / ((p-q)^{(p-q)/(p-1)} (q-1)^{(q-1)/(p-1)})."""
@@ -107,7 +130,7 @@ class EtaStarResult:
     starts_used: int
     all_start_values: list
     lam1: float = math.nan
-    start_iterations: list = field(default_factory=list)  # descent iterations per start
+    start_iterations: list = field(default_factory=list)  # descent directions (gradient evaluations) per start
 
     @property
     def gap(self):
@@ -186,12 +209,18 @@ class _Preconditioner:
             self.pinned.pop(row, None)
 
 
+def _row_dot(x, y):
+    """Each row's inner product, a sum along one C-contiguous row (bit for bit that row's alone)."""
+    return np.ascontiguousarray(x * y).sum(axis=1)
+
+
 def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
-    """Sobolev-preconditioned projected descent of G from every start, in lockstep.
+    """Sobolev-preconditioned spectral projected descent of G from every start, in lockstep.
 
     starts is an (n_starts, n_vertices) array.  Returns (G, nodal values,
-    descent iterations), one entry or row per start; the iterations count the
-    gradient evaluations of that start, at most max_iter.  A start with zero
+    descent iterations), one entry or row per start: the lowest G a start
+    accepted on its path and the iterate there, and the number of its
+    directions (gradient evaluations), at most max_iter.  A start with zero
     gradient energy keeps G = +inf and takes no step.  Each row's result is
     bit for bit that of its start descending alone.
     """
@@ -223,15 +252,18 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
     vals, state = normalized(vals)
     value = state[0]  # a view: G of every row
     live = np.flatnonzero(np.isfinite(value) & (value != 0.0))
+    best, best_vals = value.copy(), vals.copy()
+    recent = np.repeat(value[:, None], _MEMORY, axis=1)  # each row's last accepted G, oldest first
 
     step = np.ones(n_rows)
-    accepted_step = np.ones(n_rows)  # each row's step after its last accepted trial, its first step before one
+    first_step = np.ones(n_rows)  # each row's first trial step along its current direction
     iterations = np.zeros(n_rows, dtype=np.int64)
     direction = np.zeros((n_rows, mesh.n_vertices))
+    last = np.zeros((3, n_rows, len(free)))  # free values, raw gradient and direction at each row's last direction
     fresh = np.ones(n_rows, dtype=bool)  # the row took a step and needs a new direction
     while True:
         # a start stops after max_iter directions, or after 20 rejections in a row (or at a step of 1e-14)
-        floor = np.maximum(1e-14, 2.0**-20 * accepted_step[live])
+        floor = np.maximum(1e-14, 2.0**-20 * first_step[live])
         stop = (fresh[live] & (iterations[live] >= max_iter)) | (step[live] <= floor)
         precondition.drop(live[stop])
         live = live[~stop]
@@ -239,7 +271,6 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
             break
         new = live[fresh[live]]
         if len(new):
-            iterations[new] += 1
             fresh[new] = False
             u = vals[new]
             # nodal gradient of G, one row per start
@@ -249,24 +280,42 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
             raw = (g * (alpha * grad_h / h + beta * grad_f / f - grad_d / d))[:, free]
             # active: u = 0 and the step would push u below zero; those vertices stay put
             active = (u[:, free] == 0.0) & (raw > 0.0)
-            direction[np.ix_(new, free)] = precondition(new, raw, active)
+            point = np.stack([u[:, free], raw, precondition(new, raw, active)])
+            # the BB2 step s.y / y.H y in the K_I metric, from the second direction on and where both are positive
+            s, y, dd = point - last[:, new]
+            sy, ydd = _row_dot(s, y), _row_dot(y, dd)
+            spectral = (iterations[new] > 0) & (sy > 0.0) & (ydd > 0.0)
+            step[new[spectral]] = np.clip(sy[spectral] / ydd[spectral], *_STEP_CLIP)
+            first_step[new] = step[new]
+            last[:, new] = point
+            iterations[new] += 1
+            direction[np.ix_(new, free)] = point[2]
+            # the first trial's predicted decrease is below the acceptance margin: no trial can pass
+            flat = step[new] * _row_dot(raw, point[2]) <= 1e-14 * (1.0 + np.abs(value[new]))
+            precondition.drop(new[flat])
+            live = np.setdiff1d(live, new[flat], assume_unique=True)
+            if not len(live):
+                break
 
-        # one line-search trial per live row
+        # one line-search trial per live row, against the largest of its recent accepted G
         trial, trial_state = normalized(np.maximum(vals[live] - step[live, None] * direction[live], 0.0))
         g, g_t = value[live], trial_state[0]
-        accept = g_t < g - 1e-14 * (1.0 + np.abs(g))
+        accept = g_t < recent[live].max(axis=1) - 1e-14 * (1.0 + np.abs(g))
         took = accept | (g_t == 0.0)
         rows = live[took]
         vals[rows], state[:, rows] = trial[took], trial_state[:, took]
-        step[live] *= np.where(accept, 1.3, 0.5)
-        accepted_step[live[accept]] = step[live[accept]]
-        fresh[live[accept]] = True
-        step[rows[g_t[took] == 0.0]] = 0.0  # a zero quotient ends the start
-    return value, vals, iterations
+        lower = rows[value[rows] < best[rows]]
+        best[lower], best_vals[lower] = value[lower], vals[lower]
+        step[live[~accept]] *= 0.5
+        rows = live[accept]
+        recent[rows] = np.column_stack([recent[rows, 1:], value[rows]])
+        fresh[rows] = True
+        step[live[g_t == 0.0]] = 0.0  # a zero quotient ends the start
+    return best, best_vals, iterations
 
 
 def eta_star(mesh, m, a, f, p, q, lam, opts=None):
-    """Critical perturbation size by multi-start preconditioned projected descent.
+    """Critical perturbation size by multi-start preconditioned spectral projected descent.
 
     Requires f >= 0 nodally and 0 <= lam <= lambda_1(m) (up to a 1e-6 relative
     margin); lambda_1(m) and phi1, the first start, come from eigen._principal.

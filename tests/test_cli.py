@@ -413,3 +413,16 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     code = main(["eigen", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path), "--seed", "-1"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("plap: --seed: "), err
+
+
+def test_consecutive_calls_share_no_arguments(tmp_path, capsys):
+    # the parser is built once per process; each call parses its own argv
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config("eigen")))
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen", "--out", str(tmp_path)])
+    assert exc.value.code == 2 and "--config" in capsys.readouterr().err
+    assert main(["eigen", "--config", str(path), "--out", str(tmp_path), "--seed", "7"]) == 0
+    assert json.loads((tmp_path / "eigen_report.json").read_text())["config"]["seed"] == 7
+    assert main(["eigen", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "eigen_report.json").read_text())["config"]["seed"] == 11

@@ -74,6 +74,43 @@ def test_every_start_converges_to_one_value(interval_256, one, pair_p3_256):
     assert res.value >= res.lower_bound
 
 
+def test_descent_work_on_the_benchmark_critval_config(interval_256, one, pair_p3_256):
+    # the x1.3/x0.5 step rule spent 1,862 directions here and reached 3.547434681752693
+    res = eta_star(
+        interval_256, one, one, one, 3.0, 1.5, 0.5 * pair_p3_256.lam,
+        EtaStarOptions(n_starts=32, seed=1),
+    )
+    assert sum(res.start_iterations) <= 1300
+    assert res.value <= 3.547434681752693
+
+
+ETA_STAR_CASES = pytest.mark.parametrize(
+    "shape, p, weights, n_starts, before",
+    [
+        (256, 1.8, ("1", "1", "1"), 32, 4.5737717280853945),
+        (256, 2.0, ("1", "1", "1"), 32, 4.504550658378501),
+        (256, 4.0, ("1", "1", "1"), 32, 3.044524835760688),
+        (256, 3.0, ("1 + x", "2 - x", "1 + x^2"), 32, 2.851883060951237),
+        ((24, 24), 3.0, ("1", "1", "1"), 32, 4.484235875016239),
+        ((32, 32), 2.0, ("1", "x - 0.3", "1"), 16, 24.03245904849532),
+    ],
+    ids=["1d-p1.8", "1d-p2", "1d-p4", "1d-weighted-p3", "square24-p3", "indefinite32"],
+)
+
+
+@ETA_STAR_CASES
+def test_eta_star_no_higher_than_the_fixed_step_rule(shape, p, weights, n_starts, before):
+    # before: the value of the x1.3/x0.5 step rule, lam = lam1/2, q = 1.5, seed 1
+    mesh = build_interval(0.0, 1.0, shape) if isinstance(shape, int) else build_rectangle(0, 1, 0, 1, *shape)
+    m, a, f = (Weight.expression(w) for w in weights)
+    from plap import principal_eigenpair
+
+    lam = 0.5 * principal_eigenpair(mesh, m, p).lam
+    res = eta_star(mesh, m, a, f, p, 1.5, lam, EtaStarOptions(n_starts=n_starts, seed=1))
+    assert res.value <= before * (1.0 + 1e-12)
+    assert res.value >= res.lower_bound
+
+
 def test_eta_star_active_set_at_the_cone_boundary(one):
     # a changes sign, so minimizers vanish on part of the square and the
     # descent must keep those vertices at zero
