@@ -58,10 +58,11 @@ int |grad u|^p >= lam1 int m |u|^p, so for 0 <= lam < lam1 (and for lam < 0
 when m >= 0) E is coercive and the solutions there minimize it; above lam1
 they come from linking and are saddles of E, where a step down E can lead
 away from every root.  So on rungs with lam below lam1, when lam1 is known
-(opts.lam1, which multi_start_solve fills in), the driver hands fem.newton
-the energy: when the ||r||^2 search would end the rung as stalled or
-line_search and the step descends E, an Armijo step on E is taken and the
-rung goes on under the ||r||^2 test (Nocedal & Wright 2006, ch. 3).
+(opts.lam1, which _fill_lam1 fills in for multi_start_solve and plap
+solve), the driver hands fem.newton the energy: when the ||r||^2 search
+would end the rung as stalled or line_search and the step descends E, an
+Armijo step on E is taken and the rung goes on under the ||r||^2 test
+(Nocedal & Wright 2006, ch. 3).
 Without it, starts on the wrong side of u = 0 slide into the degenerate
 point and stall there: on the grid above, 6 of the 10 failed starts stalled
 at 0.8 lam1 with ||r|| of 5.5-5.8e-2, close to ||load|| = 6.2e-2.  With it
@@ -193,7 +194,7 @@ class SolveOptions:
 
     newton_tol: float = 1e-10
     max_newton: int = 60
-    lam1: float | None = None  # principal eigenvalue; multi_start_solve fills in the computed one when unset
+    lam1: float | None = None  # principal eigenvalue, None for unknown; _fill_lam1 fills in the computed one
     t_grid: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
     n_random: int = 2
     dedup_tol: float = 1e-6
@@ -583,15 +584,27 @@ class MultiStartResult:
         return self.outcomes[i]
 
 
+def _fill_lam1(spec, opts):
+    """(opts, pair) with pair = eigen._principal_or_none(mesh, m, p) and an unset opts.lam1 set to pair.lam.
+
+    A failed eigensolve (pair None) leaves opts as given.  The library solve
+    never calls it: there lam1 = None means unknown.
+    """
+    pair = _principal_or_none(spec.mesh, spec.m, spec.p)
+    if pair is not None and opts.lam1 is None:
+        opts = replace(opts, lam1=pair.lam)
+    return opts, pair
+
+
 def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     """Run solve() from the start family {zero, +-t*phi1, random} and deduplicate.
 
     Per-start failures are recorded, never raised.  Outcomes within
     dedup_tol * (1 + min sup) of each other in the sup norm count as one
-    solution.  phi1, and lam1 for an unset opts.lam1, come from
-    eigen._principal_or_none; when it fails (e.g. m <= 0) the +-t starts
-    are dropped.  _solve_row passes its row's store as _prefix to every solve()
-    (see there).
+    solution.  phi1, and lam1 for an unset opts.lam1, come from _fill_lam1;
+    when its eigensolve fails (e.g. m <= 0) the +-t starts are dropped.
+    _solve_row passes its row's store as _prefix to every solve() (see
+    there).
 
     _warm maps a start label to the distinct outcome that start matched in
     the neighbouring cell of its row (that cell's matched; _solve_row); a
@@ -601,13 +614,10 @@ def multi_start_solve(spec, opts=None, *, _prefix=None, _warm=None):
     (warm_starts) and the ones that fell back to the ladder
     (warm_fallbacks).
     """
-    opts = opts or SolveOptions()
+    opts, pair = _fill_lam1(spec, opts or SolveOptions())
     mesh = spec.mesh
     starts = [("zero", "zero")]
-    pair = _principal_or_none(mesh, spec.m, spec.p)
     if pair is not None:
-        if opts.lam1 is None:
-            opts = replace(opts, lam1=pair.lam)
         for t in opts.t_grid:
             starts.append((f"pos_phi1_t{t:g}", t * pair.phi.values))
             starts.append((f"neg_phi1_t{t:g}", -t * pair.phi.values))

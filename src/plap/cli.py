@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bvp import ProblemSpec, SolveOptions, solve
+from .bvp import ProblemSpec, SolveOptions, _fill_lam1, solve
 from .config import MODES, SOLVE_OPTIONS, build_mesh, parse_config
 from .critical import EtaStarOptions, discrete_picone_check, eta_star, picone_polynomial_check
 from .eigen import EigenOptions, _principal, principal_eigenpair, principal_eigenpair_negative, subdomain_eigenvalue
@@ -68,7 +68,8 @@ def _run_solve(cfg, mesh, seed, out_dir):
     spec = ProblemSpec(
         mesh, cfg.p, cfg.q, mp["lam"], mp["eta"], cfg.weights["m"], cfg.weights["a"], cfg.weights["f"]
     )
-    return solve(spec, mp["init"], _solve_options(mp, seed))
+    opts, _ = _fill_lam1(spec, _solve_options(mp, seed))  # the lam rungs and energy rescue of a sweep's zero start
+    return solve(spec, mp["init"], opts)
 
 
 def _run_sweep(cfg, mesh, seed, out_dir):

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .eigen import _principal, _principal_or_none
+from .eigen import _LAM1_MARGIN, _principal, _principal_or_none
 from .errors import InvalidConfig
 from .functions import (
     DiscreteFunction, check_exponents, grad_energy, nodal_values, weight_values, weighted_power_integral
@@ -317,8 +317,9 @@ def _descend(mesh, m_vals, a_vals, f_vals, p, q, lam, starts, max_iter):
 def eta_star(mesh, m, a, f, p, q, lam, opts=None):
     """Critical perturbation size by multi-start preconditioned spectral projected descent.
 
-    Requires f >= 0 nodally and 0 <= lam <= lambda_1(m) (up to a 1e-6 relative
-    margin); lambda_1(m) and phi1, the first start, come from eigen._principal.
+    Requires f >= 0 nodally and 0 <= lam <= lambda_1(m) (up to the relative
+    margin eigen._LAM1_MARGIN); lambda_1(m) and phi1, the first start, come
+    from eigen._principal.
     Returns the +infinity sentinel when no start attains a positive
     denominator (empty admissible cone).  value is the least start value,
     and minimizer the first start within a relative 1e-12 of it: start
@@ -336,12 +337,12 @@ def eta_star(mesh, m, a, f, p, q, lam, opts=None):
 
     pair = _principal(mesh, m, p)
     lam1 = pair.lam
-    if lam < 0 or lam > lam1 * (1.0 + 1e-6):
+    if lam < 0 or lam > lam1 * (1.0 + _LAM1_MARGIN):
         raise InvalidConfig(f"lam must lie in [0, lambda_1 ~ {lam1:.6g}], got {lam}")
 
     free = mesh.interior_vertices
     bound = eta_star_bound(mesh, f_vals, np.maximum(a_vals, 0.0), p, q, lam1) if lam < lam1 else None
-    lower = bound(lam) if bound and bound(lam) < math.inf else None  # inf: empty cone, none reported
+    lower = value if bound and (value := bound(lam)) < math.inf else None  # inf: empty cone, none reported
 
     if not np.any(a_vals[free] > 0):
         return EtaStarResult(math.inf, None, lower, 0, [], lam1)

@@ -9,6 +9,10 @@ and the no-nonnegative-solution region above it) bind cells: wherever their
 hypotheses hold and the cell lies in the region, every observed sign class
 must fall inside the claim, otherwise a counterexample record is emitted.
 
+One strict guard band, _side, decides both sides of lam1: a lam within a
+relative eigen._LAM1_MARGIN of lam1, edges included, binds no prediction
+(prop-noneg is silent at its edge too) and gets no measured eta half-width.
+
 Coverage caveat: "any solution" claims are checked against the multi-start
 solution set only; reports label coverage as "all found solutions", since
 completeness of the solution set is undecidable here.
@@ -23,7 +27,7 @@ import numpy as np
 
 from .bvp import ProblemSpec, SolveOptions, _anchor, _solve_row, classify_sign, multi_start_solve
 from .critical import eta_star_bound, picone_polynomial_check
-from .eigen import _principal, _principal_or_none, second_eigenvalue_1d
+from .eigen import _LAM1_MARGIN, _principal, _principal_or_none, second_eigenvalue_1d
 from .errors import InvalidConfig
 from .functions import weight_values, weighted_power_integral
 
@@ -42,10 +46,6 @@ _NONNEGATIVE = frozenset({"positive", "nonneg_with_zeros", "zero"})
 _NOT_NONNEGATIVE = frozenset({"negative", "nonpos_with_zeros", "sign_changing"})
 _POSITIVE = frozenset({"positive"})
 _NEGATIVE = frozenset({"negative"})
-
-# relative guard band around the computed principal eigenvalue inside which
-# binding regions stay silent (the eigenvalue itself is known to solver tol)
-_LAM1_MARGIN = 1e-6
 # on 2D sweeps, the sign class is also taken without the vertices within this
 # fraction of the diameter of the boundary (interior-only claims)
 _INTERIOR_MARGIN = 0.1
@@ -89,7 +89,6 @@ class CellRecord:
     classes: list
     predicted: list
     consistent: object  # True / False / None for not-applicable
-    n_failures: int
     # interior-only classification (boundary margin dropped); used by the
     # MP/AMP measurements on 2D meshes where corner behavior is not certified
     margin_classes: list | None = None
@@ -138,6 +137,15 @@ class RegionMap:
                 for pr in self.predictions
             ],
         }
+
+
+def _side(lam, lam1):
+    """_POSITIVE below the band lam1 * (1 -+ _LAM1_MARGIN), _NEGATIVE above it, None inside it (edges included)."""
+    if lam < lam1 * (1.0 - _LAM1_MARGIN):
+        return _POSITIVE
+    if lam > lam1 * (1.0 + _LAM1_MARGIN):
+        return _NEGATIVE
+    return None
 
 
 def _vanishing_strip_width(mesh, vals):
@@ -286,11 +294,10 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
     # --- nonnegativity region below lam1 (binding); for m >= 0 it extends to
     # every lam < 0 as well
     if f_nonneg and math.isfinite(lam1):
-        lo = lam1 * (1.0 - _LAM1_MARGIN)
         lam_floor = -math.inf if m_nonneg else 0.0
 
-        def nonneg_region(lam, eta, _lo=lo, _floor=lam_floor):
-            if not _floor <= lam <= _lo:
+        def nonneg_region(lam, eta, _floor=lam_floor):
+            if lam < _floor or _side(lam, lam1) is not _POSITIVE:
                 return False
             if eta >= 0.0:
                 bound = eta_threshold_pos(max(lam, 0.0)) if eta_threshold_pos else 0.0
@@ -315,14 +322,12 @@ def check_hypotheses(template, lam1, phi1, eta_threshold_pos=None, eta_threshold
 
     # --- no nonnegative solutions above lam1 (binding)
     if a_nonneg and f_nonneg and f_nontrivial and math.isfinite(lam1):
-        hi = lam1 * (1.0 + _LAM1_MARGIN)
-
         preds.append(
             TheoremPrediction(
                 id="prop-nonex",
                 hypothesis_report=[("a >= 0", True), ("f >= 0 and f nontrivial", True)],
                 claim=_NOT_NONNEGATIVE,
-                region=lambda lam, eta, _hi=hi: lam > _hi and eta >= 0.0,
+                region=lambda lam, eta: _side(lam, lam1) is _NEGATIVE and eta >= 0.0,
             )
         )
 
@@ -426,39 +431,32 @@ def sweep(template, lam_grid, eta_grid, opts=None):
         row = _solve_row(template, lam, eta_grid, opts)
         for j, eta in enumerate(eta_grid):
             ms = row[j]
-            rows = []
-            for strategy, out, err in ms.per_start:
-                if out is None:
-                    rows.append(RowRecord(strategy, "failed", math.nan, math.nan, math.nan))
-                else:
-                    rows.append(
-                        RowRecord(strategy, out.sign_class, out.residual_norm, out.sup_norm, out.energy)
-                    )
+            rows = [
+                RowRecord(strategy, "failed", math.nan, math.nan, math.nan) if out is None
+                else RowRecord(strategy, out.sign_class, out.residual_norm, out.sup_norm, out.energy)
+                for strategy, out, _ in ms.per_start
+            ]
             classes = sorted({o.sign_class for o in ms.outcomes})
             margin_classes = None
             if mesh.dimension == 2:
                 margin_classes = sorted({classify_sign(o.u, margin=_INTERIOR_MARGIN) for o in ms.outcomes})
-            predicted = [pr.id for pr in binding if pr.region(lam, eta)]
-            consistent = None
-            if predicted:
-                consistent = True
-                for pr in binding:
-                    if pr.region(lam, eta) and classes and not _all_in(classes, pr.claim):
-                        consistent = False
-                        counterexamples.append(
-                            {
-                                "lam": lam,
-                                "eta": eta,
-                                "prediction": pr.id,
-                                "claim": sorted(pr.claim),
-                                "observed": classes,
-                                "strategies": [r.strategy for r in rows],
-                                "coverage": "all found solutions",
-                            }
-                        )
+            predicted = [pr for pr in binding if pr.region(lam, eta)]
+            broken = [pr for pr in predicted if classes and not _all_in(classes, pr.claim)]
+            counterexamples += [
+                {
+                    "lam": lam,
+                    "eta": eta,
+                    "prediction": pr.id,
+                    "claim": sorted(pr.claim),
+                    "observed": classes,
+                    "strategies": [r.strategy for r in rows],
+                    "coverage": "all found solutions",
+                }
+                for pr in broken
+            ]
             cells[(i, j)] = CellRecord(
-                lam, eta, rows, classes, predicted, consistent, len(ms.failures), margin_classes,
-                ms.warm_starts, ms.warm_fallbacks,
+                lam, eta, rows, classes, [pr.id for pr in predicted], not broken if predicted else None,
+                margin_classes, ms.warm_starts, ms.warm_fallbacks,
             )
 
     region_map = RegionMap(
@@ -491,20 +489,17 @@ def _measure(region_map):
         classes = cell.margin_classes if cell.margin_classes is not None else cell.classes
         return _all_in(classes, claim)
 
-    below = [i for i, lam in enumerate(lams) if lam < lam1 * (1.0 - _LAM1_MARGIN)]
+    sides = [_side(lam, lam1) for lam in lams]
+    below = [i for i, side in enumerate(sides) if side is _POSITIVE]
     run_start = _last_of_run(reversed(below), lambda i: cell_all(i, j0, _POSITIVE))
     region_map.delta_hat_mp = lam1 - lams[run_start] if run_start is not None else 0.0
 
-    above = [i for i, lam in enumerate(lams) if lam > lam1 * (1.0 + _LAM1_MARGIN)]
+    above = [i for i, side in enumerate(sides) if side is _NEGATIVE]
     run_end = _last_of_run(above, lambda i: cell_all(i, j0, _NEGATIVE))
     region_map.delta_hat_amp = lams[run_end] - lam1 if run_end is not None else 0.0
 
-    for i, lam in enumerate(lams):
-        if lam < lam1 * (1.0 - _LAM1_MARGIN):
-            claim = _POSITIVE
-        elif lam > lam1 * (1.0 + _LAM1_MARGIN):
-            claim = _NEGATIVE
-        else:
+    for i, (lam, claim) in enumerate(zip(lams, sides)):
+        if claim is None:
             continue
         if not cell_all(i, j0, claim):
             region_map.eta_bounds[lam] = 0.0

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import oracles
+from plap import ProblemSpec, SolveOptions, multi_start_solve
 from plap.cli import main
 from plap.fem import EPS_ZERO_FLOOR, smoothed_odd_power_deriv
 
@@ -125,6 +126,19 @@ def test_solve_roundtrip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["result"]["sign_class"] == "positive"
+
+
+def test_solve_fills_in_the_computed_lam1(tmp_path, interval_256, pair_p3_256, one):
+    # with lam1 known the solve runs the lam rungs and the energy rescue; without them this start stalls (exit 3)
+    lam = 0.95 * pair_p3_256.lam
+    cfg = config("solve", lam=lam)
+    cfg["p"] = 3.0
+    cfg["domain"]["resolution"] = 256
+    result = run_main("solve", cfg, tmp_path)
+    spec = ProblemSpec(interval_256, 3.0, 1.5, lam, 0.0, one, one, one)
+    label, zero, _ = multi_start_solve(spec, SolveOptions(seed=11)).per_start[0]
+    assert label == "zero" and result["sign_class"] == zero.sign_class == "positive"
+    assert result["u"]["values"] == zero.u.values.tolist()
 
 
 def test_critval_roundtrip(tmp_path):

@@ -22,6 +22,7 @@ from plap import (
     solve,
     sweep,
 )
+from plap.eigen import _LAM1_MARGIN
 from plap.report import write_report
 
 
@@ -151,6 +152,22 @@ def test_sweep_counterexample_machinery(interval_256):
     assert record["prediction"] == "prop-nonex"
     assert record["observed"] == ["positive"]
     assert region_map.cells[(0, 0)].consistent is False
+
+
+def test_lam_at_the_guard_band_edge_binds_nothing():
+    # lam1 * (1 - margin) lies in the band: no prediction binds there and no eta half-width is measured
+    mesh = build_interval(0.0, 1.0, 64)
+    lam1 = principal_eigenpair(mesh, Weight.constant(1.0), 2.0).lam
+    edge = lam1 * (1.0 - _LAM1_MARGIN)
+    opts = SolveOptions(t_grid=(1.0,), n_random=0)
+    region_map = sweep(template(mesh), [0.5 * lam1, edge], [0.0, 0.1], opts)
+    assert region_map.lam1 == lam1
+    for j in (0, 1):
+        assert region_map.cells[(0, j)].predicted == ["prop-noneg"]
+        assert (region_map.cells[(0, j)].classes, region_map.cells[(0, j)].consistent) == (["positive"], True)
+        assert (region_map.cells[(1, j)].predicted, region_map.cells[(1, j)].consistent) == ([], None)
+    assert region_map.eta_bounds == {0.5 * lam1: 0.0}  # no eta < 0 column, so the half-width is 0
+    assert region_map.counterexamples == []
 
 
 def test_sweep_handles_empty_grid(interval_256):
